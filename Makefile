@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-baseline lint-sarif test race race-serve bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
+.PHONY: check build vet lint lint-baseline lint-sarif test race race-serve loc benchmark bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -48,6 +48,18 @@ race:
 # poller are the most concurrency-dense code in the repo.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/...
+
+# Non-test Go lines per internal/ package (its directory, not the
+# subpackages) and their total — the instrument of ROADMAP aim 2: a PR
+# that claims to simplify quotes this before and after.
+loc:
+	@for d in internal/*/; do printf '%7d %s\n' $$(ls $$d*.go | grep -v _test.go | xargs cat | wc -l) $$d; done; printf '%7d total\n' $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)
+
+# The repository benchmark declared by BENCHMARK.json: six workloads over
+# both planes, every sample in benchmark/out/result.json (see
+# benchmark/README.md). Speed claims cite its (metric, workload) pairs.
+benchmark:
+	bash benchmark/run.sh
 
 # The observability benchmark: a fully instrumented coupled run plus a
 # distributed dynamics leg, emitting BENCH_telemetry.json (step latency

@@ -56,6 +56,13 @@ func main() {
 		return
 	}
 
+	// The experiments write their artifacts at the end of a run that can
+	// take minutes: create the directory first, or fail before any starts.
+	if err := os.MkdirAll(*benchDir, 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "gristbench: cannot create -bench-out %q: %v\n", *benchDir, err)
+		os.Exit(2)
+	}
+
 	if *csvDir != "" {
 		if err := experiments.WriteScalingCSV(*csvDir); err != nil {
 			fmt.Fprintln(os.Stderr, "csv export:", err)

@@ -28,7 +28,8 @@ func buildGristd(t *testing.T) string {
 }
 
 // startGristd launches the daemon and returns its base URL (parsed
-// from the startup banner) and the running process handle.
+// from the startup banner) and the running process handle. The child is
+// killed and reaped when the test ends, whichever assertion ends it.
 func startGristd(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -40,6 +41,10 @@ func startGristd(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		cmd.Process.Kill() // errors: the test may have killed and reaped it already
+		cmd.Wait()
+	})
 	addrRe := regexp.MustCompile(`gristd on http://([^/]+)/`)
 	lines := bufio.NewScanner(stdout)
 	var base string
@@ -50,7 +55,6 @@ func startGristd(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 		}
 	}
 	if base == "" {
-		cmd.Process.Kill()
 		t.Fatal("gristd never printed its listen address")
 	}
 	// Keep draining stdout so the daemon never blocks on a full pipe.
@@ -82,20 +86,27 @@ func waitHealthy(t *testing.T, base string) map[string]any {
 	return nil
 }
 
-func getJSON(t *testing.T, url string, into any) {
+// waitEpochs polls /v1/epochs until it lists exactly want or the
+// deadline passes: the daemon answers /healthz before its first poll has
+// published every epoch on disk.
+func waitEpochs(t *testing.T, base string, want []int) {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
+	var got struct {
+		Epochs []int `json:"epochs"`
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, body)
+	deadline := time.Now().Add(15 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(base + "/v1/epochs")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err == nil && resp.StatusCode == 200 && fmt.Sprint(got.Epochs) == fmt.Sprint(want) {
+				return
+			}
+		}
+		time.Sleep(100 * time.Millisecond)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-		t.Fatal(err)
-	}
+	t.Fatalf("/v1/epochs = %v, want %v", got.Epochs, want)
 }
 
 // kill -9 and restart: a gristd brought up over the shard directory of
@@ -114,13 +125,7 @@ func TestGristdSurvivesKillDashNine(t *testing.T) {
 	// First life: self-generate four epochs into -data and serve them.
 	first, base := startGristd(t, bin, append([]string{"-replay.epochs", "4"}, common...)...)
 	waitHealthy(t, base)
-	var before struct {
-		Epochs []int `json:"epochs"`
-	}
-	getJSON(t, base+"/v1/epochs", &before)
-	if len(before.Epochs) != 4 {
-		t.Fatalf("first life epochs = %v, want 4", before.Epochs)
-	}
+	waitEpochs(t, base, []int{0, 1, 2, 3})
 	resp, err := http.Get(base + "/v1/point?lat=40.7&lon=-74.0&field=t_sfc")
 	if err != nil || resp.StatusCode != 200 {
 		t.Fatalf("first-life point query = (%v, %v)", resp, err)
@@ -149,21 +154,9 @@ func TestGristdSurvivesKillDashNine(t *testing.T) {
 	}
 
 	// Second life: same directory, no replay — state comes from disk.
-	second, base2 := startGristd(t, bin, common...)
-	defer func() {
-		second.Process.Kill()
-		second.Wait()
-	}()
+	_, base2 := startGristd(t, bin, common...)
+	waitEpochs(t, base2, []int{0, 2, 3}) // epoch 1 is quarantined, the rest reconstruct
 	hz := waitHealthy(t, base2)
-
-	var after struct {
-		Epochs []int `json:"epochs"`
-	}
-	getJSON(t, base2+"/v1/epochs", &after)
-	want := []int{0, 2, 3} // epoch 1 is quarantined, the rest reconstruct
-	if fmt.Sprint(after.Epochs) != fmt.Sprint(want) {
-		t.Fatalf("restart epochs = %v, want %v", after.Epochs, want)
-	}
 	quarantined, _ := hz["quarantined"].([]any)
 	if len(quarantined) != 1 || int(quarantined[0].(float64)) != 1 {
 		t.Fatalf("restart healthz quarantined = %v, want [1]", hz["quarantined"])
@@ -222,14 +215,10 @@ func TestGristdServesUnderFaultProfile(t *testing.T) {
 	}
 	bin := buildGristd(t)
 	dir := t.TempDir()
-	cmd, base := startGristd(t, bin,
+	_, base := startGristd(t, bin,
 		"-addr", "127.0.0.1:0", "-level", "3", "-layers", "4",
 		"-data", dir, "-poll", "100ms", "-replay.epochs", "3",
 		"-fault.profile", "fsflaky", "-fault.seed", "11")
-	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}()
 	waitHealthy(t, base)
 	ok := 0
 	for i := 0; i < 20; i++ {

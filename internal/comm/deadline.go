@@ -3,8 +3,8 @@ package comm
 // Deadline-bounded waits. Every blocking primitive of the transport has
 // a timeout variant here, so a dead or stalled rank surfaces as a typed
 // error naming exactly which peers delivered and which never arrived,
-// instead of hanging the binary. The resilient distributed runner
-// (core.RunDistributedDynamicsResilient) treats these errors as
+// instead of hanging the binary. The distributed runner (core.Run, when
+// its spec has an Injector, Dir or Monitor) treats these errors as
 // rank-failure detections and rolls back to the last checkpoint epoch.
 
 import (

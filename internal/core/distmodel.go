@@ -89,30 +89,6 @@ func NewModelPlan(m *mesh.Mesh, nlev, nparts int, seed int64) *ModelPlan {
 	return pl
 }
 
-// tracerPeers returns the sorted peer set of rank p for the tracer
-// exchange.
-func (pl *ModelPlan) tracerPeers(p int) []int {
-	set := map[int]bool{}
-	for q := range pl.qSend[p] {
-		set[q] = true
-	}
-	for q := range pl.qRecv[p] {
-		set[q] = true
-	}
-	for q := range pl.fluxSend[p] {
-		set[q] = true
-	}
-	for q := range pl.fluxRecv[p] {
-		set[q] = true
-	}
-	peers := make([]int, 0, len(set))
-	for q := range set {
-		peers = append(peers, q)
-	}
-	sort.Ints(peers)
-	return peers
-}
-
 // newTracerExchanger builds the unified exchanger of the tracer
 // transport: tracer mass and mixing ratios over the rings-1-3 cell halo,
 // plus the averaged mass flux over the compute-region ghost edges. The
@@ -122,7 +98,7 @@ func (pl *ModelPlan) tracerPeers(p int) []int {
 // registration captures the slice.
 func newTracerExchanger(pl *ModelPlan, r *comm.Rank, f *tracer.Field, flux []float64, mode precision.Mode) *comm.HaloExchanger {
 	p := r.ID()
-	peers := pl.tracerPeers(p)
+	peers := sortedPeers(pl.qSend[p], pl.qRecv[p], pl.fluxSend[p], pl.fluxRecv[p])
 	ex := comm.NewExchanger(r, mode, peers)
 	cellSet := ex.AddIndexSet(peerLists(pl.qSend[p], peers), peerLists(pl.qRecv[p], peers))
 	edgeSet := ex.AddIndexSet(peerLists(pl.fluxSend[p], peers), peerLists(pl.fluxRecv[p], peers))
@@ -144,7 +120,7 @@ func newTracerExchanger(pl *ModelPlan, r *comm.Rank, f *tracer.Field, flux []flo
 func RunDistributedModel(m *mesh.Mesh, nlev, nparts int, mode precision.Mode,
 	initFn func(*dycore.State, *tracer.Field), nTrac, nDyn int, dtDyn float64) (*dycore.State, *tracer.Field) {
 
-	pl := NewModelPlan(m, nlev, nparts, 12345)
+	pl := NewModelPlan(m, nlev, nparts, defaultSeed)
 	finalS := dycore.NewState(m, nlev)
 	finalT := tracer.NewField(m, nlev, finalS.DryMass)
 
@@ -156,14 +132,7 @@ func RunDistributedModel(m *mesh.Mesh, nlev, nparts int, mode precision.Mode,
 		initFn(eng.State(), field)
 
 		ex := newStateExchanger(pl.DistPlan, r, eng.State(), mode)
-		eng.SetOwned(&dycore.OwnedSets{
-			TendCells: pl.TendCells[p],
-			DiagCells: pl.DiagCells[p],
-			FluxEdges: pl.FluxEdges[p],
-			UEdges:    pl.UEdges[p],
-			Start:     ex.Start,
-			Finish:    ex.Finish,
-		})
+		bindOwned(eng, ex, pl.DistPlan, p, false)
 		trans.SetOwned(&tracer.OwnedSets{
 			Cells:  pl.TracCells[p],
 			Commit: pl.TendCells[p],

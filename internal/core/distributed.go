@@ -2,15 +2,12 @@ package core
 
 import (
 	"sort"
-	"sync"
-	"time"
 
 	"gristgo/internal/comm"
 	"gristgo/internal/dycore"
 	"gristgo/internal/mesh"
 	"gristgo/internal/partition"
 	"gristgo/internal/precision"
-	"gristgo/internal/telemetry"
 )
 
 // DistPlan is the precomputed exchange plan of a distributed dynamics
@@ -130,20 +127,14 @@ func NewDistPlanFromDecomp(m *mesh.Mesh, nlev int, d *partition.Decomposition) *
 	return pl
 }
 
-// peersOf returns the sorted union of cell/edge exchange peers of rank p.
-func (pl *DistPlan) peersOf(p int) []int {
+// sortedPeers returns the sorted union of the peers keyed in per-peer
+// exchange lists.
+func sortedPeers(lists ...map[int][]int32) []int {
 	set := map[int]bool{}
-	for q := range pl.cellSend[p] {
-		set[q] = true
-	}
-	for q := range pl.cellRecv[p] {
-		set[q] = true
-	}
-	for q := range pl.edgeSend[p] {
-		set[q] = true
-	}
-	for q := range pl.edgeRecv[p] {
-		set[q] = true
+	for _, m := range lists {
+		for q := range m {
+			set[q] = true
+		}
 	}
 	peers := make([]int, 0, len(set))
 	for q := range set {
@@ -171,7 +162,7 @@ func peerLists(m map[int][]int32, peers []int) [][]int32 {
 // repartition with HaloExchanger.SwapLayout (set ids are stable across
 // epochs because every plan emits the same two sets in the same order).
 func (pl *DistPlan) Layout(p int) *comm.Layout {
-	peers := pl.peersOf(p)
+	peers := sortedPeers(pl.cellSend[p], pl.cellRecv[p], pl.edgeSend[p], pl.edgeRecv[p])
 	return &comm.Layout{Peers: peers, Sets: []comm.IndexSet{
 		{Send: peerLists(pl.cellSend[p], peers), Recv: peerLists(pl.cellRecv[p], peers)},
 		{Send: peerLists(pl.edgeSend[p], peers), Recv: peerLists(pl.edgeRecv[p], peers)},
@@ -216,76 +207,32 @@ func newStateExchanger(pl *DistPlan, r *comm.Rank, s *dycore.State, mode precisi
 	return ex
 }
 
-// distOpts selects driver variants shared by the public entry points.
-type distOpts struct {
-	blocking bool                // force blocking rounds (no overlap)
-	tim      *Timings            // drain per-rank halo wait times
-	stats    *comm.ExchangeStats // aggregate rounds/bytes/wait
-	reg      *telemetry.Registry // publish comm share / imbalance gauges
-	rec      *telemetry.Recorder // per-rank halo + dynamics spans (one shared ring)
-	recs     []*telemetry.Recorder
-	// recs, when non-nil (length nparts), gives every rank its OWN ring
-	// — the multi-node model, where each node records locally and a
-	// postmortem merges the rings (internal/obs). Spans are then stamped
-	// with the rank's own step counter, so cross-rank alignment by step
-	// survives ranks drifting apart.
-}
-
 // RunDistributedDynamics integrates the dry dynamics for the given number
-// of steps across nparts ranks (goroutines), each owning one domain of
-// the decomposition, with halo exchanges after every internal stage
-// overlapped with interior compute. The initial state is produced by
-// initFn on every rank identically; the merged final state is returned.
-// The result matches a serial run of the same configuration to rounding.
+// of steps across nparts ranks: the plain Run, for callers that want only
+// the merged final state. It panics where Run returns an error (an
+// invalid configuration, such as more parts than cells).
 func RunDistributedDynamics(m *mesh.Mesh, nlev, nparts int, mode precision.Mode,
 	initFn func(*dycore.State), steps int, dt float64) *dycore.State {
-	return runDistributedDynamics(m, nlev, nparts, mode, initFn, steps, dt, distOpts{})
+	s, _ := MustRun(RunSpec{Mesh: m, NLev: nlev, NParts: nparts, Mode: mode, Init: initFn, Steps: steps, Dt: dt})
+	return s
 }
 
 // RunDistributedDynamicsTimed is RunDistributedDynamics with measured
-// communication accounting: every rank's dynamics wall time accumulates
+// communication accounting: every rank's loop wall time accumulates
 // under "dynamics" and its exchanger wait under "halo_wait" in tm, and
 // the aggregate exchange statistics are returned. MeasuredCommShare(tm)
 // turns the two counters into the measured communication fraction that
 // replaces the modeled one in perfmodel.
 func RunDistributedDynamicsTimed(m *mesh.Mesh, nlev, nparts int, mode precision.Mode,
 	initFn func(*dycore.State), steps int, dt float64, tm *Timings) (*dycore.State, comm.ExchangeStats) {
-	var st comm.ExchangeStats
-	s := runDistributedDynamics(m, nlev, nparts, mode, initFn, steps, dt, distOpts{tim: tm, stats: &st})
-	return s, st
-}
-
-// RunDistributedDynamicsObserved is the fully instrumented variant: in
-// addition to the Timed accounting it attributes per-rank halo and
-// dynamics spans to rec (rank = partition index) and publishes the
-// run-level gauges into reg — grist_comm_share (measured wait/compute
-// fraction), grist_load_imbalance (max/mean per-rank wall time) and
-// grist_halo_bytes_per_step. Either sink may be nil.
-func RunDistributedDynamicsObserved(m *mesh.Mesh, nlev, nparts int, mode precision.Mode,
-	initFn func(*dycore.State), steps int, dt float64, tm *Timings,
-	reg *telemetry.Registry, rec *telemetry.Recorder) (*dycore.State, comm.ExchangeStats) {
-	var st comm.ExchangeStats
-	s := runDistributedDynamics(m, nlev, nparts, mode, initFn, steps, dt,
-		distOpts{tim: tm, stats: &st, reg: reg, rec: rec})
-	return s, st
-}
-
-// RunDistributedDynamicsTraced is the cross-rank observability variant:
-// every rank records into its own flight-recorder ring (recs[p], length
-// nparts), with spans stamped by the rank's own step counter — the
-// input shape internal/obs merges into a global per-step timeline and
-// critical path. reg (may be nil) additionally receives the Observed
-// gauges plus grist_trace_dropped_total summed over the rings.
-func RunDistributedDynamicsTraced(m *mesh.Mesh, nlev, nparts int, mode precision.Mode,
-	initFn func(*dycore.State), steps int, dt float64,
-	recs []*telemetry.Recorder, reg *telemetry.Registry) (*dycore.State, comm.ExchangeStats) {
-	if len(recs) != nparts {
-		panic("core: RunDistributedDynamicsTraced needs one recorder per rank")
+	s, rep := MustRun(RunSpec{Mesh: m, NLev: nlev, NParts: nparts, Mode: mode, Init: initFn, Steps: steps, Dt: dt})
+	for _, wall := range rep.RankWall {
+		tm.Add("dynamics", wall)
 	}
-	var st comm.ExchangeStats
-	s := runDistributedDynamics(m, nlev, nparts, mode, initFn, steps, dt,
-		distOpts{stats: &st, reg: reg, recs: recs})
-	return s, st
+	if rep.Exchange.Rounds > 0 {
+		tm.AddCalls("halo_wait", rep.Exchange.Wait, rep.Exchange.Rounds)
+	}
+	return s, rep.Exchange
 }
 
 // MeasuredCommShare returns the measured communication fraction of a
@@ -298,97 +245,6 @@ func MeasuredCommShare(tm *Timings) float64 {
 		return 0
 	}
 	return float64(wait) / float64(total)
-}
-
-func runDistributedDynamics(m *mesh.Mesh, nlev, nparts int, mode precision.Mode,
-	initFn func(*dycore.State), steps int, dt float64, opt distOpts) *dycore.State {
-
-	pl := NewDistPlan(m, nlev, nparts, 12345)
-	final := dycore.NewState(m, nlev)
-	var mu sync.Mutex
-	rankWall := make([]time.Duration, nparts)
-	var agg comm.ExchangeStats
-
-	comm.Run(nparts, func(r *comm.Rank) {
-		p := r.ID()
-		eng := dycore.New(m, nlev, mode)
-		initFn(eng.State())
-		ex := newStateExchanger(pl, r, eng.State(), mode)
-		rec := opt.rec
-		if opt.recs != nil {
-			rec = opt.recs[p]
-		}
-		if rec != nil {
-			ex.SetTelemetry(rec, int32(p))
-			eng.SetTelemetry(rec, int32(p))
-		}
-		o := pl.OwnedSets(p)
-		if opt.blocking {
-			o.Start = ex.Exchange
-		} else {
-			o.Start, o.Finish = ex.Start, ex.Finish
-		}
-		eng.SetOwned(o)
-		t0 := time.Now()
-		for i := 0; i < steps; i++ {
-			if rec != nil {
-				// Stamp this rank's spans with ITS step counter (1-based):
-				// the recorder-wide SetStep cannot attribute concurrently
-				// advancing ranks.
-				eng.SetTelemetryStep(int64(i + 1))
-				ex.SetTelemetryStep(int64(i + 1))
-			}
-			eng.Step(dt)
-		}
-		wall := time.Since(t0)
-		rankWall[p] = wall
-
-		if opt.stats != nil || opt.tim != nil || opt.reg != nil {
-			// One DrainStats yields the rank's whole window, so the
-			// aggregate stats and the timing counters describe the same
-			// rounds (a Stats read plus a separate reset could lose rounds
-			// completed in between).
-			st := ex.DrainStats()
-			mu.Lock()
-			agg.Rounds += st.Rounds
-			agg.BytesSent += st.BytesSent
-			agg.Wait += st.Wait
-			if opt.tim != nil {
-				opt.tim.Add("dynamics", wall)
-				if st.Rounds > 0 {
-					opt.tim.AddCalls("halo_wait", st.Wait, st.Rounds)
-				}
-			}
-			mu.Unlock()
-		}
-
-		gatherState(r, final, eng.State(), pl)
-	})
-	if opt.stats != nil {
-		opt.stats.Rounds += agg.Rounds
-		opt.stats.BytesSent += agg.BytesSent
-		opt.stats.Wait += agg.Wait
-	}
-	if opt.reg != nil {
-		var wallSum time.Duration
-		for _, w := range rankWall {
-			wallSum += w
-		}
-		if wallSum > 0 {
-			opt.reg.Gauge("grist_comm_share").Set(float64(agg.Wait) / float64(wallSum))
-		}
-		opt.reg.Gauge("grist_load_imbalance").Set(LoadImbalance(rankWall))
-		if steps > 0 {
-			opt.reg.Gauge("grist_halo_bytes_per_step").Set(float64(agg.BytesSent) / float64(steps))
-		}
-		// Ring-wrap drops poison postmortem attribution silently; surface
-		// them as a counter so a scrape (or the obs report) can warn.
-		telemetry.NewDropCounter(opt.reg, opt.rec).Publish()
-		for _, rec := range opt.recs {
-			telemetry.NewDropCounter(opt.reg, rec).Publish()
-		}
-	}
-	return final
 }
 
 // gatherState collects every rank's owned region into dst on rank 0 via

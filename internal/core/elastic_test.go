@@ -34,26 +34,23 @@ func assertNoLeakedGoroutines(t *testing.T, before int) {
 	}
 }
 
-// Without kills or grows the elastic runner is a resilient run under a
-// different decomposition — and DP results are decomposition-invariant
-// (per-entity kernels, mesh-ordered stencils, exact mirrors at step
-// boundaries), so it must match the plain runner bitwise even though
-// the epoch-seeded part map differs from the static one.
+// Without kills or grows a shrink-on-death run never leaves its first
+// leg, so it must match the plain run bitwise.
 func TestElasticCleanMatchesPlainBitwise(t *testing.T) {
 	m := sharedMesh3
 	nlev, nparts, steps, dt := 4, 4, 6, 90.0
 	plain := RunDistributedDynamics(m, nlev, nparts, precision.DP, resilientInit, steps, dt)
 
 	halo, sync := testTimeouts()
-	got, rep, err := RunDistributedDynamicsElastic(m, nlev, nparts, resilientInit, steps, dt,
-		ElasticOpts{
-			Mode: precision.DP, CheckpointEvery: 2, Dir: t.TempDir(),
-			HaloTimeout: halo, SyncTimeout: sync,
-		})
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: resilientInit, Steps: steps, Dt: dt,
+		OnDeath: Shrink, CheckpointEvery: 2, Dir: t.TempDir(),
+		HaloTimeout: halo, SyncTimeout: sync,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Legs != 1 || len(rep.Reshapes) != 0 || rep.FinalEpoch != 0 {
+	if rep.Legs != 1 || len(rep.Events) != 0 || rep.FinalEpoch != 0 {
 		t.Fatalf("clean elastic report: %+v", rep)
 	}
 	assertBitwise(t, got, plain, "clean elastic run")
@@ -76,22 +73,22 @@ func TestElasticShrinkGrowBitwiseDP(t *testing.T) {
 	plan := fault.NewPlan(7, fault.Profile{Name: "shrinkgrow", KillRank: 1, KillStep: 4})
 	halo, sync := testTimeouts()
 	reg := telemetry.NewRegistry()
-	got, rep, err := RunDistributedDynamicsElastic(m, nlev, nparts, resilientInit, steps, dt,
-		ElasticOpts{
-			Mode: precision.DP, Injector: plan,
-			CheckpointEvery: 2, Dir: t.TempDir(),
-			Grow:        []GrowEvent{{Step: 8, Add: 1}},
-			HaloTimeout: halo, SyncTimeout: sync,
-			Capacity: nparts, Reg: reg,
-		})
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: resilientInit, Steps: steps, Dt: dt,
+		OnDeath: Shrink, Injector: plan,
+		CheckpointEvery: 2, Dir: t.TempDir(),
+		Grow:        []GrowEvent{{Step: 8, Add: 1}},
+		HaloTimeout: halo, SyncTimeout: sync,
+		Reg: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if rep.Legs != 3 || len(rep.Reshapes) != 2 {
-		t.Fatalf("legs %d, reshapes %d, want 3 and 2: %+v", rep.Legs, len(rep.Reshapes), rep)
+	if rep.Legs != 3 || len(rep.Events) != 2 {
+		t.Fatalf("legs %d, reshapes %d, want 3 and 2: %+v", rep.Legs, len(rep.Events), rep)
 	}
-	shrink, grow := rep.Reshapes[0], rep.Reshapes[1]
+	shrink, grow := rep.Events[0], rep.Events[1]
 	if shrink.Kind != "shrink" || fmt.Sprint(shrink.Members) != "[0 2 3]" || shrink.Epoch != 1 {
 		t.Fatalf("shrink event: %+v", shrink)
 	}
@@ -159,13 +156,13 @@ func TestElasticShrinkGrowMixedWithinGate(t *testing.T) {
 
 	plan := fault.NewPlan(7, fault.Profile{Name: "shrinkgrow", KillRank: 1, KillStep: 4})
 	halo, sync := testTimeouts()
-	got, rep, err := RunDistributedDynamicsElastic(m, nlev, nparts, resilientInit, steps, dt,
-		ElasticOpts{
-			Mode: precision.Mixed, Injector: plan,
-			CheckpointEvery: 2, Dir: t.TempDir(),
-			Grow:        []GrowEvent{{Step: 8, Add: 1}},
-			HaloTimeout: halo, SyncTimeout: sync,
-		})
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.Mixed, Init: resilientInit, Steps: steps, Dt: dt,
+		OnDeath: Shrink, Injector: plan,
+		CheckpointEvery: 2, Dir: t.TempDir(),
+		Grow:        []GrowEvent{{Step: 8, Add: 1}},
+		HaloTimeout: halo, SyncTimeout: sync,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,19 +214,19 @@ func TestElasticTimeoutRollsBackWithoutShrinking(t *testing.T) {
 
 	inj := &haloStallInjector{after: 20} // stalls one message long past the deadline, once
 	halo := 150 * time.Millisecond
-	got, rep, err := RunDistributedDynamicsElastic(m, nlev, nparts, resilientInit, steps, dt,
-		ElasticOpts{
-			Mode: precision.DP, Injector: inj,
-			CheckpointEvery: 2, Dir: t.TempDir(),
-			HaloTimeout: halo, SyncTimeout: time.Second,
-		})
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: resilientInit, Steps: steps, Dt: dt,
+		OnDeath: Shrink, Injector: inj,
+		CheckpointEvery: 2, Dir: t.TempDir(),
+		HaloTimeout: halo, SyncTimeout: time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Reshapes) == 0 {
+	if len(rep.Events) == 0 {
 		t.Fatal("the stalled leg left no trace in the report")
 	}
-	for _, ev := range rep.Reshapes {
+	for _, ev := range rep.Events {
 		if ev.Kind != "rollback" {
 			t.Fatalf("membership changed on an unclassified timeout: %+v", ev)
 		}
@@ -249,9 +246,14 @@ func TestRebalancedMatchesPlainBitwiseDP(t *testing.T) {
 	plain := RunDistributedDynamics(m, nlev, nparts, precision.DP, resilientInit, steps, dt)
 
 	reg := telemetry.NewRegistry()
-	got, applied := RunDistributedDynamicsRebalanced(m, nlev, nparts, precision.DP,
-		resilientInit, steps, dt, []int{3, 6}, 12345, reg)
-	if applied != 2 {
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: resilientInit, Steps: steps, Dt: dt,
+		RebalanceAt: []int{3, 6}, Reg: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied := rep.Rebalances; applied != 2 {
 		t.Fatalf("applied %d repartitions, want 2", applied)
 	}
 	if n := reg.Counter("grist_repartition_total").Value(); n != 2 {

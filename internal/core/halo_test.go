@@ -24,10 +24,16 @@ func TestOverlapBitIdenticalToBlocking(t *testing.T) {
 	dt := 90.0
 	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
 		for _, nparts := range []int{3, 6} {
-			blocking := runDistributedDynamics(m, nlev, nparts, mode, init, steps, dt,
-				distOpts{blocking: true})
-			overlap := runDistributedDynamics(m, nlev, nparts, mode, init, steps, dt,
-				distOpts{})
+			spec := RunSpec{Mesh: m, NLev: nlev, NParts: nparts, Mode: mode, Init: init, Steps: steps, Dt: dt}
+			overlap, _, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Blocking = true
+			blocking, _, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cmp := func(name string, a, b []float64) {
 				for i := range a {
 					if a[i] != b[i] {

@@ -63,15 +63,15 @@ func TestResilientMatchesPlainWithoutFaults(t *testing.T) {
 
 	halo, sync := testTimeouts()
 	reg := telemetry.NewRegistry()
-	got, rep, err := RunDistributedDynamicsResilient(m, nlev, nparts, resilientInit, steps, dt,
-		ResilienceOpts{
-			Mode: precision.DP, CheckpointEvery: 2, Dir: t.TempDir(),
-			HaloTimeout: halo, SyncTimeout: sync, Reg: reg,
-		})
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: resilientInit, Steps: steps, Dt: dt,
+		CheckpointEvery: 2, Dir: t.TempDir(),
+		HaloTimeout: halo, SyncTimeout: sync, Reg: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Attempts != 1 || rep.Recoveries != 0 {
+	if rep.Legs != 1 || rep.Recoveries != 0 {
 		t.Fatalf("clean run report: %+v", rep)
 	}
 	assertBitwise(t, got, plain, "clean resilient run")
@@ -93,12 +93,12 @@ func TestRankDeathRecoversBitwise(t *testing.T) {
 	plan := fault.NewPlan(31, prof)
 	halo, sync := testTimeouts()
 	reg := telemetry.NewRegistry()
-	got, rep, err := RunDistributedDynamicsResilient(m, nlev, nparts, resilientInit, steps, dt,
-		ResilienceOpts{
-			Mode: precision.DP, Injector: plan,
-			CheckpointEvery: 3, Dir: t.TempDir(),
-			HaloTimeout: halo, SyncTimeout: sync, Reg: reg,
-		})
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: resilientInit, Steps: steps, Dt: dt,
+		Injector:        plan,
+		CheckpointEvery: 3, Dir: t.TempDir(),
+		HaloTimeout: halo, SyncTimeout: sync, Reg: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestRankDeathRecoversBitwise(t *testing.T) {
 		t.Fatalf("report: %+v", rep)
 	}
 	ev := rep.Events[0]
-	if ev.ResumeStep != 6 || ev.ResumeEpoch != 2 {
-		t.Fatalf("resumed at step %d epoch %d, want step 6 epoch 2 (kill at step 7, epochs every 3)",
+	if ev.ResumeStep != 6 || ev.ResumeEpoch != 6 {
+		t.Fatalf("resumed at step %d epoch %d, want step 6 epoch 6 (kill at step 7, step-stamped epochs every 3)",
 			ev.ResumeStep, ev.ResumeEpoch)
 	}
 	killed := false
@@ -151,8 +151,10 @@ func TestRankDeathRecoversWithoutCheckpoints(t *testing.T) {
 	plain := RunDistributedDynamics(m, nlev, nparts, precision.DP, resilientInit, steps, dt)
 	plan := fault.NewPlan(5, fault.Profile{Name: "rankdeath", KillRank: 1, KillStep: 2})
 	halo, sync := testTimeouts()
-	got, rep, err := RunDistributedDynamicsResilient(m, nlev, nparts, resilientInit, steps, dt,
-		ResilienceOpts{Mode: precision.DP, Injector: plan, HaloTimeout: halo, SyncTimeout: sync})
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: resilientInit, Steps: steps, Dt: dt,
+		Injector: plan, HaloTimeout: halo, SyncTimeout: sync,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +175,12 @@ func TestBitFlipTripsSentinelWithinOneStep(t *testing.T) {
 		plan := fault.NewPlan(seed, fault.Profile{Name: "bitflip", FlipProb: 1})
 		reg := telemetry.NewRegistry()
 		mon := newTestMonitor(reg)
-		_, _, err := RunDistributedDynamicsResilient(m, 4, 4, resilientInit, 2, 90,
-			ResilienceOpts{
-				Mode: precision.Mixed, Injector: plan,
-				HaloTimeout: halo, SyncTimeout: sync,
-				Monitor: mon, MaxRecoveries: 1, Reg: reg,
-			})
+		_, _, err := Run(RunSpec{
+			Mesh: m, NLev: 4, NParts: 4, Mode: precision.Mixed, Init: resilientInit, Steps: 2, Dt: 90,
+			Injector:    plan,
+			HaloTimeout: halo, SyncTimeout: sync,
+			Monitor: mon, MaxRecoveries: 1, Reg: reg,
+		})
 		if err == nil {
 			t.Fatalf("seed %d: unbounded corruption did not fail the run", seed)
 		}
@@ -205,13 +207,13 @@ func TestSentinelTripRollsBackAndReplays(t *testing.T) {
 	halo, sync := testTimeouts()
 	reg := telemetry.NewRegistry()
 	mon := newTestMonitor(reg)
-	got, rep, err := RunDistributedDynamicsResilient(m, nlev, nparts, resilientInit, steps, dt,
-		ResilienceOpts{
-			Mode: precision.Mixed, Injector: plan,
-			CheckpointEvery: 3, Dir: t.TempDir(),
-			HaloTimeout: halo, SyncTimeout: sync,
-			Monitor: mon, Reg: reg,
-		})
+	got, rep, err := Run(RunSpec{
+		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.Mixed, Init: resilientInit, Steps: steps, Dt: dt,
+		Injector:        plan,
+		CheckpointEvery: 3, Dir: t.TempDir(),
+		HaloTimeout: halo, SyncTimeout: sync,
+		Monitor: mon, Reg: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +242,12 @@ func TestUnrecoverableFaultGivesUp(t *testing.T) {
 	halo, sync := testTimeouts()
 	reg := telemetry.NewRegistry()
 	plan := fault.NewPlan(3, fault.Profile{Name: "bitflip", FlipProb: 1}) // unlimited flips
-	_, rep, err := RunDistributedDynamicsResilient(m, 2, 3, resilientInit, 3, 60,
-		ResilienceOpts{
-			Mode: precision.Mixed, Injector: plan,
-			HaloTimeout: halo, SyncTimeout: sync,
-			Monitor: newTestMonitor(reg), MaxRecoveries: 2, Reg: reg,
-		})
+	_, rep, err := Run(RunSpec{
+		Mesh: m, NLev: 2, NParts: 3, Mode: precision.Mixed, Init: resilientInit, Steps: 3, Dt: 60,
+		Injector:    plan,
+		HaloTimeout: halo, SyncTimeout: sync,
+		Monitor: newTestMonitor(reg), MaxRecoveries: 2, Reg: reg,
+	})
 	if err == nil {
 		t.Fatal("permanently corrupted run reported success")
 	}

@@ -43,7 +43,7 @@ func (st *ShardStore) LoadEpochState(epoch int, s *dycore.State) (int, error) {
 // through ExportSnapshot are readable by any ShardStore built with the
 // same mesh, layer count and nparts=1 (what `gristd -parts 1` builds).
 func (mod *Model) NewSnapshotStore(dir string) (*ShardStore, error) {
-	pl := NewDistPlan(mod.Mesh, mod.Cfg.NLev, 1, 12345)
+	pl := NewDistPlan(mod.Mesh, mod.Cfg.NLev, 1, defaultSeed)
 	return NewShardStore(dir, pl)
 }
 

@@ -69,8 +69,7 @@ func (mod *Model) EnableTelemetry(reg *telemetry.Registry, rec *telemetry.Record
 		// A single-process run has no exchange and one rank: comm share
 		// is genuinely 0 and the imbalance ratio 1. Registering the
 		// degenerate values keeps the exposition schema identical between
-		// serial and distributed runs; RunDistributedDynamicsObserved
-		// overwrites both with measured values.
+		// serial and distributed runs; Run overwrites both.
 		reg.Gauge("grist_comm_share").Set(0)
 		reg.Gauge("grist_load_imbalance").Set(1)
 	}

@@ -94,14 +94,19 @@ func TestRunDistributedDynamicsObserved(t *testing.T) {
 	const nlev, nparts, steps = 4, 4, 2
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(1 << 14)
-	tm := NewTimingsOn(reg)
 	init := func(s *dycore.State) {
 		s.IsothermalRest(290)
 		s.AddSolidBodyWind(15)
 	}
 
-	_, st := RunDistributedDynamicsObserved(sharedMesh3, nlev, nparts, precision.DP,
-		init, steps, 60.0, tm, reg, rec)
+	_, rep, err := Run(RunSpec{
+		Mesh: sharedMesh3, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: init, Steps: steps, Dt: 60.0,
+		Recs: []*telemetry.Recorder{rec, rec, rec, rec}, Reg: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Exchange
 
 	if st.Rounds == 0 || st.BytesSent == 0 {
 		t.Fatalf("no exchange traffic recorded: %+v", st)

@@ -22,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"time"
 
 	"gristgo/internal/coarse"
 	"gristgo/internal/core"
@@ -54,14 +53,14 @@ func DefaultChaosConfig() ChaosConfig {
 
 // ChaosLeg is one fault scenario's outcome.
 type ChaosLeg struct {
-	Profile     string               `json:"profile"`
-	Bitwise     bool                 `json:"bitwise_vs_clean"` // final state matches the uninjected run
-	Attempts    int                  `json:"attempts"`
-	Recoveries  int                  `json:"recoveries"`
-	Events      []core.RecoveryEvent `json:"events,omitempty"`
-	Faults      []fault.Event        `json:"injected_faults,omitempty"`
-	FaultsExtra int                  `json:"injected_faults_overflow,omitempty"`
-	Err         string               `json:"error,omitempty"`
+	Profile     string          `json:"profile"`
+	Bitwise     bool            `json:"bitwise_vs_clean"` // final state matches the uninjected run
+	Attempts    int             `json:"attempts"`
+	Recoveries  int             `json:"recoveries"`
+	Events      []core.RunEvent `json:"events,omitempty"`
+	Faults      []fault.Event   `json:"injected_faults,omitempty"`
+	FaultsExtra int             `json:"injected_faults_overflow,omitempty"`
+	Err         string          `json:"error,omitempty"`
 }
 
 // ChaosResult is the JSON payload of CHAOS_recovery.json.
@@ -107,14 +106,15 @@ func runChaosLeg(m *mesh.Mesh, cfg ChaosConfig, mode precision.Mode, clean *dyco
 	plan *fault.Plan, dir string, mon *diag.HealthMonitor, reg *telemetry.Registry) ChaosLeg {
 
 	leg := ChaosLeg{Profile: plan.Prof.Name}
-	final, rep, err := core.RunDistributedDynamicsResilient(m, cfg.NLev, cfg.NParts, chaosInit,
-		cfg.Steps, 60.0, core.ResilienceOpts{
-			Mode: mode, Injector: plan,
-			CheckpointEvery: cfg.CkptEvery, Dir: dir,
-			HaloTimeout: 2 * time.Second, SyncTimeout: 2 * time.Second,
-			Monitor: mon, Reg: reg,
-		})
-	leg.Attempts, leg.Recoveries, leg.Events = rep.Attempts, rep.Recoveries, rep.Events
+	final, rep, err := core.Run(core.RunSpec{
+		Mesh: m, NLev: cfg.NLev, NParts: cfg.NParts, Mode: mode, Init: chaosInit, Steps: cfg.Steps, Dt: 60.0,
+		Injector:        plan,
+		CheckpointEvery: cfg.CkptEvery, Dir: dir,
+		Monitor: mon, Reg: reg,
+	})
+	if rep != nil {
+		leg.Attempts, leg.Recoveries, leg.Events = rep.Legs, rep.Recoveries, rep.Events
+	}
 	leg.Faults, leg.FaultsExtra = plan.Events()
 	if err != nil {
 		leg.Err = err.Error()

@@ -31,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"time"
 
 	"gristgo/internal/core"
 	"gristgo/internal/dycore"
@@ -67,19 +66,19 @@ func DefaultElasticConfig() ElasticConfig {
 
 // ElasticLeg is one (mode, halo style) run of the shrinkgrow scenario.
 type ElasticLeg struct {
-	Mode            string              `json:"mode"`    // "DP" or "MIX"
-	Overlap         bool                `json:"overlap"` // overlapped halo rounds (false: blocking)
-	Bitwise         bool                `json:"bitwise_vs_clean"`
-	PsRelErr        float64             `json:"ps_rel_err"`
-	VorRelErr       float64             `json:"vor_rel_err"`
-	WithinGate      bool                `json:"within_gate"` // both errors under 5% (§3.4)
-	WorldSizes      []int               `json:"world_sizes"`
-	Reshapes        []core.ReshapeEvent `json:"reshapes,omitempty"`
-	FinalMembers    []int               `json:"final_members"`
-	FinalEpoch      int                 `json:"final_epoch"`
-	ImbalanceShrunk float64             `json:"imbalance_shrunk"`
-	ImbalanceGrown  float64             `json:"imbalance_grown"`
-	Err             string              `json:"error,omitempty"`
+	Mode            string          `json:"mode"`    // "DP" or "MIX"
+	Overlap         bool            `json:"overlap"` // overlapped halo rounds (false: blocking)
+	Bitwise         bool            `json:"bitwise_vs_clean"`
+	PsRelErr        float64         `json:"ps_rel_err"`
+	VorRelErr       float64         `json:"vor_rel_err"`
+	WithinGate      bool            `json:"within_gate"` // both errors under 5% (§3.4)
+	WorldSizes      []int           `json:"world_sizes"`
+	Reshapes        []core.RunEvent `json:"reshapes,omitempty"`
+	FinalMembers    []int           `json:"final_members"`
+	FinalEpoch      int             `json:"final_epoch"`
+	ImbalanceShrunk float64         `json:"imbalance_shrunk"`
+	ImbalanceGrown  float64         `json:"imbalance_grown"`
+	Err             string          `json:"error,omitempty"`
 }
 
 // ElasticResult is the JSON payload of CHAOS_elastic.json.
@@ -128,16 +127,15 @@ func runElasticLeg(m *mesh.Mesh, cfg ElasticConfig, mode precision.Mode, overlap
 	plan := fault.NewPlan(cfg.Seed, fault.Profile{
 		Name: "shrinkgrow", KillRank: cfg.KillNode, KillStep: cfg.KillStep,
 	})
-	final, rep, err := core.RunDistributedDynamicsElastic(m, cfg.NLev, cfg.NParts, chaosInit,
-		cfg.Steps, 60.0, core.ElasticOpts{
-			Mode: mode, Injector: plan,
-			CheckpointEvery: cfg.CkptEvery, Dir: dir,
-			Grow:        []core.GrowEvent{{Step: cfg.GrowStep, Add: cfg.GrowAdd}},
-			HaloTimeout: 2 * time.Second, SyncTimeout: 2 * time.Second,
-			Blocking: !overlap, Capacity: cfg.NParts, Reg: reg,
-		})
+	final, rep, err := core.Run(core.RunSpec{
+		Mesh: m, NLev: cfg.NLev, NParts: cfg.NParts, Mode: mode, Init: chaosInit, Steps: cfg.Steps, Dt: 60.0,
+		OnDeath: core.Shrink, Injector: plan,
+		CheckpointEvery: cfg.CkptEvery, Dir: dir,
+		Grow:     []core.GrowEvent{{Step: cfg.GrowStep, Add: cfg.GrowAdd}},
+		Blocking: !overlap, Reg: reg,
+	})
 	if rep != nil {
-		leg.WorldSizes, leg.Reshapes = rep.WorldSizes, rep.Reshapes
+		leg.WorldSizes, leg.Reshapes = rep.WorldSizes, rep.Events
 		leg.FinalMembers, leg.FinalEpoch = rep.FinalMembers, rep.FinalEpoch
 		if len(rep.LegImbalance) >= 2 {
 			leg.ImbalanceShrunk = rep.LegImbalance[1]

@@ -45,7 +45,6 @@ type ObsBenchConfig struct {
 	Steps     int
 	// RebalanceAt lists the repartition boundaries of both legs.
 	RebalanceAt []int
-	Seed        int64
 }
 
 // DefaultObsBenchConfig returns the CI-scale setup: level-5 mesh, four
@@ -55,7 +54,7 @@ type ObsBenchConfig struct {
 // weighting can demonstrate anything.
 func DefaultObsBenchConfig() ObsBenchConfig {
 	return ObsBenchConfig{GridLevel: 5, NLev: 8, Parts: 4, Steps: 8,
-		RebalanceAt: []int{3, 6}, Seed: 12345}
+		RebalanceAt: []int{3, 6}}
 }
 
 // ObsBenchResult is the JSON payload of BENCH_obs.json.
@@ -72,11 +71,11 @@ type ObsBenchResult struct {
 	RepartitionsApplied int `json:"repartitions_applied"`
 
 	// Postmortem replay identity and headline numbers from the span run.
-	PostmortemDeterministic bool   `json:"postmortem_deterministic"`
-	StepsMerged             int    `json:"steps_merged"`
-	SpansMerged             int    `json:"spans_merged"`
-	SpansDropped            uint64 `json:"spans_dropped"`
-	CriticalPathNS          int64  `json:"critical_path_ns"`
+	PostmortemDeterministic bool    `json:"postmortem_deterministic"`
+	StepsMerged             int     `json:"steps_merged"`
+	SpansMerged             int     `json:"spans_merged"`
+	SpansDropped            uint64  `json:"spans_dropped"`
+	CriticalPathNS          int64   `json:"critical_path_ns"`
 	CritWaitShare           float64 `json:"crit_wait_share"`
 }
 
@@ -106,12 +105,13 @@ func RunObsBench(cfg ObsBenchConfig) (ObsBenchResult, *obs.Timeline, *obs.Postmo
 	}
 	skew := skewWeights(m.NCells)
 
+	spec := core.RunSpec{
+		Mesh: m, NLev: cfg.NLev, NParts: cfg.Parts, Mode: precision.Mixed, Init: initFn, Steps: cfg.Steps, Dt: 60,
+		RebalanceAt: cfg.RebalanceAt, InitialWeights: skew,
+	}
+
 	// Leg 1: wall-weighted (the raw imbalance-gauge signal).
-	_, gaugeRep := core.RunDistributedDynamicsRebalancedOpts(m, cfg.NLev, cfg.Parts,
-		precision.Mixed, initFn, cfg.Steps, 60, core.RebalanceOpts{
-			RebalanceAt: cfg.RebalanceAt, Seed: cfg.Seed,
-			Attributed: false, InitialWeights: skew,
-		})
+	_, gaugeRep := core.MustRun(spec)
 
 	// Leg 2: span-weighted, with per-rank flight recorders attached so
 	// the same run feeds the postmortem pipeline.
@@ -120,12 +120,8 @@ func RunObsBench(cfg ObsBenchConfig) (ObsBenchResult, *obs.Timeline, *obs.Postmo
 	for p := range recs {
 		recs[p] = telemetry.NewRecorder(1 << 14)
 	}
-	_, attrRep := core.RunDistributedDynamicsRebalancedOpts(m, cfg.NLev, cfg.Parts,
-		precision.Mixed, initFn, cfg.Steps, 60, core.RebalanceOpts{
-			RebalanceAt: cfg.RebalanceAt, Seed: cfg.Seed,
-			Attributed: true, InitialWeights: skew,
-			Reg: reg, Recs: recs,
-		})
+	spec.Attributed, spec.Reg, spec.Recs = true, reg, recs
+	_, attrRep := core.MustRun(spec)
 
 	// Replay identity: merge the rings once, build + encode twice.
 	rings, dropped := obs.Rings(recs...)
@@ -154,7 +150,7 @@ func RunObsBench(cfg ObsBenchConfig) (ObsBenchResult, *obs.Timeline, *obs.Postmo
 		GaugeImbalance:          gaugeRep.FinalImbalance,
 		AttributedImbalance:     attrRep.FinalImbalance,
 		AttributedImproves:      attrRep.FinalImbalance < gaugeRep.FinalImbalance,
-		RepartitionsApplied:     attrRep.Applied,
+		RepartitionsApplied:     attrRep.Rebalances,
 		PostmortemDeterministic: bytes.Equal(a.Bytes(), b.Bytes()),
 		StepsMerged:             len(pm.Steps),
 		SpansMerged:             spans,

@@ -11,7 +11,7 @@ import (
 // the assertions cover structure and the replay-identity invariant.
 func TestObsBenchSmallScale(t *testing.T) {
 	cfg := ObsBenchConfig{GridLevel: 3, NLev: 4, Parts: 3, Steps: 4,
-		RebalanceAt: []int{2}, Seed: 7}
+		RebalanceAt: []int{2}}
 	res, tl, pm := RunObsBench(cfg)
 	if !res.PostmortemDeterministic {
 		t.Fatal("postmortem replay was not byte-identical")

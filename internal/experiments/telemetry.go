@@ -71,8 +71,14 @@ func RunTelemetryBench(cfg TelemetryBenchConfig) (TelemetryBenchResult, *telemet
 		s.IsothermalRest(290)
 		s.AddSolidBodyWind(15)
 	}
-	core.RunDistributedDynamicsObserved(m, cfg.NLev, cfg.DistParts, precision.Mixed,
-		init, cfg.DistSteps, 60, tm, reg, rec)
+	recs := make([]*telemetry.Recorder, cfg.DistParts)
+	for p := range recs {
+		recs[p] = rec // one shared ring
+	}
+	_, dist := core.MustRun(core.RunSpec{
+		Mesh: m, NLev: cfg.NLev, NParts: cfg.DistParts, Mode: precision.Mixed,
+		Init: init, Steps: cfg.DistSteps, Dt: 60, Recs: recs, Reg: reg,
+	})
 
 	h := reg.Histogram("grist_step_latency_seconds")
 	return TelemetryBenchResult{
@@ -83,7 +89,7 @@ func RunTelemetryBench(cfg TelemetryBenchConfig) (TelemetryBenchResult, *telemet
 		StepLatencyMean:  h.Mean(),
 		SYPD:             reg.Gauge("grist_sypd").Value(),
 		CommShare:        reg.Gauge("grist_comm_share").Value(),
-		LoadImbalance:    reg.Gauge("grist_load_imbalance").Value(),
+		LoadImbalance:    core.LoadImbalance(dist.RankWall),
 		HaloBytesPerStep: reg.Gauge("grist_halo_bytes_per_step").Value(),
 		Spans:            rec.Len(),
 		SpansDropped:     rec.Dropped(),

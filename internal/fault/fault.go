@@ -80,7 +80,7 @@ func ParseProfile(name string) (Profile, error) {
 	case "shrinkgrow":
 		// The elastic membership scenario: node 1 dies at step 4; the
 		// driver shrinks to the survivors and later re-absorbs the node
-		// (see core.RunDistributedDynamicsElastic and the elastic
+		// (see core.Run under OnDeath: Shrink and the elastic
 		// experiment). The kill addresses a stable NODE id, so the
 		// re-added node is not re-killed — the Plan's one-shot kill
 		// stays spent anyway.
