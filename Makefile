@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-baseline lint-sarif test race race-serve loc benchmark bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
+.PHONY: check build vet lint lint-baseline lint-sarif test race race-serve fuzz-smoke loc benchmark bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -48,6 +48,20 @@ race:
 # poller are the most concurrency-dense code in the repo.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/...
+
+# Each native fuzz target for 5 s (go test -fuzz takes one target and one
+# package per run). Plain `go test ./...` already replays the checked-in
+# corpus under testdata/fuzz; this looks for inputs nobody wrote down. A
+# crasher lands in the package's testdata/fuzz/<target>/ — commit it with
+# the fix.
+FUZZ = $(GO) test -run '^$$' -fuzztime 5s
+fuzz-smoke:
+	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/durable/
+	$(FUZZ) -fuzz '^FuzzReadShard$$' ./internal/core/
+	$(FUZZ) -fuzz '^FuzzManifest$$' ./internal/core/
+	$(FUZZ) -fuzz '^FuzzReadRestart$$' ./internal/core/
+	$(FUZZ) -fuzz '^FuzzGDFRead$$' ./internal/gdf/
+	$(FUZZ) -fuzz '^FuzzQueryArgs$$' ./internal/serve/
 
 # Non-test Go lines per internal/ package (its directory, not the
 # subpackages) and their total — the instrument of ROADMAP aim 2: a PR
@@ -94,16 +108,17 @@ chaos:
 	$(GO) run ./cmd/gristbench -exp elastic
 
 # The storage-plane chaos suite under the race detector (the vfs seam,
-# the fault-injecting filesystem, atomic shard writes under torn
-# renames, quarantine/staleness/breaker behavior in the serve plane),
+# the fault-injecting filesystem, the durable container's corruption
+# table and atomic replace, shard writes under torn renames,
+# quarantine/staleness/breaker behavior in the serve plane),
 # then the chaosserve experiment: producer + poller + load replay per
 # filesystem fault profile, writing CHAOS_serve.json (non-breaker-5xx /
 # checksum / bounded-recovery verdicts) and gating it against the
 # committed tolerance windows.
 chaos-serve:
 	$(GO) test -race -count=1 \
-		-run 'FS|Vfs|OSRoundTrip|WriteOwnedFile|WriteShard|CommittedEpochs|Quarantine|Rederive|CrashRestart|Breaker|Backoff|Degraded|SnapshotStore' \
-		./internal/vfs/ ./internal/fault/ ./internal/core/ ./internal/pario/ ./internal/serve/
+		-run 'FS|Vfs|OSRoundTrip|Decode|Replace|ReadFile|WriteOwnedFile|WriteShard|CommittedEpochs|LatestCommitted|Quarantine|Rederive|CrashRestart|Breaker|Backoff|Degraded|SnapshotStore' \
+		./internal/vfs/ ./internal/fault/ ./internal/durable/ ./internal/core/ ./internal/pario/ ./internal/serve/
 	$(GO) run ./cmd/gristbench -exp chaosserve
 	$(GO) run ./cmd/gristbench -check -check-files CHAOS_serve.json -baseline bench.baseline.json
 

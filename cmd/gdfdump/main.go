@@ -7,12 +7,15 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 
+	"gristgo/internal/durable"
 	"gristgo/internal/gdf"
+	"gristgo/internal/vfs"
 )
 
 func main() {
@@ -23,13 +26,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: gdfdump [-var NAME [-values]] FILE")
 		os.Exit(2)
 	}
-	fh, err := os.Open(flag.Arg(0))
+	payload, err := durable.ReadFile(vfs.OS, flag.Arg(0), durable.History)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer fh.Close()
-	f, err := gdf.Read(fh)
+	f, err := gdf.Read(bytes.NewReader(payload))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "parsing:", err)
 		os.Exit(1)

@@ -17,6 +17,7 @@ import (
 
 	"gristgo/internal/core"
 	"gristgo/internal/diag"
+	"gristgo/internal/durable"
 	"gristgo/internal/fault"
 	"gristgo/internal/mlphysics"
 	"gristgo/internal/physics"
@@ -24,6 +25,7 @@ import (
 	"gristgo/internal/serve"
 	"gristgo/internal/synthclim"
 	"gristgo/internal/telemetry"
+	"gristgo/internal/vfs"
 )
 
 func main() {
@@ -37,10 +39,10 @@ func main() {
 	terrain := flag.Bool("terrain", true, "include synthetic orography")
 	timings := flag.Bool("timings", false, "print the per-component timing table")
 	restartIn := flag.String("restart", "", "resume from a restart file")
-	restartOut := flag.String("restart-out", "", "write a restart file at the end")
+	restartOut := flag.String("restart-out", "", "write a restart file at the end (atomic, CRC-framed)")
 	remapEvery := flag.Int("remap", 0, "vertical remap every N physics steps (0 off)")
 	workers := flag.Int("workers", -1, "host threads for the dycore loops (-1 = all CPUs)")
-	output := flag.String("output", "", "write a GDF history file at the end")
+	output := flag.String("output", "", "write a GDF history file at the end (atomic, CRC-framed; read it with gdfdump)")
 	telAddr := flag.String("telemetry.addr", "", "serve the observability plane on this address (e.g. :9090; :0 picks a free port): /metrics and /metrics.json for scrapes, /trace for a live Chrome trace_event dump of the flight-recorder ring, /debug/pprof for profiles")
 	telHold := flag.Duration("telemetry.hold", 0, "keep the telemetry server (including /trace and /debug/pprof) up this long after the run finishes, so the final ring can still be scraped")
 	traceOut := flag.String("trace-out", "", "write the flight-recorder ring as Chrome trace_event JSON at the end (same payload as GET /trace; open in Perfetto)")
@@ -277,17 +279,11 @@ func main() {
 		}
 	}
 	if *output != "" {
-		f, err := os.Create(*output)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := mod.WriteHistory(f); err != nil {
+		if err := durable.WriteFile(vfs.OS, *output, durable.History, mod.WriteHistory); err != nil {
 			fmt.Fprintln(os.Stderr, "writing history:", err)
 			os.Exit(1)
 		}
-		f.Close()
-		fmt.Printf("Wrote history to %s\n", *output)
+		fmt.Printf("Wrote history to %s (atomic, CRC-framed)\n", *output)
 	}
 	if *restartOut != "" {
 		if err := mod.WriteRestartFile(*restartOut); err != nil {

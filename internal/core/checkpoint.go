@@ -2,10 +2,10 @@ package core
 
 // Distributed sharded checkpointing. Every rank of a resilient run
 // periodically serializes its region of the dynamics state into a
-// per-rank shard file — versioned header, raw FP64 payload, CRC32-IEEE
-// trailer, written atomically (temp + rename) — and the ranks
-// rendezvous on a checkpoint epoch: only after every shard of an epoch
-// is durable does rank 0 commit the epoch manifest. Recovery scans
+// per-rank shard file — one internal/durable record (versioned header,
+// CRC32 trailer, atomic replace) holding the raw FP64 region — and the
+// ranks rendezvous on a checkpoint epoch: only after every shard of an
+// epoch is durable does rank 0 commit the epoch manifest. Recovery scans
 // manifests newest-first and resumes from the first epoch whose shards
 // all verify, so a crash at any point (mid-shard, mid-epoch, mid-
 // manifest) leaves either the previous committed epoch or a complete
@@ -17,80 +17,18 @@ package core
 // mirrors exactly as they were, not just the owned region.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"path/filepath"
 	"sort"
-	"sync"
 
+	"gristgo/internal/durable"
 	"gristgo/internal/dycore"
 	"gristgo/internal/vfs"
 )
-
-const (
-	shardMagic   = "GRSHARD\x01"
-	shardVersion = 1
-)
-
-// atomicWriteFile streams write into a temp file in path's directory,
-// syncs it, and renames it over path — the canonical crash-safe
-// replace on the real filesystem.
-//
-//grist:durable
-func atomicWriteFile(path string, write func(io.Writer) error) error {
-	return atomicWriteFileFS(vfs.OS, path, write)
-}
-
-// atomicWriteFileFS is atomicWriteFile over an injectable filesystem:
-// every durable write path routes through here so the chaos layer can
-// interpose torn writes, ENOSPC and rename reordering on exactly the
-// operations a real storage failure hits. The payload is buffered so
-// the file sees syscall-sized writes (a shard serializer emitting one
-// row at a time would otherwise pay ~2500 write calls per shard, and
-// hand the fault layer ~2500 chances per file instead of a handful).
-// On any error the temp file is removed and path is untouched.
-//
-//grist:durable
-func atomicWriteFileFS(fsys vfs.FS, path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		if cerr := f.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		fsys.Remove(tmp)
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := write(bw); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return nil
-}
 
 // ShardStore reads and writes the checkpoint shards of one distributed
 // plan under a directory. Methods are safe for concurrent use by
@@ -103,13 +41,6 @@ type ShardStore struct {
 	// shardEdges[p]: the U columns rank p's kernels read — owned edges
 	// plus ghost (received) edges — sorted for a stable file layout.
 	shardEdges [][]int32
-
-	// verified memoizes epochs whose every shard has passed a full
-	// header+CRC verification (epoch -> step), so the serve poller's
-	// per-tick LatestCommitted is O(1) after the first scan instead of
-	// re-hashing every shard. WriteShard invalidates the written epoch.
-	verifiedMu sync.Mutex
-	verified   map[int]int
 }
 
 // NewShardStore creates (if needed) the checkpoint directory and
@@ -125,8 +56,7 @@ func NewShardStoreFS(dir string, pl *DistPlan, fsys vfs.FS) (*ShardStore, error)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
-	st := &ShardStore{dir: dir, pl: pl, fs: fsys, shardEdges: shardEdgeLists(pl), verified: map[int]int{}}
-	return st, nil
+	return &ShardStore{dir: dir, pl: pl, fs: fsys, shardEdges: shardEdgeLists(pl)}, nil
 }
 
 // shardEdgeLists computes each rank's shard edge layout under a plan:
@@ -145,13 +75,9 @@ func shardEdgeLists(pl *DistPlan) [][]int32 {
 }
 
 // SetPlan rebinds the store to a new distributed plan (an elastic
-// repartition): shard layouts are recomputed and the verified-epoch memo
-// is dropped wholesale, since shard/plan matching is plan-relative. Call
-// between legs only — never while ranks are writing shards.
+// repartition) and recomputes the shard layouts. Call between legs only
+// — never while ranks are writing shards.
 func (st *ShardStore) SetPlan(pl *DistPlan) {
-	st.verifiedMu.Lock()
-	st.verified = map[int]int{}
-	st.verifiedMu.Unlock()
 	st.pl = pl
 	st.shardEdges = shardEdgeLists(pl)
 }
@@ -176,11 +102,11 @@ func (st *ShardStore) manifestPath(epoch int) string {
 	return filepath.Join(st.dir, fmt.Sprintf("epoch-%06d.json", epoch))
 }
 
-// shardHeader is the fixed-size preamble of a shard file, after the
-// 8-byte magic: six little-endian uint32 fields.
-type shardHeader struct {
-	version, rank, epoch, step, ncells, nedges uint32
-}
+// shardMetaLen is the fixed-size preamble of a shard record's payload:
+// rank | epoch | step | ncells | nedges, little-endian uint32 each. The
+// region follows as raw FP64 bits in dycore.State.Region order over the
+// rank's DiagCells and shard edges, bitwise-exact.
+const shardMetaLen = 5 * 4
 
 // WriteShard atomically writes rank's region of the state after `step`
 // completed steps as epoch's shard.
@@ -188,164 +114,83 @@ type shardHeader struct {
 //grist:bitwise
 //grist:durable
 func (st *ShardStore) WriteShard(epoch, rank, step int, s *dycore.State) error {
-	// A rewrite (rollback-and-replay revisits epochs) invalidates any
-	// memoized verification of this epoch.
-	st.verifiedMu.Lock()
-	delete(st.verified, epoch)
-	st.verifiedMu.Unlock()
-	pl := st.pl
-	nlev := pl.NLev
-	ni := nlev + 1
-	cells := pl.DiagCells[rank]
-	edges := st.shardEdges[rank]
-	return atomicWriteFileFS(st.fs, st.shardPath(epoch, rank), func(w io.Writer) error {
-		crc := crc32.NewIEEE()
-		mw := io.MultiWriter(w, crc)
-		hdr := make([]byte, len(shardMagic)+6*4)
-		copy(hdr, shardMagic)
-		for i, v := range []uint32{shardVersion, uint32(rank), uint32(epoch), uint32(step), uint32(len(cells)), uint32(len(edges))} {
-			binary.LittleEndian.PutUint32(hdr[len(shardMagic)+4*i:], v)
+	cells, edges := st.pl.DiagCells[rank], st.shardEdges[rank]
+	return durable.WriteFile(st.fs, st.shardPath(epoch, rank), durable.Shard, func(w io.Writer) error {
+		// Runs are batched so the container hashes and buffers a few KiB
+		// per call instead of one 20-word run.
+		buf := make([]byte, shardMetaLen, 1<<15)
+		for i, v := range []int{rank, epoch, step, len(cells), len(edges)} {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
 		}
-		if _, err := mw.Write(hdr); err != nil {
+		var err error
+		s.Region(cells, edges, func(run []float64) {
+			if err != nil {
+				return
+			}
+			if len(buf)+8*len(run) > cap(buf) {
+				_, err = w.Write(buf)
+				buf = buf[:0]
+			}
+			for _, v := range run {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+		})
+		if err != nil {
 			return err
 		}
-		// Payload: per cell DryMass|ThetaM (nlev each) then W|Phi (nlev+1
-		// each), then per edge U (nlev) — raw FP64 bits, bitwise-exact.
-		buf := make([]byte, 8*(2*nlev+2*ni))
-		for _, c := range cells {
-			off := 0
-			base, ibase := int(c)*nlev, int(c)*ni
-			for k := 0; k < nlev; k++ {
-				binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(s.DryMass[base+k]))
-				off += 8
-			}
-			for k := 0; k < nlev; k++ {
-				binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(s.ThetaM[base+k]))
-				off += 8
-			}
-			for k := 0; k < ni; k++ {
-				binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(s.W[ibase+k]))
-				off += 8
-			}
-			for k := 0; k < ni; k++ {
-				binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(s.Phi[ibase+k]))
-				off += 8
-			}
-			if _, err := mw.Write(buf[:off]); err != nil {
-				return err
-			}
-		}
-		for _, e := range edges {
-			base := int(e) * nlev
-			for k := 0; k < nlev; k++ {
-				binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(s.U[base+k]))
-			}
-			if _, err := mw.Write(buf[:8*nlev]); err != nil {
-				return err
-			}
-		}
-		var trailer [4]byte
-		binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-		_, err := w.Write(trailer[:])
+		_, err = w.Write(buf)
 		return err
 	})
 }
 
-// loadShard reads and fully verifies one shard file, returning the raw
-// payload (after the header, before the trailer) and the parsed header.
-func (st *ShardStore) loadShard(epoch, rank int) (shardHeader, []byte, error) {
-	var h shardHeader
+// loadShard reads and fully verifies one shard file — the container's
+// checks, then that the shard is the one the plan expects — returning the
+// step it was taken at and the region bytes.
+func (st *ShardStore) loadShard(epoch, rank int) (step int, region []byte, err error) {
 	path := st.shardPath(epoch, rank)
-	raw, err := st.fs.ReadFile(path)
+	payload, err := durable.ReadFile(st.fs, path, durable.Shard)
 	if err != nil {
-		return h, nil, err
+		return 0, nil, err
 	}
-	hdrLen := len(shardMagic) + 6*4
-	if len(raw) < hdrLen+4 {
-		return h, nil, fmt.Errorf("core: shard %s truncated (%d bytes)", filepath.Base(path), len(raw))
+	if len(payload) < shardMetaLen {
+		return 0, nil, fmt.Errorf("core: shard %s has no header: %w", filepath.Base(path), durable.ErrCorrupt)
 	}
-	if string(raw[:len(shardMagic)]) != shardMagic {
-		return h, nil, fmt.Errorf("core: %s is not a shard file (bad magic)", filepath.Base(path))
+	meta := func(i int) int { return int(binary.LittleEndian.Uint32(payload[4*i:])) }
+	ncells, nedges := len(st.pl.DiagCells[rank]), len(st.shardEdges[rank])
+	if meta(0) != rank || meta(1) != epoch || meta(3) != ncells || meta(4) != nedges {
+		return 0, nil, fmt.Errorf("core: shard %s does not match the plan (rank %d epoch %d, %d cells, %d edges): %w",
+			filepath.Base(path), meta(0), meta(1), meta(3), meta(4), durable.ErrCorrupt)
 	}
-	fields := [6]*uint32{&h.version, &h.rank, &h.epoch, &h.step, &h.ncells, &h.nedges}
-	for i, f := range fields {
-		*f = binary.LittleEndian.Uint32(raw[len(shardMagic)+4*i:])
+	region = payload[shardMetaLen:]
+	if want := 8 * dycore.RegionLen(st.pl.NLev, ncells, nedges); len(region) != want {
+		return 0, nil, fmt.Errorf("core: shard %s payload is %d bytes, want %d: %w", filepath.Base(path), len(region), want, durable.ErrCorrupt)
 	}
-	if h.version != shardVersion {
-		return h, nil, fmt.Errorf("core: shard %s has format version %d (this build reads %d)", filepath.Base(path), h.version, shardVersion)
-	}
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
-		return h, nil, fmt.Errorf("core: shard %s corrupt: CRC32 %08x, trailer says %08x", filepath.Base(path), got, want)
-	}
-	pl := st.pl
-	nlev := pl.NLev
-	ni := nlev + 1
-	if int(h.rank) != rank || int(h.epoch) != epoch ||
-		int(h.ncells) != len(pl.DiagCells[rank]) || int(h.nedges) != len(st.shardEdges[rank]) {
-		return h, nil, fmt.Errorf("core: shard %s does not match the plan (rank %d epoch %d, %d cells, %d edges)",
-			filepath.Base(path), h.rank, h.epoch, h.ncells, h.nedges)
-	}
-	wantPayload := 8 * (int(h.ncells)*(2*nlev+2*ni) + int(h.nedges)*nlev)
-	payload := body[hdrLen:]
-	if len(payload) != wantPayload {
-		return h, nil, fmt.Errorf("core: shard %s payload is %d bytes, want %d", filepath.Base(path), len(payload), wantPayload)
-	}
-	return h, payload, nil
+	return meta(2), region, nil
 }
 
 // ReadShard restores rank's region of epoch's shard into s and returns
 // the step count the shard was taken at.
 func (st *ShardStore) ReadShard(epoch, rank int, s *dycore.State) (int, error) {
-	h, payload, err := st.loadShard(epoch, rank)
+	step, region, err := st.loadShard(epoch, rank)
 	if err != nil {
-		// A shard that no longer verifies retires any memoized
-		// verification of its epoch.
-		st.verifiedMu.Lock()
-		delete(st.verified, epoch)
-		st.verifiedMu.Unlock()
 		return 0, err
 	}
-	pl := st.pl
-	nlev := pl.NLev
-	ni := nlev + 1
-	off := 0
-	get := func() float64 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-		off += 8
-		return v
-	}
-	for _, c := range pl.DiagCells[rank] {
-		base, ibase := int(c)*nlev, int(c)*ni
-		for k := 0; k < nlev; k++ {
-			s.DryMass[base+k] = get()
+	s.Region(st.pl.DiagCells[rank], st.shardEdges[rank], func(run []float64) {
+		for k := range run {
+			run[k] = math.Float64frombits(binary.LittleEndian.Uint64(region[8*k:]))
 		}
-		for k := 0; k < nlev; k++ {
-			s.ThetaM[base+k] = get()
-		}
-		for k := 0; k < ni; k++ {
-			s.W[ibase+k] = get()
-		}
-		for k := 0; k < ni; k++ {
-			s.Phi[ibase+k] = get()
-		}
-	}
-	for _, e := range st.shardEdges[rank] {
-		base := int(e) * nlev
-		for k := 0; k < nlev; k++ {
-			s.U[base+k] = get()
-		}
-	}
-	return int(h.step), nil
+		region = region[8*len(run):]
+	})
+	return step, nil
 }
 
 // epochManifest is the commit record of a checkpoint epoch, written by
 // rank 0 only after every rank's shard is durable. Gen is the
 // decomposition epoch the shards were laid out under (absent/0 for
-// static runs — the PR 5 format reads unchanged): recovery only accepts
-// manifests from the current decomposition, so an elastic run that
-// shrank and later grew back to an old part count cannot resurrect a
-// pre-shrink epoch whose shard layout no longer matches.
+// static runs): recovery only accepts manifests from the current
+// decomposition, so an elastic run that shrank and later grew back to an
+// old part count cannot resurrect a pre-shrink epoch whose shard layout
+// no longer matches.
 type epochManifest struct {
 	Epoch  int `json:"epoch"`
 	Step   int `json:"step"`
@@ -359,7 +204,7 @@ type epochManifest struct {
 //grist:durable
 func (st *ShardStore) Commit(epoch, step int) error {
 	m := epochManifest{Epoch: epoch, Step: step, NParts: st.pl.NParts, Gen: st.planGen()}
-	return atomicWriteFileFS(st.fs, st.manifestPath(epoch), func(w io.Writer) error {
+	return durable.Replace(st.fs, st.manifestPath(epoch), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(&m)
 	})
 }
@@ -377,25 +222,13 @@ func (st *ShardStore) Commit(epoch, step int) error {
 //grist:durable
 func (st *ShardStore) Redistribute(epoch, step int, newPl *DistPlan) error {
 	old := st.pl
-	nlev := old.NLev
-	ni := nlev + 1
-	s := dycore.NewState(old.Mesh, nlev)
-	tmp := dycore.NewState(old.Mesh, nlev)
+	s := dycore.NewState(old.Mesh, old.NLev)
+	tmp := dycore.NewState(old.Mesh, old.NLev)
 	for p := 0; p < old.NParts; p++ {
 		if _, err := st.ReadShard(epoch, p, tmp); err != nil {
 			return fmt.Errorf("core: redistributing epoch %d: %w", epoch, err)
 		}
-		for _, c := range old.TendCells[p] {
-			base, ibase := int(c)*nlev, int(c)*ni
-			copy(s.DryMass[base:base+nlev], tmp.DryMass[base:base+nlev])
-			copy(s.ThetaM[base:base+nlev], tmp.ThetaM[base:base+nlev])
-			copy(s.W[ibase:ibase+ni], tmp.W[ibase:ibase+ni])
-			copy(s.Phi[ibase:ibase+ni], tmp.Phi[ibase:ibase+ni])
-		}
-		for _, e := range old.UEdges[p] {
-			base := int(e) * nlev
-			copy(s.U[base:base+nlev], tmp.U[base:base+nlev])
-		}
+		unpackOwnedState(s, old, p, packOwnedState(tmp, old, p))
 	}
 	// Captured before SetPlan retires the old plan: only the part count
 	// survives the generation change, for pruning below.
@@ -414,77 +247,46 @@ func (st *ShardStore) Redistribute(epoch, step int, newPl *DistPlan) error {
 	return st.Commit(epoch, step)
 }
 
+// readManifest reads one manifest file; ok is false when it does not
+// parse or was committed under another plan (part count and
+// decomposition generation must both match).
+func (st *ShardStore) readManifest(name string) (m epochManifest, ok bool, err error) {
+	raw, err := st.fs.ReadFile(name)
+	if err != nil {
+		return m, false, err
+	}
+	ok = json.Unmarshal(raw, &m) == nil && m.NParts == st.pl.NParts && m.Gen == st.planGen()
+	return m, ok, nil
+}
+
 // LatestCommitted returns the newest committed epoch whose every shard
-// verifies (header, CRC, plan match), with the step it was taken at.
+// verifies (container, plan match, step), with the step it was taken at.
 // ok is false when no usable epoch exists — recovery then replays from
-// the initial state. Only manifests of the current plan count: part
-// count and decomposition generation must both match, so epochs
-// sharded under a retired membership are never resumed. Full shard
-// verification runs once per epoch: an epoch that has already verified
-// is served from the memo after a cheap existence check of its shard
-// files, so a poller calling this every tick pays one manifest listing
-// plus stats, not a re-hash of every shard (WriteShard invalidates the
-// memo for rewritten epochs; a shard file disappearing — a shrink
-// pruned it, an operator removed it — drops the memo too).
+// the initial state. Only manifests of the current plan count, so epochs
+// sharded under a retired membership are never resumed. Every call
+// verifies what it offers: it runs once per leg or reshape, and the
+// caller is about to ReadShard the epoch it is handed.
 func (st *ShardStore) LatestCommitted() (epoch, step int, ok bool) {
 	names, err := st.fs.Glob(filepath.Join(st.dir, "epoch-*.json"))
-	if err != nil || len(names) == 0 {
+	if err != nil {
 		return 0, 0, false
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, name := range names {
-		raw, err := st.fs.ReadFile(name)
-		if err != nil {
+		m, mine, err := st.readManifest(name)
+		if err != nil || !mine {
 			continue
-		}
-		var m epochManifest
-		if json.Unmarshal(raw, &m) != nil || m.NParts != st.pl.NParts || m.Gen != st.planGen() {
-			continue
-		}
-		st.verifiedMu.Lock()
-		memoStep, memoized := st.verified[m.Epoch]
-		st.verifiedMu.Unlock()
-		if memoized {
-			if memoStep != m.Step {
-				continue // manifest rewritten since verification
-			}
-			if st.shardsPresent(m.Epoch, m.NParts) {
-				return m.Epoch, m.Step, true
-			}
-			// A verified shard no longer exists on disk: retire the memo
-			// and fall through to the full re-verification, which will
-			// reject the epoch and move on to an older one.
-			st.verifiedMu.Lock()
-			delete(st.verified, m.Epoch)
-			st.verifiedMu.Unlock()
 		}
 		usable := true
-		for p := 0; p < m.NParts; p++ {
-			h, _, err := st.loadShard(m.Epoch, p)
-			if err != nil || int(h.step) != m.Step {
-				usable = false
-				break
-			}
+		for p := 0; p < m.NParts && usable; p++ {
+			got, _, err := st.loadShard(m.Epoch, p)
+			usable = err == nil && got == m.Step
 		}
 		if usable {
-			st.verifiedMu.Lock()
-			st.verified[m.Epoch] = m.Step
-			st.verifiedMu.Unlock()
 			return m.Epoch, m.Step, true
 		}
 	}
 	return 0, 0, false
-}
-
-// shardsPresent reports whether every shard file of an epoch exists —
-// the cheap liveness check behind the verified-epoch memo.
-func (st *ShardStore) shardsPresent(epoch, nparts int) bool {
-	for p := 0; p < nparts; p++ {
-		if _, err := st.fs.Stat(st.shardPath(epoch, p)); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // EpochInfo identifies one committed checkpoint epoch: its number and
@@ -510,15 +312,13 @@ func (st *ShardStore) CommittedEpochs() ([]EpochInfo, error) {
 	}
 	var out []EpochInfo
 	for _, name := range names {
-		raw, err := st.fs.ReadFile(name)
+		m, ok, err := st.readManifest(name)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading manifest %s: %w", filepath.Base(name), err)
 		}
-		var m epochManifest
-		if json.Unmarshal(raw, &m) != nil || m.NParts != st.pl.NParts || m.Gen != st.planGen() {
-			continue
+		if ok {
+			out = append(out, EpochInfo{Epoch: m.Epoch, Step: m.Step})
 		}
-		out = append(out, EpochInfo{Epoch: m.Epoch, Step: m.Step})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
 	return out, nil

@@ -259,45 +259,20 @@ func gatherState(r *comm.Rank, dst, src *dycore.State, pl *DistPlan) {
 	}
 }
 
-// packOwnedState serializes rank p's owned prognostic region (cells:
-// DryMass, ThetaM, W, Phi; edges: U) into one flat buffer.
+// packOwnedState serializes rank p's owned prognostic region into one
+// flat buffer, in dycore.State.Region order.
 func packOwnedState(s *dycore.State, pl *DistPlan, p int) []float64 {
-	nlev := pl.NLev
-	ni := nlev + 1
-	buf := make([]float64, 0, len(pl.TendCells[p])*2*(nlev+ni)+len(pl.UEdges[p])*nlev)
-	for _, c := range pl.TendCells[p] {
-		base := int(c) * nlev
-		ibase := int(c) * ni
-		buf = append(buf, s.DryMass[base:base+nlev]...)
-		buf = append(buf, s.ThetaM[base:base+nlev]...)
-		buf = append(buf, s.W[ibase:ibase+ni]...)
-		buf = append(buf, s.Phi[ibase:ibase+ni]...)
-	}
-	for _, e := range pl.UEdges[p] {
-		base := int(e) * nlev
-		buf = append(buf, s.U[base:base+nlev]...)
-	}
+	cells, edges := pl.TendCells[p], pl.UEdges[p]
+	buf := make([]float64, 0, dycore.RegionLen(s.NLev, len(cells), len(edges)))
+	s.Region(cells, edges, func(run []float64) { buf = append(buf, run...) })
 	return buf
 }
 
 // unpackOwnedState writes rank p's packed region into dst.
 func unpackOwnedState(dst *dycore.State, pl *DistPlan, p int, buf []float64) {
-	nlev := pl.NLev
-	ni := nlev + 1
-	pos := 0
-	for _, c := range pl.TendCells[p] {
-		base := int(c) * nlev
-		ibase := int(c) * ni
-		pos += copy(dst.DryMass[base:base+nlev], buf[pos:])
-		pos += copy(dst.ThetaM[base:base+nlev], buf[pos:])
-		pos += copy(dst.W[ibase:ibase+ni], buf[pos:])
-		pos += copy(dst.Phi[ibase:ibase+ni], buf[pos:])
-	}
-	for _, e := range pl.UEdges[p] {
-		base := int(e) * nlev
-		pos += copy(dst.U[base:base+nlev], buf[pos:])
-	}
-	if pos != len(buf) {
+	cells, edges := pl.TendCells[p], pl.UEdges[p]
+	if len(buf) != dycore.RegionLen(dst.NLev, len(cells), len(edges)) {
 		panic("core: distributed gather size mismatch")
 	}
+	dst.Region(cells, edges, func(run []float64) { buf = buf[copy(run, buf):] })
 }

@@ -316,11 +316,10 @@ func TestRedistributePreservesOwnerTruth(t *testing.T) {
 	assertBitwise(t, got, s, "redistributed epoch")
 }
 
-// Satellite regression: the verified-epoch memo must notice a shard
-// file disappearing from disk. Memoize an epoch, delete one of its
-// shards, and LatestCommitted must fall back to the older epoch rather
-// than serving the stale memo.
-func TestLatestCommittedDropsMemoOnMissingShard(t *testing.T) {
+// Satellite regression: LatestCommitted must notice a shard file
+// disappearing from disk after it has offered the epoch once. Delete one
+// of the epoch's shards and it must fall back to the older epoch.
+func TestLatestCommittedFallsBackOnMissingShard(t *testing.T) {
 	m := sharedMesh3
 	nlev := 2
 	dir := t.TempDir()
@@ -344,8 +343,8 @@ func TestLatestCommittedDropsMemoOnMissingShard(t *testing.T) {
 	if e, _, ok := store.LatestCommitted(); !ok || e != 4 {
 		t.Fatalf("LatestCommitted = (%d, %v), want epoch 4", e, ok)
 	}
-	// Both epochs are now memoized. Remove one epoch-4 shard behind the
-	// store's back — the next call must NOT serve epoch 4 from the memo.
+	// Remove one epoch-4 shard behind the store's back — the next call
+	// must NOT offer epoch 4 again.
 	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("shard-e%06d-r%04d.grist", 4, 1))); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +353,7 @@ func TestLatestCommittedDropsMemoOnMissingShard(t *testing.T) {
 			t.Fatalf("after shard removal LatestCommitted = (%d, %v), want epoch 2", e, ok)
 		}
 	} else {
-		t.Fatal("LatestCommitted served epoch 4 from the memo after its shard disappeared")
+		t.Fatal("LatestCommitted offered epoch 4 after its shard disappeared")
 	}
 	// And it stays retired on subsequent polls.
 	if e, _, ok := store.LatestCommitted(); !ok || e != 2 {

@@ -2,30 +2,23 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"os"
 
+	"gristgo/internal/durable"
 	"gristgo/internal/tracer"
 	"gristgo/internal/vfs"
 )
 
-// Restart stream framing: a magic + format-version header so a foreign
-// or stale file is rejected before gob sees it, and a CRC32-IEEE
-// trailer over everything before it so silent corruption (truncation,
-// bit rot, torn writes) surfaces as a precise error instead of a
-// half-restored state. Version history: 1 = bare gob (pre-resilience),
-// 2 = framed.
-const (
-	restartMagic   = "GRST"
-	restartVersion = 2
-)
-
-// restartRecord is the serialized model state. Mesh topology is not
-// stored (it is regenerated deterministically from the grid level);
-// everything prognostic or slowly varying is.
+// restartRecord is the serialized model state: the gob payload of a
+// durable restart record, whose header rejects a foreign or stale file
+// before gob sees it and whose checksum turns silent corruption
+// (truncation, bit rot, torn writes) into a precise error instead of a
+// half-restored state. Mesh topology is not stored (it is regenerated
+// deterministically from the grid level); everything prognostic or
+// slowly varying is.
 type restartRecord struct {
 	GridLevel, NLev int
 	TimeSec         float64
@@ -42,8 +35,7 @@ type restartRecord struct {
 
 // WriteRestart serializes the full model state, so a run can resume
 // bit-for-bit (the restart-reproducibility requirement of long climate
-// integrations). The stream is framed with the versioned header and
-// CRC32 trailer described above.
+// integrations), as one durable restart record.
 func (mod *Model) WriteRestart(w io.Writer) error {
 	s := mod.Engine.State()
 	rec := restartRecord{
@@ -62,23 +54,12 @@ func (mod *Model) WriteRestart(w io.Writer) error {
 	}
 	rec.Tracers = mod.Tracers.Q
 
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	var hdr [len(restartMagic) + 2]byte
-	copy(hdr[:], restartMagic)
-	binary.LittleEndian.PutUint16(hdr[len(restartMagic):], restartVersion)
-	if _, err := mw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("core: writing restart header: %w", err)
-	}
-	if err := gob.NewEncoder(mw).Encode(&rec); err != nil {
-		return fmt.Errorf("core: writing restart: %w", err)
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := w.Write(trailer[:]); err != nil {
-		return fmt.Errorf("core: writing restart trailer: %w", err)
-	}
-	return nil
+	return durable.Encode(w, durable.Restart, func(w io.Writer) error {
+		if err := gob.NewEncoder(w).Encode(&rec); err != nil {
+			return fmt.Errorf("core: writing restart: %w", err)
+		}
+		return nil
+	})
 }
 
 // ReadRestart restores a state written by WriteRestart into this model,
@@ -89,23 +70,12 @@ func (mod *Model) ReadRestart(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: reading restart: %w", err)
 	}
-	const hdrLen = len(restartMagic) + 2
-	if len(raw) < hdrLen+4 {
-		return fmt.Errorf("core: restart file truncated (%d bytes, need at least %d)", len(raw), hdrLen+4)
-	}
-	if string(raw[:len(restartMagic)]) != restartMagic {
-		return fmt.Errorf("core: not a restart file (magic %q, want %q)", raw[:len(restartMagic)], restartMagic)
-	}
-	if v := binary.LittleEndian.Uint16(raw[len(restartMagic):hdrLen]); v != restartVersion {
-		return fmt.Errorf("core: unsupported restart format version %d (this build reads %d)", v, restartVersion)
-	}
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	want := binary.LittleEndian.Uint32(trailer)
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return fmt.Errorf("core: restart file corrupt: CRC32 %08x, trailer says %08x", got, want)
+	payload, err := durable.Decode(raw, durable.Restart)
+	if err != nil {
+		return fmt.Errorf("core: reading restart: %w", err)
 	}
 	var rec restartRecord
-	if err := gob.NewDecoder(bytes.NewReader(body[hdrLen:])).Decode(&rec); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 		return fmt.Errorf("core: decoding restart: %w", err)
 	}
 	if rec.GridLevel != mod.Cfg.GridLevel || rec.NLev != mod.Cfg.NLev {
@@ -134,34 +104,18 @@ func (mod *Model) ReadRestart(r io.Reader) error {
 	return nil
 }
 
-// WriteRestartFile writes the restart record to path atomically: the
-// framed stream lands in a temp file in the same directory and is
-// renamed into place, so a crash mid-write never leaves a truncated
-// file under the restart name.
+// WriteRestartFile writes the restart record to path atomically, so a
+// crash mid-write never leaves a truncated file under the restart name.
 //
 //grist:durable
 func (mod *Model) WriteRestartFile(path string) error {
-	return mod.WriteRestartFileFS(vfs.OS, path)
-}
-
-// WriteRestartFileFS is WriteRestartFile over an injectable filesystem,
-// so the storage-chaos layer can tear or starve the restart write the
-// same way it does checkpoint shards.
-//
-//grist:durable
-func (mod *Model) WriteRestartFileFS(fsys vfs.FS, path string) error {
-	return atomicWriteFileFS(fsys, path, mod.WriteRestart)
+	return durable.Replace(vfs.OS, path, mod.WriteRestart)
 }
 
 // ReadRestartFile restores the model from a restart file written by
 // WriteRestartFile (or any WriteRestart stream on disk).
 func (mod *Model) ReadRestartFile(path string) error {
-	return mod.ReadRestartFileFS(vfs.OS, path)
-}
-
-// ReadRestartFileFS is ReadRestartFile over an injectable filesystem.
-func (mod *Model) ReadRestartFileFS(fsys vfs.FS, path string) error {
-	f, err := fsys.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("core: opening restart: %w", err)
 	}

@@ -6,13 +6,19 @@ package core
 // assembles every rank's shard back into one full-mesh state for the
 // snapshot builder, and a serial model exports gristd-compatible epochs
 // through a single-rank ShardStore, so the wire format between producer
-// and server is exactly the PR 5 recovery format.
+// and server is exactly the recovery format.
 
 import (
+	"errors"
 	"fmt"
 
 	"gristgo/internal/dycore"
 )
+
+// ErrTornEpoch is wrapped by LoadEpochState when every shard of an epoch
+// verifies but they were not taken at the same step: the commit raced a
+// rewrite, which a retry after the writer finishes can heal.
+var ErrTornEpoch = errors.New("core: torn epoch")
 
 // Plan returns the distributed plan the store's shard layout was derived
 // from (the serving side needs the mesh and rank count to reassemble).
@@ -22,7 +28,8 @@ func (st *ShardStore) Plan() *DistPlan { return st.pl }
 // s, which must span the plan's full mesh. Owned regions overlap halo
 // mirrors with identical values, so assembly order does not matter. It
 // returns the step count the epoch was taken at and fails if any shard
-// is missing, corrupt, or disagrees on the step.
+// is missing, corrupt (the error wraps durable.ErrCorrupt), or disagrees
+// on the step (ErrTornEpoch).
 func (st *ShardStore) LoadEpochState(epoch int, s *dycore.State) (int, error) {
 	step := -1
 	for p := 0; p < st.pl.NParts; p++ {
@@ -31,7 +38,7 @@ func (st *ShardStore) LoadEpochState(epoch int, s *dycore.State) (int, error) {
 			return 0, fmt.Errorf("core: assembling epoch %d: %w", epoch, err)
 		}
 		if step >= 0 && sp != step {
-			return 0, fmt.Errorf("core: epoch %d is torn: rank %d at step %d, rank 0 at step %d", epoch, p, sp, step)
+			return 0, fmt.Errorf("%w: epoch %d has rank %d at step %d, rank 0 at step %d", ErrTornEpoch, epoch, p, sp, step)
 		}
 		step = sp
 	}

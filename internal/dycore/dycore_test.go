@@ -221,6 +221,52 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// Region is the one spelling of the serialized field order: per cell
+// DryMass, ThetaM, W, Phi, then per edge U, RegionLen words in all, each
+// run aliasing the state.
+func TestRegionVisitsCanonicalOrder(t *testing.T) {
+	const nlev = 3
+	s := NewState(testMesh(t, 1), nlev)
+	for i := range s.DryMass {
+		s.DryMass[i], s.ThetaM[i] = 1e6+float64(i), 2e6+float64(i)
+	}
+	for i := range s.W {
+		s.W[i], s.Phi[i] = 3e6+float64(i), 4e6+float64(i)
+	}
+	for i := range s.U {
+		s.U[i] = 5e6 + float64(i)
+	}
+	cells, edges := []int32{7, 2}, []int32{5}
+	var got []float64
+	s.Region(cells, edges, func(run []float64) { got = append(got, run...) })
+	var want []float64
+	for _, c := range cells {
+		for _, f := range []struct {
+			base float64
+			n    int
+		}{{1e6, nlev}, {2e6, nlev}, {3e6, nlev + 1}, {4e6, nlev + 1}} {
+			for k := 0; k < f.n; k++ {
+				want = append(want, f.base+float64(int(c)*f.n+k))
+			}
+		}
+	}
+	for k := 0; k < nlev; k++ {
+		want = append(want, 5e6+float64(5*nlev+k))
+	}
+	if len(got) != RegionLen(nlev, len(cells), len(edges)) || len(got) != len(want) {
+		t.Fatalf("visited %d words, RegionLen says %d, want %d", len(got), RegionLen(nlev, len(cells), len(edges)), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("word %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	s.Region(cells[:1], nil, func(run []float64) { run[0] = -1 })
+	if s.DryMass[7*nlev] != -1 || s.Phi[7*(nlev+1)] != -1 {
+		t.Fatal("runs do not alias the state")
+	}
+}
+
 func TestVortexInjectsCyclonicCirculation(t *testing.T) {
 	m := testMesh(t, 4)
 	s := NewState(m, 6)

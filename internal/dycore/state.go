@@ -76,6 +76,31 @@ func (s *State) Clone() *State {
 	return c
 }
 
+// Region visits the level-runs of a region's prognostic fields in the one
+// canonical order every serialized form of a region uses (gather buffers,
+// checkpoint shards, redistribution): per cell DryMass, ThetaM (NLev
+// words each), W, Phi (NLev+1 each), then per edge U (NLev). Each run
+// aliases the state, so visit may read or overwrite it.
+func (s *State) Region(cells, edges []int32, visit func(run []float64)) {
+	nlev, ni := s.NLev, s.NLev+1
+	for _, c := range cells {
+		b, ib := int(c)*nlev, int(c)*ni
+		visit(s.DryMass[b : b+nlev])
+		visit(s.ThetaM[b : b+nlev])
+		visit(s.W[ib : ib+ni])
+		visit(s.Phi[ib : ib+ni])
+	}
+	for _, e := range edges {
+		b := int(e) * nlev
+		visit(s.U[b : b+nlev])
+	}
+}
+
+// RegionLen returns how many words Region visits for the given counts.
+func RegionLen(nlev, ncells, nedges int) int {
+	return ncells*(4*nlev+2) + nedges*nlev
+}
+
 // SurfacePressure returns the dry surface pressure per cell:
 // ptop + sum_k delta-pi.
 func (s *State) SurfacePressure() []float64 {

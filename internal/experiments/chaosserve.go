@@ -143,7 +143,13 @@ func quarantineCount(reg *telemetry.Registry) int64 {
 func runChaosServeLeg(m *mesh.Mesh, cfg ChaosServeConfig, prof fault.FSProfile, sums map[int]uint64) (ChaosServeLeg, error) {
 	leg := ChaosServeLeg{Profile: prof.Name, ChecksumsMatch: true}
 
+	// The leg starts from an empty directory: epochs left by an earlier
+	// run would shift every per-file fault ordinal and with it the verdict
+	// stream the gates were recorded against.
 	dir := filepath.Join(cfg.Dir, "chaosserve-"+prof.Name)
+	if err := os.RemoveAll(dir); err != nil {
+		return leg, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return leg, err
 	}

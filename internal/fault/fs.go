@@ -205,20 +205,6 @@ func (f *FS) corruptRead(key string, op int, buf []byte) {
 
 // --- vfs.FS implementation -------------------------------------------------
 
-// Open decorates the returned file with the read-side faults.
-func (f *FS) Open(name string) (vfs.File, error) {
-	key := fsKey(name)
-	op := f.nextOp(key)
-	if f.active.Load() {
-		f.stall(key, op)
-	}
-	inner, err := f.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{FS: f, inner: inner, key: key}, nil
-}
-
 // Create decorates the returned file with the write-side faults; the
 // create itself can fail with injected ENOSPC.
 func (f *FS) Create(name string) (vfs.File, error) {
@@ -313,15 +299,6 @@ func (f *FS) tearFile(path, key string, op int) error {
 // Remove passes through (the fault model never blocks cleanup).
 func (f *FS) Remove(name string) error { return f.inner.Remove(name) }
 
-// Stat injects only latency (liveness checks should see real state).
-func (f *FS) Stat(name string) (iofs.FileInfo, error) {
-	key := fsKey(name)
-	if f.active.Load() {
-		f.stall(key, f.nextOp(key))
-	}
-	return f.inner.Stat(name)
-}
-
 // MkdirAll passes through.
 func (f *FS) MkdirAll(path string, perm iofs.FileMode) error { return f.inner.MkdirAll(path, perm) }
 
@@ -377,44 +354,6 @@ func (ff *faultFile) Write(b []byte) (int, error) {
 			ff.key, n, len(b), syscall.ENOSPC)
 	}
 	return ff.inner.Write(b)
-}
-
-// Read injects EIO and silent bit-flips on streaming reads.
-func (ff *faultFile) Read(b []byte) (int, error) {
-	op := ff.nextOp(ff.key)
-	if !ff.active.Load() {
-		return ff.inner.Read(b)
-	}
-	ff.stall(ff.key, op)
-	if ff.Prof.ReadErrProb > 0 && detrand.Unit(ff.hash(ff.key, op, saltFSReadErr)) < ff.Prof.ReadErrProb {
-		ff.record("fseio", ff.key, "read")
-		return 0, fmt.Errorf("fault: injected reading %s: %w", ff.key, syscall.EIO)
-	}
-	n, err := ff.inner.Read(b)
-	if n > 0 && ff.Prof.ReadFlipProb > 0 &&
-		detrand.Unit(ff.hash(ff.key, op, saltFSReadFlip)) < ff.Prof.ReadFlipProb {
-		ff.corruptRead(ff.key, op, b[:n])
-	}
-	return n, err
-}
-
-// ReadAt mirrors Read's fault model for positional reads.
-func (ff *faultFile) ReadAt(b []byte, off int64) (int, error) {
-	op := ff.nextOp(ff.key)
-	if !ff.active.Load() {
-		return ff.inner.ReadAt(b, off)
-	}
-	ff.stall(ff.key, op)
-	if ff.Prof.ReadErrProb > 0 && detrand.Unit(ff.hash(ff.key, op, saltFSReadErr)) < ff.Prof.ReadErrProb {
-		ff.record("fseio", ff.key, "readat")
-		return 0, fmt.Errorf("fault: injected reading %s: %w", ff.key, syscall.EIO)
-	}
-	n, err := ff.inner.ReadAt(b, off)
-	if n > 0 && ff.Prof.ReadFlipProb > 0 &&
-		detrand.Unit(ff.hash(ff.key, op, saltFSReadFlip)) < ff.Prof.ReadFlipProb {
-		ff.corruptRead(ff.key, op, b[:n])
-	}
-	return n, err
 }
 
 // Sync can stall but never lies about success: the lie the fault

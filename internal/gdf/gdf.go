@@ -3,21 +3,21 @@
 // attributed variables, float64 payloads — standing in for the NetCDF
 // history files the paper's model writes (stdlib-only substitution).
 //
-// Layout (little-endian):
+// Layout (little-endian), the payload of a durable history record —
+// cmd/grist frames it (magic, version, CRC32) when it writes the file
+// and cmd/gdfdump verifies the frame before parsing:
 //
-//	magic "GDF1" | ndims | {nameLen name size}* | nvars |
+//	ndims | {nameLen name size}* | nvars |
 //	{nameLen name nattrs {keyLen key valLen val}* ndims {dimIdx}* data}*
 package gdf
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sort"
 )
-
-const magic = "GDF1"
 
 // Dimension is a named axis length.
 type Dimension struct {
@@ -91,26 +91,8 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", errors.New("gdf: unreasonable string length")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
 // Write serializes the dataset.
 func (f *File) Write(w io.Writer) error {
-	if _, err := io.WriteString(w, magic); err != nil {
-		return err
-	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(f.Dims))); err != nil {
 		return err
 	}
@@ -139,7 +121,7 @@ func (f *File) Write(w io.Writer) error {
 		for k := range v.Attrs {
 			keys = append(keys, k)
 		}
-		sortStrings(keys)
+		sort.Strings(keys)
 		for _, k := range keys {
 			if err := writeString(w, k); err != nil {
 				return err
@@ -171,92 +153,127 @@ func (f *File) Write(w io.Writer) error {
 	return nil
 }
 
+// cursor walks an in-memory payload. Every count and size read from it
+// is bounded by the bytes that remain before anything is allocated, so a
+// hostile header cannot ask for more memory than the file is long.
+type cursor struct{ b []byte }
+
+func (c *cursor) take(n uint64, what string) ([]byte, error) {
+	if n > uint64(len(c.b)) {
+		return nil, fmt.Errorf("gdf: %s needs %d bytes, %d remain", what, n, len(c.b))
+	}
+	out := c.b[:n]
+	c.b = c.b[n:]
+	return out, nil
+}
+
+// count reads a uint32 element count whose elements occupy at least
+// each bytes apiece.
+func (c *cursor) count(each int, what string) (int, error) {
+	raw, err := c.take(4, what)
+	if err != nil {
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(raw)
+	if uint64(n)*uint64(each) > uint64(len(c.b)) {
+		return 0, fmt.Errorf("gdf: %s %d exceeds the %d bytes that remain", what, n, len(c.b))
+	}
+	return int(n), nil
+}
+
+func (c *cursor) str(what string) (string, error) {
+	n, err := c.count(1, what+" length")
+	if err != nil {
+		return "", err
+	}
+	raw, err := c.take(uint64(n), what)
+	return string(raw), err
+}
+
 // Read parses a dataset written by Write.
 func Read(r io.Reader) (*File, error) {
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(r, head); err != nil {
+	raw, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if string(head) != magic {
-		return nil, errors.New("gdf: bad magic")
-	}
+	c := &cursor{b: raw}
 	var f File
-	var ndims uint32
-	if err := binary.Read(r, binary.LittleEndian, &ndims); err != nil {
+	ndims, err := c.count(4+8, "dimension count")
+	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < ndims; i++ {
-		name, err := readString(r)
+	for i := 0; i < ndims; i++ {
+		name, err := c.str("dimension name")
 		if err != nil {
 			return nil, err
 		}
-		var size uint64
-		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
+		raw, err := c.take(8, "dimension size")
+		if err != nil {
 			return nil, err
+		}
+		size := binary.LittleEndian.Uint64(raw)
+		if size > math.MaxInt {
+			return nil, fmt.Errorf("gdf: dimension %q has negative size", name)
 		}
 		f.Dims = append(f.Dims, Dimension{Name: name, Size: int(size)})
 	}
-	var nvars uint32
-	if err := binary.Read(r, binary.LittleEndian, &nvars); err != nil {
+	nvars, err := c.count(4+4+4, "variable count")
+	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < nvars; i++ {
+	for i := 0; i < nvars; i++ {
 		var v Variable
-		var err error
-		if v.Name, err = readString(r); err != nil {
+		if v.Name, err = c.str("variable name"); err != nil {
 			return nil, err
 		}
-		var nattrs uint32
-		if err := binary.Read(r, binary.LittleEndian, &nattrs); err != nil {
+		nattrs, err := c.count(4+4, "attribute count of "+v.Name)
+		if err != nil {
 			return nil, err
 		}
 		v.Attrs = map[string]string{}
-		for a := uint32(0); a < nattrs; a++ {
-			k, err := readString(r)
+		for a := 0; a < nattrs; a++ {
+			k, err := c.str("attribute key")
 			if err != nil {
 				return nil, err
 			}
-			val, err := readString(r)
-			if err != nil {
+			if v.Attrs[k], err = c.str("attribute value"); err != nil {
 				return nil, err
 			}
-			v.Attrs[k] = val
 		}
-		var nd uint32
-		if err := binary.Read(r, binary.LittleEndian, &nd); err != nil {
+		nd, err := c.count(4, "dimension list of "+v.Name)
+		if err != nil {
 			return nil, err
 		}
-		size := 1
-		for d := uint32(0); d < nd; d++ {
-			var idx uint32
-			if err := binary.Read(r, binary.LittleEndian, &idx); err != nil {
-				return nil, err
-			}
-			if int(idx) >= len(f.Dims) {
-				return nil, errors.New("gdf: dimension index out of range")
-			}
-			v.Dims = append(v.Dims, f.Dims[idx].Name)
-			size *= f.Dims[idx].Size
+		idx, err := c.take(4*uint64(nd), "dimension list of "+v.Name)
+		if err != nil {
+			return nil, err
 		}
-		bits := make([]uint64, size)
-		if err := binary.Read(r, binary.LittleEndian, bits); err != nil {
+		// The values are what is left to read for this variable, so their
+		// count — and every partial product on the way to it — is bounded
+		// by the bytes that remain.
+		size, limit := 1, len(c.b)/8
+		for d := 0; d < nd; d++ {
+			di := binary.LittleEndian.Uint32(idx[4*d:])
+			if int(di) >= len(f.Dims) {
+				return nil, fmt.Errorf("gdf: variable %q: dimension index %d out of range", v.Name, di)
+			}
+			dim := f.Dims[di]
+			v.Dims = append(v.Dims, dim.Name)
+			if dim.Size != 0 && size > limit/dim.Size {
+				return nil, fmt.Errorf("gdf: variable %q: size over dimension %q (%d) exceeds the %d bytes that remain",
+					v.Name, dim.Name, dim.Size, len(c.b))
+			}
+			size *= dim.Size
+		}
+		data, err := c.take(8*uint64(size), "values of "+v.Name)
+		if err != nil {
 			return nil, err
 		}
 		v.Data = make([]float64, size)
-		for j, b := range bits {
-			v.Data[j] = math.Float64frombits(b)
+		for j := range v.Data {
+			v.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
 		}
 		f.Vars = append(f.Vars, v)
 	}
 	return &f, nil
-}
-
-// sortStrings is a dependency-free insertion sort (attribute lists are
-// tiny).
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

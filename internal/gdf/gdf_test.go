@@ -2,7 +2,9 @@ package gdf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -92,4 +94,88 @@ func TestMissingVar(t *testing.T) {
 	if sample().Var("absent") != nil {
 		t.Error("missing variable found")
 	}
+}
+
+// header builds a payload by hand: dims, then one variable "v" over the
+// given dimension indices, with no values behind it.
+func header(sizes []uint64, over []uint32) []byte {
+	var b bytes.Buffer
+	put := func(v any) { _ = binary.Write(&b, binary.LittleEndian, v) }
+	put(uint32(len(sizes)))
+	for _, s := range sizes {
+		put(uint32(1))
+		b.WriteByte('d')
+		put(s)
+	}
+	put(uint32(1)) // nvars
+	put(uint32(1))
+	b.WriteByte('v')
+	put(uint32(0)) // nattrs
+	put(uint32(len(over)))
+	put(over)
+	return b.Bytes()
+}
+
+// Read sizes its allocations from the file, so every count and size must
+// be bounded by the bytes that remain: a ~50-byte file must not panic or
+// ask for gigabytes.
+func TestReadBoundsSizesByInput(t *testing.T) {
+	cases := []struct {
+		name    string
+		raw     []byte
+		wantSub string
+	}{
+		{"one 2^40 dimension", header([]uint64{1 << 40}, []uint32{0}), `variable "v"`},
+		{"product overflows int", header([]uint64{1 << 32, 1 << 32}, []uint32{0, 1}), `variable "v"`},
+		{"negative dimension", header([]uint64{1 << 63}, []uint32{0}), "negative"},
+		{"huge ndims", []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, "dimension count"},
+		{"huge nvars", []byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}, "variable count"},
+		{"huge name", []byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, "dimension name"},
+	}
+	for _, c := range cases {
+		_, err := Read(bytes.NewReader(c.raw))
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.wantSub) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantSub)
+		}
+	}
+	// A zero-sized dimension makes the product zero whatever its
+	// neighbours say: legal, and nothing to allocate.
+	f, err := Read(bytes.NewReader(header([]uint64{0, 1 << 40}, []uint32{0, 1})))
+	if err != nil || len(f.Vars) != 1 || len(f.Vars[0].Data) != 0 {
+		t.Fatalf("zero-sized variable: (%+v, %v)", f, err)
+	}
+}
+
+// FuzzGDFRead: arbitrary bytes never panic Read, and what it returns was
+// paid for by the input — no more values than the bytes could hold.
+func FuzzGDFRead(f *testing.F) {
+	var buf bytes.Buffer
+	_ = sample().Write(&buf)
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(header([]uint64{1 << 40}, []uint32{0}))
+	f.Add(header([]uint64{1 << 32, 1 << 32}, []uint32{0, 1}))
+	f.Add(header([]uint64{0, 1 << 40}, []uint32{0, 1}))
+	f.Add(header([]uint64{3}, []uint32{9}))
+	for _, i := range []int{0, 4, 9, 21, 25, len(good) / 2} {
+		bad := append([]byte(nil), good...)
+		bad[i] ^= 0x80
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		values := 0
+		for _, v := range g.Vars {
+			values += len(v.Data)
+		}
+		if 8*values > len(data) {
+			t.Fatalf("%d bytes of input decoded to %d values", len(data), values)
+		}
+	})
 }

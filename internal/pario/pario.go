@@ -6,16 +6,15 @@
 package pario
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"path/filepath"
 	"sync/atomic"
 
 	"gristgo/internal/comm"
+	"gristgo/internal/durable"
 	"gristgo/internal/telemetry"
 	"gristgo/internal/vfs"
 )
@@ -53,9 +52,9 @@ func LeaderOf(rank, groupSize int) int { return rank / groupSize * groupSize }
 // NumGroups returns how many groups n ranks form.
 func NumGroups(n, groupSize int) int { return (n + groupSize - 1) / groupSize }
 
-// record framing: [globalIndex uint32][value float64], little-endian,
-// preceded by a per-leader header [magic uint32][count uint32].
-const magic = 0x47525354 // "GRST"
+// A leader stream is one durable pario record whose payload is a run of
+// [globalIndex uint32][value float64] pairs, little-endian.
+const recLen = 4 + 8
 
 // WriteOwned performs the grouped write of a distributed field: every
 // rank contributes (globalIndex, value) pairs for the cells it owns;
@@ -97,76 +96,43 @@ func WriteOwned(r *comm.Rank, groupSize int, owned []int32, values []float64, w 
 		all = append(all, r.Recv(src, tag))
 	}
 	count := 0
-	for _, b := range all {
-		count += len(b) / 2
-	}
-	head := make([]byte, 8)
-	binary.LittleEndian.PutUint32(head[0:], magic)
-	binary.LittleEndian.PutUint32(head[4:], uint32(count))
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
-	rec := make([]byte, 12)
-	for _, b := range all {
-		for i := 0; i+1 < len(b); i += 2 {
-			binary.LittleEndian.PutUint32(rec[0:], uint32(b[i]))
-			binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(b[i+1]))
-			if _, err := w.Write(rec); err != nil {
-				return err
+	err := durable.Encode(w, durable.Pario, func(w io.Writer) error {
+		rec := make([]byte, recLen)
+		for _, b := range all {
+			for i := 0; i+1 < len(b); i += 2 {
+				binary.LittleEndian.PutUint32(rec[0:], uint32(b[i]))
+				binary.LittleEndian.PutUint64(rec[4:], math.Float64bits(b[i+1]))
+				if _, err := w.Write(rec); err != nil {
+					return err
+				}
+				count++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if c := bytesCtr.Load(); c != nil {
-		c.Add(int64(8 + 12*count))
+		c.Add(int64(durable.Overhead + recLen*count))
 	}
 	return nil
 }
 
 // WriteOwnedFile is WriteOwned with the leader stream landing durably
-// at path on an injectable filesystem: the leader writes the framed
-// records into a temp file in path's directory, syncs, closes, then
-// renames into place — so a fault mid-write (torn write, ENOSPC, a
-// crash) never leaves a partial file under the output name. Non-leader
-// ranks participate in the gather exactly as in WriteOwned and never
-// touch the filesystem.
+// at path on an injectable filesystem (durable.Replace: temp, sync,
+// rename), so a fault mid-write never leaves a partial file under the
+// output name. Non-leader ranks participate in the gather exactly as in
+// WriteOwned and never touch the filesystem.
 //
 //grist:durable
 func WriteOwnedFile(fsys vfs.FS, path string, r *comm.Rank, groupSize int, owned []int32, values []float64, tag int) error {
-	leader := LeaderOf(r.ID(), groupSize)
-	if r.ID() != leader {
+	if r.ID() != LeaderOf(r.ID(), groupSize) {
 		return WriteOwned(r, groupSize, owned, values, nil, tag)
 	}
-	f, err := fsys.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
-	if err != nil {
-		return fmt.Errorf("pario: creating temp for %s: %w", filepath.Base(path), err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		if cerr := f.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		fsys.Remove(tmp)
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := WriteOwned(r, groupSize, owned, values, bw, tag); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return nil
+	return durable.Replace(fsys, path, func(w io.Writer) error {
+		return WriteOwned(r, groupSize, owned, values, w, tag)
+	})
 }
 
 // ReadAll parses one or more leader streams and scatters the records
@@ -176,20 +142,19 @@ func ReadAll(n int, readers ...io.Reader) ([]float64, error) {
 	out := make([]float64, n)
 	seen := make([]bool, n)
 	for ri, rd := range readers {
-		head := make([]byte, 8)
-		if _, err := io.ReadFull(rd, head); err != nil {
-			return nil, fmt.Errorf("pario: reader %d header: %w", ri, err)
+		raw, err := io.ReadAll(rd)
+		if err != nil {
+			return nil, fmt.Errorf("pario: reader %d: %w", ri, err)
 		}
-		if binary.LittleEndian.Uint32(head[0:]) != magic {
-			return nil, fmt.Errorf("pario: reader %d bad magic", ri)
+		recs, err := durable.Decode(raw, durable.Pario)
+		if err != nil {
+			return nil, fmt.Errorf("pario: reader %d: %w", ri, err)
 		}
-		count := binary.LittleEndian.Uint32(head[4:])
-		rec := make([]byte, 12)
-		for i := uint32(0); i < count; i++ {
-			if _, err := io.ReadFull(rd, rec); err != nil {
-				return nil, fmt.Errorf("pario: reader %d record %d: %w", ri, i, err)
-			}
-			idx := binary.LittleEndian.Uint32(rec[0:])
+		if len(recs)%recLen != 0 {
+			return nil, fmt.Errorf("pario: reader %d: %d payload bytes is not a whole number of records: %w", ri, len(recs), durable.ErrCorrupt)
+		}
+		for ; len(recs) > 0; recs = recs[recLen:] {
+			idx := binary.LittleEndian.Uint32(recs)
 			if int(idx) >= n {
 				return nil, fmt.Errorf("pario: index %d out of range %d", idx, n)
 			}
@@ -197,7 +162,7 @@ func ReadAll(n int, readers ...io.Reader) ([]float64, error) {
 				return nil, fmt.Errorf("pario: duplicate index %d", idx)
 			}
 			seen[idx] = true
-			out[idx] = math.Float64frombits(binary.LittleEndian.Uint64(rec[4:]))
+			out[idx] = math.Float64frombits(binary.LittleEndian.Uint64(recs[4:]))
 		}
 	}
 	return out, nil

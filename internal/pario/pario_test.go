@@ -2,12 +2,14 @@ package pario
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"gristgo/internal/comm"
+	"gristgo/internal/durable"
 	"gristgo/internal/mesh"
 	"gristgo/internal/partition"
 )
@@ -103,10 +105,25 @@ func TestReadAllRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// A leader stream is a durable pario record: the container's corruption
+// table is in internal/durable, this only proves ReadAll is on it.
 func TestReadAllRejectsBadMagic(t *testing.T) {
-	buf := bytes.NewBuffer([]byte{1, 2, 3, 4, 0, 0, 0, 0})
-	if _, err := ReadAll(4, buf); err == nil {
-		t.Error("bad magic accepted")
+	var buf bytes.Buffer
+	comm.Run(1, func(r *comm.Rank) {
+		if err := WriteOwned(r, 1, []int32{1}, []float64{2}, &buf, 8); err != nil {
+			t.Error(err)
+		}
+	})
+	raw := buf.Bytes()
+	copy(raw, "GDFX")
+	if _, err := ReadAll(4, bytes.NewReader(raw)); !errors.Is(err, durable.ErrCorrupt) {
+		t.Errorf("bad magic: err = %v, want durable.ErrCorrupt", err)
+	}
+	// A whole record of another kind is refused before its payload is parsed.
+	var restart bytes.Buffer
+	_ = durable.Encode(&restart, durable.Restart, func(w io.Writer) error { _, err := w.Write(make([]byte, 12)); return err })
+	if _, err := ReadAll(4, &restart); !errors.Is(err, durable.ErrCorrupt) {
+		t.Errorf("restart record offered as a leader stream: err = %v, want durable.ErrCorrupt", err)
 	}
 }
 

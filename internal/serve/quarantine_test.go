@@ -241,3 +241,54 @@ func TestShardPollerCrashRestartReconstructs(t *testing.T) {
 		}
 	}
 }
+
+// The quarantine reason is read off the error's sentinel, not its text:
+// an epoch whose shards verify but disagree on the step is "torn", one
+// with a shard file gone is "missing".
+func TestShardPollerQuarantineReasonLabels(t *testing.T) {
+	for _, c := range []struct {
+		reason string
+		damage func(t *testing.T, st *core.ShardStore)
+	}{
+		{FailTorn, func(t *testing.T, st *core.ShardStore) {
+			if err := st.WriteShard(1, 1, 11, testState(3)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{FailMissing, func(t *testing.T, st *core.ShardStore) {
+			if err := os.Remove(filepath.Join(st.Dir(), "shard-e000001-r0001.grist")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		st, err := core.NewShardStore(t.TempDir(), core.NewDistPlan(testMesh, 3, 2, 12345))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 2; p++ {
+			if err := st.WriteShard(1, p, 10, testState(3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Commit(1, 10); err != nil {
+			t.Fatal(err)
+		}
+		c.damage(t, st)
+
+		p := NewShardPoller(st, NewSnapshotStore(4))
+		reg := telemetry.NewRegistry()
+		p.SetMetrics(reg)
+		if n, err := p.Poll(); n != 0 || err == nil {
+			t.Fatalf("%s: poll = (%d, %v), want (0, head error)", c.reason, n, err)
+		}
+		for _, r := range []string{FailMissing, FailTorn, FailCorrupt, FailIO} {
+			want := int64(0)
+			if r == c.reason {
+				want = 1
+			}
+			if got := reg.Counter("grist_serve_quarantined_total", "reason", r).Value(); got != want {
+				t.Errorf("%s epoch: quarantined_total{%s} = %d, want %d", c.reason, r, got, want)
+			}
+		}
+	}
+}

@@ -26,11 +26,11 @@ import (
 	"log/slog"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"gristgo/internal/core"
 	"gristgo/internal/detrand"
+	"gristgo/internal/durable"
 	"gristgo/internal/dycore"
 	"gristgo/internal/mesh"
 	"gristgo/internal/telemetry"
@@ -199,20 +199,14 @@ const (
 )
 
 // classifyLoadError maps a LoadEpochState failure onto a quarantine
-// reason. The classification is textual of necessity — core returns
-// wrapped fmt errors — but it only feeds the metric label and the
-// retry log line, never control flow.
+// reason by the sentinel it wraps.
 func classifyLoadError(err error) string {
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return FailMissing
-	case strings.Contains(err.Error(), "disagree"):
+	case errors.Is(err, core.ErrTornEpoch):
 		return FailTorn
-	case strings.Contains(err.Error(), "corrupt"),
-		strings.Contains(err.Error(), "truncated"),
-		strings.Contains(err.Error(), "bad magic"),
-		strings.Contains(err.Error(), "does not match the plan"),
-		strings.Contains(err.Error(), "payload is"):
+	case errors.Is(err, durable.ErrCorrupt):
 		return FailCorrupt
 	default:
 		return FailIO

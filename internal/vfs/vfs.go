@@ -7,8 +7,8 @@
 // (vfs.OS) stays a zero-cost passthrough.
 //
 // The interface is deliberately the small set the durable paths use:
-// open/create/temp, whole-file read, rename/remove/stat, directory
-// creation and globbing. Anything not needed by a //grist:durable
+// create/temp, whole-file read, rename/remove, directory creation and
+// globbing. Anything not needed by a //grist:durable
 // call site stays off the interface so a fault decorator cannot fall
 // out of sync with a path it never sees.
 package vfs
@@ -20,14 +20,13 @@ import (
 	"path/filepath"
 )
 
-// File is one open file on an FS. The method set is what the durable
-// writers need: streaming writes, positional and streaming reads, an
-// explicit Sync (the durability point — rename-before-sync is the
-// classic torn-commit bug) and the name for error messages.
+// File is one file open for writing on an FS (reads are whole-file,
+// through FS.ReadFile). The method set is what the durable writers need:
+// streaming writes, an explicit Sync (the durability point —
+// rename-before-sync is the classic torn-commit bug) and the name, for
+// the rename and for error messages.
 type File interface {
-	io.Reader
 	io.Writer
-	io.ReaderAt
 	io.Closer
 	Sync() error
 	Name() string
@@ -37,8 +36,6 @@ type File interface {
 // Implementations must be safe for concurrent use by multiple
 // goroutines (ranks write their shards in parallel).
 type FS interface {
-	// Open opens an existing file for reading.
-	Open(name string) (File, error)
 	// Create truncates-or-creates a file for writing.
 	Create(name string) (File, error)
 	// CreateTemp creates a uniquely named temp file in dir (see
@@ -50,8 +47,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error
-	// Stat describes a file.
-	Stat(name string) (fs.FileInfo, error)
 	// MkdirAll creates a directory tree.
 	MkdirAll(path string, perm fs.FileMode) error
 	// Glob lists the names matching a shell pattern.
@@ -64,15 +59,13 @@ type osFS struct{}
 // OS is the real filesystem: every method delegates to the os package.
 var OS FS = osFS{}
 
-func (osFS) Open(name string) (File, error)   { return os.Open(name) }
 func (osFS) Create(name string) (File, error) { return os.Create(name) }
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return os.CreateTemp(dir, pattern)
 }
-func (osFS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
-func (osFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error              { return os.Remove(name) }
-func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
+func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
