@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-baseline lint-sarif test race race-serve fuzz-smoke loc benchmark bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
+.PHONY: check build vet lint lint-baseline lint-sarif test pin pin-update race race-serve fuzz-smoke loc benchmark bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -36,6 +36,17 @@ lint-sarif:
 
 test:
 	$(GO) test ./...
+
+# The pinned trajectories (internal/dycore and internal/core testdata/pin):
+# `pin` prints every field's difference from the pin, `pin-update`
+# rewrites the pins from the current kernels — a reviewed diff, run once
+# after a kernel change whose logged differences are within the bounds.
+PIN = $(GO) test -count=1 -run Pinned ./internal/dycore/ ./internal/core/
+pin:
+	$(PIN) -v
+
+pin-update:
+	$(PIN) -update
 
 # -short skips the minutes-long model-integration tests, which the
 # race detector's ~15x slowdown would push past the test timeout; the
