@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-baseline lint-sarif test pin pin-update race race-serve fuzz-smoke loc benchmark bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
+.PHONY: check build vet lint lint-baseline lint-sarif test pin pin-update profile-step race race-serve fuzz-smoke loc benchmark bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -47,6 +47,17 @@ pin:
 
 pin-update:
 	$(PIN) -update
+
+# CPU profile of the serial G5 x 30 step, DP then MIX (8 steps each): the
+# per-kernel table ROADMAP's re-anchor quotes. Binary and profiles land in
+# profile/ (gitignored).
+profile-step:
+	@mkdir -p profile
+	@for mode in DP MIX; do \
+		$(GO) test -run '^$$' -bench "SerialStepG5L30/$$mode" -benchtime 8x -o profile/dycore.test \
+			-cpuprofile profile/step_$$mode.prof ./internal/dycore/ && \
+		$(GO) tool pprof -top -nodecount=15 profile/dycore.test profile/step_$$mode.prof; \
+	done
 
 # -short skips the minutes-long model-integration tests, which the
 # race detector's ~15x slowdown would push past the test timeout; the

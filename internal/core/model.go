@@ -59,6 +59,7 @@ type Model struct {
 
 	Tracers   *tracer.Field
 	Transport tracer.Transport
+	avgFlux   []float64 // sub-cycle mean of the accumulated mass flux
 
 	Physics physics.Scheme
 	In      *physics.Input
@@ -124,6 +125,7 @@ func NewModelOnMesh(cfg Config, scheme physics.Scheme, m *mesh.Mesh) *Model {
 
 		Tracers:   tracer.NewField(m, cfg.NLev, eng.State().DryMass),
 		Transport: tracer.New(m, cfg.NLev, cfg.Mode),
+		avgFlux:   make([]float64, m.NEdges*cfg.NLev),
 
 		Physics: scheme,
 		In:      physics.NewInput(m.NCells, cfg.NLev),
@@ -255,14 +257,7 @@ func (mod *Model) StepPhysics(season float64) {
 			mod.Engine.Step(st.Dyn)
 			mod.TimeSec += st.Dyn
 		}
-		// Average the accumulated flux over the dynamics sub-steps.
-		acc := mod.Engine.MassFluxAccum()
-		n := float64(mod.Engine.AccumSteps())
-		avg := make([]float64, len(acc))
-		for i, a := range acc {
-			avg[i] = a / n
-		}
-		mod.Transport.Step(mod.Tracers, avg, dtTrac)
+		mod.transportTracers(dtTrac)
 	}
 
 	mod.computePhysicsInput(season)
@@ -277,6 +272,16 @@ func (mod *Model) StepPhysics(season float64) {
 		mod.remapper.Run(mod.Engine.State(), mod.Tracers)
 	}
 	mod.tel.endStep(mod, sp, t0, dtPhy)
+}
+
+// transportTracers advances the tracers by one sub-cycle on the
+// accumulated mass flux averaged over its dynamics steps.
+func (mod *Model) transportTracers(dtTrac float64) {
+	n := float64(mod.Engine.AccumSteps())
+	for i, a := range mod.Engine.MassFluxAccum() {
+		mod.avgFlux[i] = a / n
+	}
+	mod.Transport.Step(mod.Tracers, mod.avgFlux, dtTrac)
 }
 
 // computePhysicsInput fills the coupling Input (U, V, T, Q, P, tskin,

@@ -165,15 +165,7 @@ func (mod *Model) StepPhysicsTimed(season float64, tm *Timings) {
 				mod.TimeSec += st.Dyn
 			}
 		})
-		tm.Time("tracer_transport", func() {
-			acc := mod.Engine.MassFluxAccum()
-			n := float64(mod.Engine.AccumSteps())
-			avg := make([]float64, len(acc))
-			for i, a := range acc {
-				avg[i] = a / n
-			}
-			mod.Transport.Step(mod.Tracers, avg, dtTrac)
-		})
+		tm.Time("tracer_transport", func() { mod.transportTracers(dtTrac) })
 	}
 
 	tm.Time("coupling_input", func() { mod.computePhysicsInput(season) })

@@ -1,6 +1,7 @@
 package dycore
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -434,4 +435,188 @@ func TestHyperdiffusionRejectsDistributed(t *testing.T) {
 		}
 	}()
 	eng.EnableHyperdiffusion()
+}
+
+// The kernels store each per-cell quantity once; the spellings they
+// replaced recomputed it per reader. Those spellings live on here as the
+// references the stored arrays must equal bit for bit.
+
+// refDivAt is the per-reader divergence: the whole cell's edge sum,
+// recomputed at every (cell, level) a momentum edge asked for.
+func refDivAt(s *State, c int32, k int) float64 {
+	m := s.M
+	var acc float64
+	for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
+		ed := m.CellEdge[kk]
+		acc += float64(m.CellEdgeSign[kk]) * s.U[int(ed)*s.NLev+k] * m.DvEdge[ed]
+	}
+	return acc / m.CellArea[c]
+}
+
+// refPhm is the per-edge-end geopotential term of the pressure gradient:
+// mid-layer geopotential minus refPhi at the dry mid-layer pressure.
+func refPhm(s *State, c int32, k int) float64 {
+	nlev := s.NLev
+	pIface := PTop
+	for j := 0; j < k; j++ {
+		pIface += s.DryMass[int(c)*nlev+j]
+	}
+	pmid := pIface + 0.5*s.DryMass[int(c)*nlev+k]
+	return 0.5*(s.Phi[int(c)*(nlev+1)+k]+s.Phi[int(c)*(nlev+1)+k+1]) - refPhi(pmid)
+}
+
+// refVtan is the level-outer TRiSK reconstruction of one (edge, level).
+func refVtan[T precision.Real](s *State, ed int32, k int) T {
+	m := s.M
+	var acc T
+	for j := m.TrskOff[ed]; j < m.TrskOff[ed+1]; j++ {
+		acc += T(m.TrskWeight[j]) * T(s.U[int(m.TrskEdge[j])*s.NLev+k])
+	}
+	return acc
+}
+
+// checkKernelOracles compares the engine's div, phm (as the per-edge
+// difference momentum takes) and vtan with the reference spellings
+// evaluated on truth, over the given cells and momentum edges.
+func checkKernelOracles[T precision.Real](t *testing.T, label string, e *engine[T], truth *State, cells, edges []int32) {
+	t.Helper()
+	m, nlev := truth.M, truth.NLev
+	for _, c := range cells {
+		for k := 0; k < nlev; k++ {
+			if got, want := e.div[int(c)*nlev+k], refDivAt(truth, c, k); got != want {
+				t.Fatalf("%s: div(cell %d, level %d) = %v, per-edge divAt gives %v", label, c, k, got, want)
+			}
+		}
+	}
+	for _, ed := range edges {
+		c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
+		for k := 0; k < nlev; k++ {
+			got := e.phm[int(c1)*nlev+k] - e.phm[int(c0)*nlev+k]
+			if want := refPhm(truth, c1, k) - refPhm(truth, c0, k); got != want {
+				t.Fatalf("%s: phm difference (edge %d, level %d) = %v, per-edge refPhi gives %v", label, ed, k, got, want)
+			}
+			if got, want := e.vtan[int(ed)*nlev+k], refVtan[T](truth, ed, k); got != want {
+				t.Fatalf("%s: vtan(edge %d, level %d) = %v, level-outer TRiSK gives %v", label, ed, k, got, want)
+			}
+		}
+	}
+}
+
+func allIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// testKernelOracles runs the references against the serial engine, then
+// against each rank of a 2-rank split whose halo arrives between the
+// interior and the boundary pass: until then everything the rank does
+// not own holds a stale value, so a per-cell array filled under the wrong
+// taint class would have read it.
+func testKernelOracles[T precision.Real](t *testing.T, mode precision.Mode) {
+	m := testMesh(t, 3)
+	const nlev = 8
+	serial := New(m, nlev, mode).(*engine[T])
+	truth := serial.s
+	truth.InitIdealized(CaseBaroclinicWave)
+	truth.AddThermalBubble(0.4, 1.0, 0.3, 4)
+	for i := 0; i < 3; i++ {
+		serial.Step(90)
+	}
+	serial.computeTendencies(regionAll)
+	checkKernelOracles(t, "serial", serial, truth, allIDs(m.NCells), allIDs(m.NEdges))
+
+	for rank := int32(0); rank < 2; rank++ {
+		o := ringOwned(m, func(c int32) bool { return c*2/int32(m.NCells) == rank }) // BFS order: two contiguous halves
+		local := truth.Clone()
+		e := NewFromState(local, mode).(*engine[T])
+		e.SetOwned(o)
+		ownedCell := make([]bool, m.NCells)
+		for _, c := range o.TendCells {
+			ownedCell[c] = true
+		}
+		ownedEdge := make([]bool, m.NEdges)
+		for _, ed := range o.UEdges {
+			ownedEdge[ed] = true
+		}
+		for c := 0; c < m.NCells; c++ {
+			if !ownedCell[c] {
+				for k := 0; k < nlev; k++ {
+					local.DryMass[c*nlev+k] *= 1.5
+					local.ThetaM[c*nlev+k] *= 0.5
+				}
+				for k := 0; k <= nlev; k++ {
+					local.Phi[c*(nlev+1)+k] *= 1.25
+				}
+			}
+		}
+		for ed := 0; ed < m.NEdges; ed++ {
+			if !ownedEdge[ed] {
+				for k := 0; k < nlev; k++ {
+					local.U[ed*nlev+k] += 7
+				}
+			}
+		}
+		e.computeTendencies(regionInterior)
+		copy(local.DryMass, truth.DryMass)
+		copy(local.ThetaM, truth.ThetaM)
+		copy(local.Phi, truth.Phi)
+		copy(local.U, truth.U)
+		e.computeTendencies(regionBoundary)
+		sp := e.split
+		if len(sp.diagInt) == 0 || len(sp.diagBnd) == 0 || len(sp.uInt) == 0 || len(sp.uBnd) == 0 {
+			t.Fatalf("rank %d: split has an empty class (diag %d/%d, u %d/%d); pick another ownership",
+				rank, len(sp.diagInt), len(sp.diagBnd), len(sp.uInt), len(sp.uBnd))
+		}
+		checkKernelOracles(t, fmt.Sprintf("rank %d", rank), e, truth, sp.diagAll, sp.uAll)
+	}
+}
+
+func TestKernelsMatchPerReaderSpellings(t *testing.T) {
+	t.Run("DP", func(t *testing.T) { testKernelOracles[float64](t, precision.DP) })
+	t.Run("MIX", func(t *testing.T) { testKernelOracles[float32](t, precision.Mixed) })
+}
+
+// ulpsApart is the distance between two positive floats in units of
+// least precision.
+func ulpsApart(a, b float64) uint64 {
+	x, y := math.Float64bits(a), math.Float64bits(b)
+	if x < y {
+		x, y = y, x
+	}
+	return x - y
+}
+
+// TestEOSMatchesPowSpelling: the one-log-one-exp helper against the two
+// Pow calls it replaced, over the whole range x = Rd*rho*theta/P0 takes
+// between the model top and a surface well above P0 (measured: 11 ulp on
+// p, 8 on Exner); and on isothermal columns at rest it returns the dry
+// mid-layer pressure, the equilibrium the implicit solver relies on.
+func TestEOSMatchesPowSpelling(t *testing.T) {
+	const theta, n, maxUlps = 300.0, 200000, 16
+	var worstP, worstEx uint64
+	for i := 0; i <= n; i++ {
+		rho := math.Exp(math.Log(1e-3)+float64(i)/n*math.Log(3/1e-3)) * P0 / (Rd * theta)
+		p, ex := eos(rho, theta)
+		wantP := P0 * math.Pow(Rd*rho*theta/P0, Gamma)
+		worstP = max(worstP, ulpsApart(p, wantP))
+		worstEx = max(worstEx, ulpsApart(ex, math.Pow(wantP/P0, Rd/Cp)))
+	}
+	t.Logf("worst distance from the Pow spelling: p %d ulp, Exner %d ulp", worstP, worstEx)
+	if worstP > maxUlps || worstEx > maxUlps {
+		t.Errorf("eos is %d ulp (p) / %d ulp (Exner) from the Pow spelling, limit %d", worstP, worstEx, maxUlps)
+	}
+
+	const nlev = 12
+	s := NewState(testMesh(t, 1), nlev)
+	s.IsothermalRest(280)
+	dpi := s.DryMass[0]
+	for k := 0; k < nlev; k++ {
+		pmid := PTop + (float64(k)+0.5)*dpi
+		if rel := math.Abs(s.LayerPressureFromPhi(3, k)-pmid) / pmid; rel > 1e-13 {
+			t.Errorf("level %d: equation-of-state pressure is %.3g (relative) off the dry mid-layer pressure", k, rel)
+		}
+	}
 }

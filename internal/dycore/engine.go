@@ -132,10 +132,13 @@ type engine[T precision.Real] struct {
 	vtan      []T // TRiSK tangential velocity at edges
 	rrr       []T // reciprocal density (specific volume) per cell/level
 
-	// Sensitive diagnostics kept in float64 (pressure gradient, gravity).
-	pres  []float64 // full nonhydrostatic layer pressure
-	exner []float64 // Exner function per layer
-	pmid  []float64 // dry-mass mid-layer pressure (pi)
+	// Sensitive per-cell diagnostics kept in float64: the two inputs of
+	// the pressure-gradient force and the velocity divergence, each
+	// computed once per (cell, level) by the kernel that already walks
+	// the cell rather than once per reading edge.
+	phm []float64 // mid-layer geopotential minus the reference profile at pi_mid
+	pnh []float64 // nonhydrostatic pressure excess p - pi_mid
+	div []float64 // divergence of the normal winds (diffusion term)
 
 	// Tendencies (always float64 accumulation).
 	dMass  []float64
@@ -179,9 +182,9 @@ func newEngine[T precision.Real](s *State, mode precision.Mode) *engine[T] {
 		vtan:      make([]T, m.NEdges*nlev),
 		rrr:       make([]T, m.NCells*nlev),
 
-		pres:  make([]float64, m.NCells*nlev),
-		exner: make([]float64, m.NCells*nlev),
-		pmid:  make([]float64, m.NCells*nlev),
+		phm: make([]float64, m.NCells*nlev),
+		pnh: make([]float64, m.NCells*nlev),
+		div: make([]float64, m.NCells*nlev),
 
 		dMass:  make([]float64, m.NCells*nlev),
 		dTheta: make([]float64, m.NCells*nlev),
@@ -449,30 +452,31 @@ func (e *engine[T]) computeTendencies(reg region) {
 }
 
 // computeRRR diagnoses the reciprocal density (specific volume)
-// rrr = dphi/dpi per layer, the full nonhydrostatic pressure from the
-// equation of state, the Exner function, and the dry mid-layer pressure.
-// This is the paper's compute_rrr kernel: it touches many arrays and
-// carries pow/division work, and its rrr output is precision-insensitive
-// while pressure and Exner stay FP64.
+// rrr = dphi/dpi per layer and the two per-cell inputs of the
+// pressure-gradient force in momentum: the mid-layer geopotential
+// relative to the hydrostatic reference profile at the dry mid-layer
+// pressure, and the excess of the equation-of-state pressure over that
+// dry pressure. This is the paper's compute_rrr kernel: it touches many
+// arrays and carries the transcendental and division work, and its rrr
+// output is precision-insensitive while the pressure-gradient inputs
+// stay FP64.
 //
 //grist:hotpath
 func (e *engine[T]) computeRRR(ids []int32) {
 	s := e.s
 	nlev := s.NLev
-	kappa := Rd / Cp
 	e.iterateParallel(ids, s.M.NCells, func(c int32) {
+		phi := s.Phi[int(c)*(nlev+1) : int(c)*(nlev+1)+nlev+1]
 		pIface := PTop
 		for k := 0; k < nlev; k++ {
 			i := int(c)*nlev + k
-			dphi := s.Phi[int(c)*(nlev+1)+k] - s.Phi[int(c)*(nlev+1)+k+1]
+			dphi := phi[k] - phi[k+1]
 			dpi := s.DryMass[i]
 			e.rrr[i] = T(dphi / dpi)
-			theta := s.ThetaM[i] / dpi
-			rho := dpi / dphi
-			p := P0 * math.Pow(Rd*rho*theta/P0, Gamma)
-			e.pres[i] = p
-			e.exner[i] = math.Pow(p/P0, kappa)
-			e.pmid[i] = pIface + 0.5*dpi
+			p, _ := eos(dpi/dphi, s.ThetaM[i]/dpi)
+			piMid := pIface + 0.5*dpi
+			e.phm[i] = 0.5*(phi[k]+phi[k+1]) - refPhi(piMid)
+			e.pnh[i] = p - piMid
 			pIface += dpi
 		}
 	})
@@ -522,8 +526,12 @@ func (e *engine[T]) primalNormalFluxEdge(ids []int32) {
 	})
 }
 
-// computeKineticEnergy evaluates cell kinetic energy from the edge-normal
-// winds (MPAS/TRiSK form): KE_c = (1/A_c) sum_e (Dv*Dc/4) u_e^2.
+// computeKineticEnergy evaluates, in one walk of each cell's edges, the
+// cell kinetic energy from the edge-normal winds (MPAS/TRiSK form):
+// KE_c = (1/A_c) sum_e (Dv*Dc/4) u_e^2, in working precision, and the
+// velocity divergence div_c = (1/A_c) sum_e sign_e u_e Dv_e that the
+// diffusion term differences, in float64. Both are valid over the same
+// cells: they read the same winds.
 //
 //grist:hotpath
 func (e *engine[T]) computeKineticEnergy(ids []int32) {
@@ -532,16 +540,24 @@ func (e *engine[T]) computeKineticEnergy(ids []int32) {
 	nlev := s.NLev
 	e.iterateParallel(ids, m.NCells, func(c int32) {
 		inv := T(1.0 / m.CellArea[c])
-		for k := 0; k < nlev; k++ {
-			e.ke[int(c)*nlev+k] = 0
+		ke := e.ke[int(c)*nlev : int(c)*nlev+nlev]
+		div := e.div[int(c)*nlev : int(c)*nlev+nlev]
+		for k := range ke {
+			ke[k] = 0
+			div[k] = 0
 		}
 		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
 			ed := m.CellEdge[kk]
 			w := T(0.25 * m.DvEdge[ed] * m.DcEdge[ed])
-			for k := 0; k < nlev; k++ {
-				u := T(s.U[int(ed)*nlev+k])
-				e.ke[int(c)*nlev+k] += w * u * u * inv
+			sign, dv := float64(m.CellEdgeSign[kk]), m.DvEdge[ed]
+			for k, u64 := range s.U[int(ed)*nlev : int(ed)*nlev+nlev] {
+				u := T(u64)
+				ke[k] += w * u * u * inv
+				div[k] += sign * u64 * dv
 			}
+		}
+		for k := range div {
+			div[k] /= m.CellArea[c]
 		}
 	})
 }
@@ -593,9 +609,9 @@ func (e *engine[T]) continuityAndThermo(ids []int32) {
 }
 
 // vectorLaplacian evaluates the TRiSK vector Laplacian of the current
-// normal winds into dst: L(u)_e = grad(div u)_e - curl(zeta)_e. The
-// divergence comes from divAt; the vorticity from the zeta work array
-// (assumed fresh from computeVorticity).
+// normal winds into dst: L(u)_e = grad(div u)_e - curl(zeta)_e, from the
+// div and zeta work arrays (assumed fresh from computeKineticEnergy and
+// computeVorticity).
 //
 //grist:hotpath
 func (e *engine[T]) vectorLaplacian(dst []float64) {
@@ -609,7 +625,7 @@ func (e *engine[T]) vectorLaplacian(dst []float64) {
 			invDc := 1.0 / m.DcEdge[ed]
 			invDv := 1.0 / m.DvEdge[ed]
 			for k := 0; k < nlev; k++ {
-				dst[ed*nlev+k] = (e.divAt(c1, k)-e.divAt(c0, k))*invDc -
+				dst[ed*nlev+k] = (e.div[int(c1)*nlev+k]-e.div[int(c0)*nlev+k])*invDc -
 					(float64(e.zeta[int(v1)*nlev+k])-float64(e.zeta[int(v0)*nlev+k]))*invDv
 			}
 		}
@@ -670,27 +686,24 @@ func (e *engine[T]) momentum(ids []int32) {
 		f := 2 * Omega * math.Sin(m.EdgeLat[ed])
 		for k := 0; k < nlev; k++ {
 			i := int(ed)*nlev + k
+			i0, i1 := int(c0)*nlev+k, int(c1)*nlev+k
 
 			// CalcCoriolisTerm: (f + zeta_e) * v_tangential.
 			zetaE := 0.5 * (float64(e.zeta[int(v0)*nlev+k]) + float64(e.zeta[int(v1)*nlev+k]))
 			cor := (f + zetaE) * float64(e.vtan[i])
 
 			// TendGradKEAtEdge (Fig. 4 of the paper).
-			gradKE := (float64(e.ke[int(c1)*nlev+k]) - float64(e.ke[int(c0)*nlev+k])) * invDc
+			gradKE := (float64(e.ke[i1]) - float64(e.ke[i0])) * invDc
 
 			// Pressure-gradient force, FP64 (precision-sensitive):
-			// -grad(phi_mid - phi_ref(pi)) - rrr * grad(p - pi).
-			// Subtracting the hydrostatic reference profile phi_ref
-			// removes the two-large-terms cancellation error of
-			// terrain-following coordinates over steep orography (the
-			// cells of one level sit at different dry pressures there).
-			phm0 := 0.5*(s.Phi[int(c0)*(nlev+1)+k]+s.Phi[int(c0)*(nlev+1)+k+1]) -
-				refPhi(e.pmid[int(c0)*nlev+k])
-			phm1 := 0.5*(s.Phi[int(c1)*(nlev+1)+k]+s.Phi[int(c1)*(nlev+1)+k+1]) -
-				refPhi(e.pmid[int(c1)*nlev+k])
-			rrrE := 0.5 * (float64(e.rrr[int(c0)*nlev+k]) + float64(e.rrr[int(c1)*nlev+k]))
-			pgf := (phm1 - phm0 + rrrE*((e.pres[int(c1)*nlev+k]-e.pmid[int(c1)*nlev+k])-
-				(e.pres[int(c0)*nlev+k]-e.pmid[int(c0)*nlev+k]))) * invDc
+			// -grad(phi_mid - phi_ref(pi)) - rrr * grad(p - pi), from
+			// the per-cell phm and pnh of computeRRR. Subtracting the
+			// hydrostatic reference profile phi_ref removes the
+			// two-large-terms cancellation error of terrain-following
+			// coordinates over steep orography (the cells of one level
+			// sit at different dry pressures there).
+			rrrE := 0.5 * (float64(e.rrr[i0]) + float64(e.rrr[i1]))
+			pgf := (e.phm[i1] - e.phm[i0] + rrrE*(e.pnh[i1]-e.pnh[i0])) * invDc
 
 			// Scale-selective diffusion (insensitive): del^2 background
 			// or del^4 hyperdiffusion when enabled (note the sign flip:
@@ -699,7 +712,7 @@ func (e *engine[T]) momentum(ids []int32) {
 			if e.nu4 > 0 {
 				lap = -e.nu4 * e.lapOfField(e.lapU, ed, k)
 			} else {
-				lap = e.nu * ((e.divAt(c1, k)-e.divAt(c0, k))*invDc -
+				lap = e.nu * ((e.div[i1]-e.div[i0])*invDc -
 					(float64(e.zeta[int(v1)*nlev+k])-float64(e.zeta[int(v0)*nlev+k]))*invDv)
 			}
 
@@ -735,22 +748,6 @@ func refPhi(pi float64) float64 {
 	return Rd * 288.0 * math.Log(P0/pi)
 }
 
-// divAt returns the velocity divergence at (cell, level) from the current
-// normal winds (used by the diffusion term).
-//
-//grist:hotpath
-func (e *engine[T]) divAt(c int32, k int) float64 {
-	s := e.s
-	m := s.M
-	nlev := s.NLev
-	var acc float64
-	for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
-		ed := m.CellEdge[kk]
-		acc += float64(m.CellEdgeSign[kk]) * s.U[int(ed)*nlev+k] * m.DvEdge[ed]
-	}
-	return acc / m.CellArea[c]
-}
-
 // VorticityAtLevel diagnoses relative vorticity (float64) at dual
 // vertices for level k — one of the two mixed-precision observation
 // points of §3.4.1.
@@ -771,19 +768,17 @@ func (e *engine[T]) VorticityAtLevel(k int) []float64 {
 }
 
 // ApplyHeating converts a temperature heating rate Q1 (K/s) into a
-// potential-temperature tendency and integrates it over dt.
+// potential-temperature tendency and integrates it over dt, dividing by
+// the Exner function of the current state.
 func (e *engine[T]) ApplyHeating(q1 []float64, dt float64) {
 	s := e.s
 	nlev := s.NLev
-	var diag []int32
-	if e.owned != nil {
-		diag = e.owned.DiagCells
-	}
-	e.computeRRR(diag) // refresh Exner
 	e.eachTendCell(func(c int32) {
 		for k := 0; k < nlev; k++ {
 			i := int(c)*nlev + k
-			s.ThetaM[i] += dt * s.DryMass[i] * q1[i] / e.exner[i]
+			dphi := s.Phi[int(c)*(nlev+1)+k] - s.Phi[int(c)*(nlev+1)+k+1]
+			_, exner := eos(s.DryMass[i]/dphi, s.ThetaM[i]/s.DryMass[i])
+			s.ThetaM[i] += dt * s.DryMass[i] * q1[i] / exner
 		}
 	})
 }

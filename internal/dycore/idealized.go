@@ -86,36 +86,47 @@ func (s *State) initBaroclinicWave() {
 	surfT := func(lat float64) float64 {
 		return 305 - 35*math.Pow(math.Sin(lat), 2)
 	}
+	// The lapse-rate cooling and the temperature-to-theta factor depend
+	// on the level alone: every rank of a distributed run builds the
+	// whole mesh's initial state, so they are tabulated, not re-evaluated
+	// per cell.
+	cooling := make([]float64, nlev)
+	toTheta := make([]float64, nlev)
+	for k := range cooling {
+		p := PTop + (float64(k)+0.5)*dpi
+		cooling[k] = 48.75 * math.Log(psfc/p) // ~6.5 K/km
+		toTheta[k] = math.Pow(P0/p, Rd/Cp)
+	}
 	for c := 0; c < m.NCells; c++ {
-		lat := m.CellLat[c]
-		t0 := surfT(lat)
+		t0 := surfT(m.CellLat[c])
 		s.PhiSurf[c] = 0
 		for k := 0; k < nlev; k++ {
 			i := c*nlev + k
-			p := PTop + (float64(k)+0.5)*dpi
-			tK := t0 - 48.75*math.Log(psfc/p) // ~6.5 K/km
+			tK := t0 - cooling[k]
 			if tK < 200 {
 				tK = 200
 			}
 			s.DryMass[i] = dpi
-			s.ThetaM[i] = dpi * tK * math.Pow(P0/p, Rd/Cp)
+			s.ThetaM[i] = dpi * tK * toTheta[k]
 		}
 	}
 	HydrostaticRebalance(s)
 
-	// Zonal jet in approximate balance with the temperature field.
+	// Zonal jet in approximate balance with the temperature field, plus
+	// the perturbation: a small Gaussian bump upstream (JW06-style), the
+	// same at every level.
+	bumpCenter := mesh.FromLatLon(0.70, 0.35)
 	for e := 0; e < m.NEdges; e++ {
-		lat, lon := m.EdgePos[e].LatLon()
+		lat, _ := m.EdgePos[e].LatLon()
 		east, _ := mesh.TangentBasis(m.EdgePos[e])
 		jet := 38 * math.Exp(-math.Pow((math.Abs(lat)-0.78)/0.25, 2)) // ~45 deg
+		d := mesh.ArcLength(m.EdgePos[e], bumpCenter)
+		bump := 1.5 * math.Exp(-math.Pow(d/0.1, 2))
+		cosLat := math.Cos(lat)
 		for k := 0; k < nlev; k++ {
 			height := 1 - (float64(k)+0.5)/float64(nlev)
-			u := jet * height
-			// Perturbation: small Gaussian bump upstream (JW06-style).
-			d := mesh.ArcLength(m.EdgePos[e], mesh.FromLatLon(0.70, 0.35))
-			u += 1.5 * math.Exp(-math.Pow(d/0.1, 2))
-			_ = lon
-			s.U[e*nlev+k] += east.Scale(u * math.Cos(lat)).Dot(m.EdgeNormal[e])
+			u := jet*height + bump
+			s.U[e*nlev+k] += east.Scale(u * cosLat).Dot(m.EdgeNormal[e])
 		}
 	}
 }

@@ -8,15 +8,23 @@ import (
 )
 
 // tangentialVelocityLevels applies the TRiSK tangential reconstruction to
-// a multi-level edge field in working precision T.
+// a multi-level edge field in working precision T. Stencil edge outer,
+// level inner: both level runs are contiguous, and per (edge, level) the
+// sum still runs over the stencil in order.
+//
+//grist:hotpath
 func tangentialVelocityLevels[T precision.Real](m *mesh.Mesh, dst []T, u []float64, nlev, lo, hi int) {
 	for e := lo; e < hi; e++ {
-		for k := 0; k < nlev; k++ {
-			var s T
-			for j := m.TrskOff[e]; j < m.TrskOff[e+1]; j++ {
-				s += T(m.TrskWeight[j]) * T(u[int(m.TrskEdge[j])*nlev+k])
+		d := dst[e*nlev : e*nlev+nlev]
+		for k := range d {
+			d[k] = 0
+		}
+		for j := m.TrskOff[e]; j < m.TrskOff[e+1]; j++ {
+			w := T(m.TrskWeight[j])
+			src := int(m.TrskEdge[j]) * nlev
+			for k, uk := range u[src : src+nlev] {
+				d[k] += w * T(uk)
 			}
-			dst[e*nlev+k] = s
 		}
 	}
 }

@@ -14,7 +14,7 @@ import "gristgo/internal/mesh"
 // out), so the classification follows from OwnedSets plus the mesh
 // one-ring, computed once at SetOwned time.
 type splitSets struct {
-	diagAll, diagInt, diagBnd []int32 // cells of diagnostic kernels (rrr, ke)
+	diagAll, diagInt, diagBnd []int32 // cells of diagnostic kernels (rrr, ke, div)
 	fluxAll, fluxInt, fluxBnd []int32 // edges of the mass-flux kernel
 	vertAll, vertInt, vertBnd []int32 // dual vertices of the vorticity kernel
 	vtanAll, vtanInt, vtanBnd []int32 // edges of the TRiSK tangential kernel
@@ -79,8 +79,8 @@ func buildSplit(m *mesh.Mesh, o *OwnedSets) *splitSets {
 	// Taint predicates: does the entity's kernel read exchanged data,
 	// directly or through a diagnostic intermediate?
 	cellTaint := func(c int32) bool {
-		// rrr/pressure read state at c; kinetic energy reads U at the
-		// cell's edges; divAt (diffusion) likewise.
+		// rrr and the pressure-gradient inputs read state at c; kinetic
+		// energy and the divergence read U at the cell's edges.
 		if halo[c] {
 			return true
 		}
@@ -167,12 +167,11 @@ func buildSplit(m *mesh.Mesh, o *OwnedSets) *splitSets {
 // overlapped Start → interior → Finish → boundary round.
 var stencilRegistry = map[string]string{
 	"engine.primalNormalFluxEdge": "split:flux — one-ring cell reads, boundary = edges of tainted cells",
-	"engine.computeKineticEnergy": "split:diag — cell-of-edges sum, boundary = cells with tainted edges",
+	"engine.computeKineticEnergy": "split:diag — cell-of-edges sums (kinetic energy, divergence), boundary = cells with tainted edges",
 	"engine.computeVorticity":     "split:vert — vertex-of-edges curl, boundary = vertices with tainted edges",
 	"tangentialVelocityLevels":    "split:vtan — TRiSK neighborhood, boundary = edges with tainted TRiSK stencil",
 	"engine.continuityAndThermo":  "split:tend — flux divergence, boundary = cells with tainted fluxes",
 	"engine.momentum":             "split:u — widest stencil, boundary = edges with any tainted input",
-	"engine.divAt":                "covered by callers' split sets (momentum, vectorLaplacian)",
 	"engine.lapOfField":           "exempt: del^4 hyperdiffusion, serial full-mesh engines only",
 	"engine.vectorLaplacian":      "exempt: del^4 hyperdiffusion, serial full-mesh engines only",
 	"engine.VorticityAtLevel":     "exempt: serial diagnostic over the full mesh, no overlap window",

@@ -120,15 +120,28 @@ func (s *State) Theta(c, k int) float64 {
 	return s.ThetaM[c*s.NLev+k] / s.DryMass[c*s.NLev+k]
 }
 
+// eos is the one spelling of the equation of state. With
+// x = Rd*rho*theta/P0 the full pressure is p = P0 * x^Gamma and the Exner
+// function (p/P0)^(Rd/Cp) = x^(Rd/Cv); since Gamma = Cp/Cv = 1 + Rd/Cv,
+// x^Gamma = x * x^(Rd/Cv), so one log and one exp give both, and
+// p = rho*Rd*theta*exner is the ideal-gas law. Always float64: both
+// outputs feed precision-sensitive terms (§3.4.2).
+//
+//grist:hotpath
+func eos(rho, theta float64) (p, exner float64) {
+	x := Rd * rho * theta / P0
+	exner = math.Exp(Rd / Cv * math.Log(x))
+	return P0 * x * exner, exner
+}
+
 // LayerPressureFromPhi diagnoses the full (nonhydrostatic) pressure of
-// layer k in column c from the equation of state,
-// p = P0 * (Rd * rho * theta / P0)^gamma, with the density obtained from
-// the geopotential thickness: rho = delta-pi / (phi_above - phi_below).
+// layer k in column c from the equation of state, with the density
+// obtained from the geopotential thickness:
+// rho = delta-pi / (phi_above - phi_below).
 func (s *State) LayerPressureFromPhi(c, k int) float64 {
 	dphi := s.Phi[c*(s.NLev+1)+k] - s.Phi[c*(s.NLev+1)+k+1]
-	rho := s.DryMass[c*s.NLev+k] / dphi
-	theta := s.Theta(c, k)
-	return P0 * math.Pow(Rd*rho*theta/P0, Gamma)
+	p, _ := eos(s.DryMass[c*s.NLev+k]/dphi, s.Theta(c, k))
+	return p
 }
 
 // IsothermalRest initializes a hydrostatically balanced isothermal

@@ -47,15 +47,17 @@ var Analyzer = &lint.Analyzer{
 // fixed and switchable precisions.
 var exemptSuffixes = []string{"internal/precision", "internal/infer"}
 
-// pinnedNames lists the FP64-pinned fields of §3.4.2: geopotential,
-// pressure/Exner/mid-pressure diagnostics feeding the pressure-gradient
-// and gravity terms, the double-precision tendency accumulators, and the
-// accumulated tracer mass flux.
+// pinnedNames lists the FP64-pinned fields of §3.4.2: geopotential, the
+// pressure/Exner diagnostics and the per-cell pressure-gradient inputs
+// (phm, pnh) feeding the pressure-gradient and gravity terms, the
+// double-precision tendency accumulators, and the accumulated tracer
+// mass flux.
 var pinnedNames = map[string]bool{
 	"Phi":           true,
 	"pres":          true,
 	"exner":         true,
-	"pmid":          true,
+	"phm":           true,
+	"pnh":           true,
 	"dMass":         true,
 	"dTheta":        true,
 	"dU":            true,

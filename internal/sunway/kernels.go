@@ -194,8 +194,11 @@ func computeRRR(v Variant, m *mesh.Mesh, nlev int) (Stats, float64) {
 			ctx.Div(2, word(v, true)) // dphi/dpi and theta = thm/dpi
 			r := dphi / dp
 			theta := th / dp
-			// The EOS pow runs in working precision; only its stored
-			// pressure/Exner outputs stay FP64 for the PGF (§3.4.2).
+			// Charged as two elementary functions in working precision,
+			// the demotion §3.4.2 allows. The dycore's computeRRR does
+			// not perform it: its equation of state is one log and one
+			// exp in FP64 under every mode (dycore.eos). Reconciling
+			// this count with that kernel is ROADMAP item 1b's.
 			ctx.Elem(2, word(v, true))
 			p := 1e5 * math.Pow(287.04*(dp/dphi)*theta/1e5, 1.4)
 			storeRounded(ctx, rrr, i, r)
