@@ -32,15 +32,15 @@ func pinFields(s *State, bound, boundW float64) []pintest.Field {
 func TestPinnedTrajectories(t *testing.T) {
 	m := mesh.New(2).ReorderBFS()
 	for _, c := range AllIdealizedCases() {
+		initial := NewState(m, 6)
+		initial.InitIdealized(c)
+		pintest.Check(t, fmt.Sprintf("testdata/pin/%s_init.f64", c), pinFields(initial, 0, 0))
 		for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
-			eng := New(m, 6, mode)
-			s := eng.State()
-			s.InitIdealized(c)
-			pintest.Check(t, fmt.Sprintf("testdata/pin/%s_init.f64", c), pinFields(s, 0, 0))
+			eng := NewFromState(initial.Clone(), mode)
 			for i := 0; i < 10; i++ {
 				eng.Step(90)
 			}
-			pintest.Check(t, fmt.Sprintf("testdata/pin/%s_%s_step10.f64", c, mode), pinFields(s, 1e-12, 1e-9))
+			pintest.Check(t, fmt.Sprintf("testdata/pin/%s_%s_step10.f64", c, mode), pinFields(eng.State(), 1e-12, 1e-9))
 		}
 	}
 }
