@@ -246,33 +246,7 @@ func (mod *Model) EffectiveSteps() (nDyn, nTrac int, dtTrac, dtPhy float64) {
 // sub-cycles at Steps.Dyn, tracers sub-cycle on the accumulated
 // double-precision mass flux, then the physics suite runs once and its
 // Q1/Q2 feed back through the coupling interface.
-func (mod *Model) StepPhysics(season float64) {
-	st := mod.Cfg.Steps
-	nDyn, nTrac, dtTrac, dtPhy := mod.EffectiveSteps()
-	sp, t0 := mod.tel.beginStep()
-
-	for it := 0; it < nTrac; it++ {
-		mod.Engine.ResetMassFluxAccum()
-		for id := 0; id < nDyn; id++ {
-			mod.Engine.Step(st.Dyn)
-			mod.TimeSec += st.Dyn
-		}
-		mod.transportTracers(dtTrac)
-	}
-
-	mod.computePhysicsInput(season)
-	mod.Physics.Compute(mod.In, mod.Out, dtPhy)
-	mod.applyPhysicsOutput(dtPhy)
-
-	mod.stepCount++
-	if mod.RemapEvery > 0 && mod.stepCount%mod.RemapEvery == 0 {
-		if mod.remapper == nil {
-			mod.remapper = dycore.NewRemapper(mod.Engine.State().NLev)
-		}
-		mod.remapper.Run(mod.Engine.State(), mod.Tracers)
-	}
-	mod.tel.endStep(mod, sp, t0, dtPhy)
-}
+func (mod *Model) StepPhysics(season float64) { mod.StepPhysicsTimed(season, nil) }
 
 // transportTracers advances the tracers by one sub-cycle on the
 // accumulated mass flux averaged over its dynamics steps.

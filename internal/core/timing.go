@@ -97,8 +97,13 @@ type ComponentTimer interface {
 	DrainTimings(emit func(name string, d time.Duration, calls int))
 }
 
-// Time runs f and records its duration under name.
+// Time runs f and records its duration under name; a nil accumulator
+// just runs f.
 func (t *Timings) Time(name string, f func()) {
+	if t == nil {
+		f()
+		return
+	}
 	start := time.Now()
 	f()
 	t.Add(name, time.Since(start))
@@ -150,8 +155,8 @@ func (t *Timings) Report() string {
 	return b.String()
 }
 
-// StepPhysicsTimed advances one physics step while attributing wall time
-// to the dynamics, tracer transport, physics and coupling components.
+// StepPhysicsTimed is StepPhysics attributing wall time to the dynamics,
+// tracer transport, physics and coupling components (tm nil: untimed).
 func (mod *Model) StepPhysicsTimed(season float64, tm *Timings) {
 	st := mod.Cfg.Steps
 	nDyn, nTrac, dtTrac, dtPhy := mod.EffectiveSteps()
@@ -172,7 +177,7 @@ func (mod *Model) StepPhysicsTimed(season float64, tm *Timings) {
 	tm.Time("physics_"+strings.ReplaceAll(mod.Physics.Name(), " ", "_"), func() {
 		mod.Physics.Compute(mod.In, mod.Out, dtPhy)
 	})
-	if ct, ok := mod.Physics.(ComponentTimer); ok {
+	if ct, ok := mod.Physics.(ComponentTimer); ok && tm != nil {
 		ct.DrainTimings(tm.AddCalls)
 	}
 	tm.Time("coupling_output", func() { mod.applyPhysicsOutput(dtPhy) })
@@ -180,17 +185,11 @@ func (mod *Model) StepPhysicsTimed(season float64, tm *Timings) {
 	mod.stepCount++
 	if mod.RemapEvery > 0 && mod.stepCount%mod.RemapEvery == 0 {
 		tm.Time("vertical_remap", func() {
-			verticalRemapModel(mod)
+			if mod.remapper == nil {
+				mod.remapper = dycore.NewRemapper(mod.Engine.State().NLev)
+			}
+			mod.remapper.Run(mod.Engine.State(), mod.Tracers)
 		})
 	}
 	mod.tel.endStep(mod, sp, t0, dtPhy)
-}
-
-// verticalRemapModel is split out so the timed and untimed paths share
-// one call site (and one scratch-holding Remapper).
-func verticalRemapModel(mod *Model) {
-	if mod.remapper == nil {
-		mod.remapper = dycore.NewRemapper(mod.Engine.State().NLev)
-	}
-	mod.remapper.Run(mod.Engine.State(), mod.Tracers)
 }

@@ -293,34 +293,43 @@ func TestVortexInjectsCyclonicCirculation(t *testing.T) {
 
 // TestHostParallelismMatchesSerial: the OpenMP-analog shared-memory
 // execution must reproduce the serial results exactly (loops are
-// conflict-free per entity, so only scheduling changes).
+// conflict-free per entity, so only scheduling changes) — over the whole
+// mesh and inside each rank of a 2-rank split, whose halo is never
+// refreshed (no hooks), so everything the rank does not own stays at its
+// initial value in both runs.
 func TestHostParallelismMatchesSerial(t *testing.T) {
 	m := testMesh(t, 3)
-	run := func(workers int) *State {
-		eng := New(m, 8, precision.Mixed)
-		eng.SetHostParallelism(workers)
-		s := eng.State()
-		s.InitIdealized(CaseTropicalCyclone)
-		for i := 0; i < 5; i++ {
-			eng.Step(90)
-		}
-		return s
-	}
-	serial := run(1)
-	parallel := run(8)
-	cmp := func(name string, a, b []float64) {
-		t.Helper()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s[%d]: %v != %v", name, i, a[i], b[i])
+	owned := map[string]*OwnedSets{"full mesh": nil, "rank 0 of 2": halfOwned(m, 0), "rank 1 of 2": halfOwned(m, 1)}
+	for name, o := range owned {
+		for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+			run := func(workers int) *State {
+				eng := New(m, 8, mode)
+				eng.SetOwned(o)
+				eng.SetHostParallelism(workers)
+				s := eng.State()
+				s.InitIdealized(CaseTropicalCyclone)
+				for i := 0; i < 5; i++ {
+					eng.Step(90)
+				}
+				return s
 			}
+			serial := run(1)
+			parallel := run(8)
+			cmp := func(field string, a, b []float64) {
+				t.Helper()
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("%s, %s: %s[%d]: %v != %v", name, mode, field, i, a[i], b[i])
+					}
+				}
+			}
+			cmp("DryMass", serial.DryMass, parallel.DryMass)
+			cmp("ThetaM", serial.ThetaM, parallel.ThetaM)
+			cmp("U", serial.U, parallel.U)
+			cmp("W", serial.W, parallel.W)
+			cmp("Phi", serial.Phi, parallel.Phi)
 		}
 	}
-	cmp("DryMass", serial.DryMass, parallel.DryMass)
-	cmp("ThetaM", serial.ThetaM, parallel.ThetaM)
-	cmp("U", serial.U, parallel.U)
-	cmp("W", serial.W, parallel.W)
-	cmp("Phi", serial.Phi, parallel.Phi)
 }
 
 // TestSpongeLayerDampsTopWinds: winds confined to the top layer decay
@@ -382,10 +391,7 @@ func TestHyperdiffusionScaleSelectivity(t *testing.T) {
 		}
 		return s
 	}
-	all := make([]int32, m.NEdges)
-	for i := range all {
-		all[i] = int32(i)
-	}
+	all := mesh.IdentityIDs(m.NEdges)
 
 	run := func(hyper bool, gridScale bool) float64 {
 		eng := New(m, nlev, precision.DP)
@@ -502,12 +508,10 @@ func checkKernelOracles[T precision.Real](t *testing.T, label string, e *engine[
 	}
 }
 
-func allIDs(n int) []int32 {
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	return ids
+// halfOwned is rank's share of a 2-rank split into two contiguous halves
+// of the BFS cell order.
+func halfOwned(m *mesh.Mesh, rank int32) *OwnedSets {
+	return ringOwned(m, func(c int32) bool { return c*2/int32(m.NCells) == rank })
 }
 
 // testKernelOracles runs the references against the serial engine, then
@@ -526,10 +530,10 @@ func testKernelOracles[T precision.Real](t *testing.T, mode precision.Mode) {
 		serial.Step(90)
 	}
 	serial.computeTendencies(regionAll)
-	checkKernelOracles(t, "serial", serial, truth, allIDs(m.NCells), allIDs(m.NEdges))
+	checkKernelOracles(t, "serial", serial, truth, mesh.IdentityIDs(m.NCells), mesh.IdentityIDs(m.NEdges))
 
 	for rank := int32(0); rank < 2; rank++ {
-		o := ringOwned(m, func(c int32) bool { return c*2/int32(m.NCells) == rank }) // BFS order: two contiguous halves
+		o := halfOwned(m, rank)
 		local := truth.Clone()
 		e := NewFromState(local, mode).(*engine[T])
 		e.SetOwned(o)
@@ -565,12 +569,12 @@ func testKernelOracles[T precision.Real](t *testing.T, mode precision.Mode) {
 		copy(local.Phi, truth.Phi)
 		copy(local.U, truth.U)
 		e.computeTendencies(regionBoundary)
-		sp := e.split
-		if len(sp.diagInt) == 0 || len(sp.diagBnd) == 0 || len(sp.uInt) == 0 || len(sp.uBnd) == 0 {
-			t.Fatalf("rank %d: split has an empty class (diag %d/%d, u %d/%d); pick another ownership",
-				rank, len(sp.diagInt), len(sp.diagBnd), len(sp.uInt), len(sp.uBnd))
+		diag, u := e.sets.diag, e.sets.u
+		if diag.k == 0 || diag.k == len(diag.ids) || u.k == 0 || u.k == len(u.ids) {
+			t.Fatalf("rank %d: split has an empty class (diag %d of %d interior, u %d of %d); pick another ownership",
+				rank, diag.k, len(diag.ids), u.k, len(u.ids))
 		}
-		checkKernelOracles(t, fmt.Sprintf("rank %d", rank), e, truth, sp.diagAll, sp.uAll)
+		checkKernelOracles(t, fmt.Sprintf("rank %d", rank), e, truth, diag.ids, u.ids)
 	}
 }
 

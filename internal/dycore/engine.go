@@ -38,13 +38,15 @@ type Engine interface {
 	// rate Q1 (K/s of temperature), cell-major [c*NLev+k], over dt.
 	ApplyHeating(q1 []float64, dt float64)
 	// SetOwned restricts computation to the given entity sets for
-	// distributed runs (nil resets to serial full-mesh operation). The
-	// Start/Finish hooks run around every internal stage boundary so
-	// the driver can refresh halos, overlapping interior compute with
-	// the in-flight exchange.
+	// distributed runs: exactly those entities, so empty sets compute
+	// nothing. nil restores the full mesh, which is the same thing with
+	// identity lists and nothing to exchange. The Start/Finish hooks run
+	// around every internal stage boundary so the driver can refresh
+	// halos, overlapping interior compute with the in-flight exchange.
 	SetOwned(o *OwnedSets)
-	// SetHostParallelism runs the entity loops across n host workers
-	// (shared-memory OpenMP analog; 0/1 = serial, negative = all CPUs).
+	// SetHostParallelism chunks every entity loop — the whole mesh or one
+	// rank's share of it — across n host workers (shared-memory OpenMP
+	// analog; 0/1 = serial, negative = all CPUs).
 	SetHostParallelism(n int)
 	// EnableHyperdiffusion replaces the del^2 closure with scale-
 	// selective del^4 (serial engines only).
@@ -107,11 +109,11 @@ type engine[T precision.Real] struct {
 	s    *State
 	mode precision.Mode
 
-	// Active sets for distributed runs; nil means every entity. split
-	// is the derived interior/boundary partition of the stage loops
-	// (nil when no entity sets are configured).
+	// sets is the iteration space of every loop: the whole mesh until
+	// SetOwned narrows it to one rank's share. owned is kept for its
+	// Start/Finish hooks and the hyperdiffusion guard (nil: full mesh).
 	owned *OwnedSets
-	split *splitSets
+	sets  splitSets
 
 	// Host worker count for shared-memory parallel loops (<=1: serial).
 	workers int
@@ -173,6 +175,7 @@ func newEngine[T precision.Real](s *State, mode precision.Mode) *engine[T] {
 	e := &engine[T]{
 		s:    s,
 		mode: mode,
+		sets: fullSets(m),
 
 		massEdge:  make([]T, m.NEdges*nlev),
 		thetaEdge: make([]T, m.NEdges*nlev),
@@ -243,9 +246,10 @@ func (e *engine[T]) span(name string) telemetry.Span {
 
 func (e *engine[T]) SetOwned(o *OwnedSets) {
 	e.owned = o
-	e.split = nil
-	if o != nil && len(o.DiagCells) > 0 {
-		e.split = buildSplit(e.s.M, o)
+	if o == nil {
+		e.sets = fullSets(e.s.M)
+	} else {
+		e.sets = buildSplit(e.s.M, o)
 	}
 }
 
@@ -278,46 +282,6 @@ func (e *engine[T]) hookFinish() {
 	}
 }
 
-// iterate runs f over the given id set, or over [0, n) when ids is nil.
-func iterate(ids []int32, n int, f func(int32)) {
-	if ids == nil {
-		for i := int32(0); i < int32(n); i++ {
-			f(i)
-		}
-		return
-	}
-	for _, i := range ids {
-		f(i)
-	}
-}
-
-// eachTendCell iterates over cells receiving prognostic updates.
-func (e *engine[T]) eachTendCell(f func(c int32)) {
-	var ids []int32
-	if e.owned != nil {
-		ids = e.owned.TendCells
-	}
-	e.iterateParallel(ids, e.s.M.NCells, f)
-}
-
-// eachFluxEdge iterates over edges where mass fluxes are formed.
-func (e *engine[T]) eachFluxEdge(f func(ed int32)) {
-	var ids []int32
-	if e.owned != nil {
-		ids = e.owned.FluxEdges
-	}
-	e.iterateParallel(ids, e.s.M.NEdges, f)
-}
-
-// eachUEdge iterates over edges whose velocity this rank advances.
-func (e *engine[T]) eachUEdge(f func(ed int32)) {
-	var ids []int32
-	if e.owned != nil {
-		ids = e.owned.UEdges
-	}
-	e.iterateParallel(ids, e.s.M.NEdges, f)
-}
-
 // Step advances one HEVI timestep: Wicker-Skamarock RK3 for the
 // horizontal explicit terms, then the vertically-implicit acoustic
 // adjustment of (w, phi).
@@ -334,6 +298,7 @@ func (e *engine[T]) eachUEdge(f func(ed int32)) {
 func (e *engine[T]) Step(dt float64) {
 	stepSpan := e.span("dyn_step")
 	s := e.s
+	nlev := s.NLev
 	copy(e.saveMass, s.DryMass)
 	copy(e.saveTheta, s.ThetaM)
 	copy(e.saveU, s.U)
@@ -342,17 +307,21 @@ func (e *engine[T]) Step(dt float64) {
 	e.computeTendencies(regionAll)
 	for si := 0; si < 3; si++ {
 		frac := fracs[si]
-		e.eachTendCell(func(c int32) {
-			for k := 0; k < s.NLev; k++ {
-				i := int(c)*s.NLev + k
-				s.DryMass[i] = e.saveMass[i] + frac*e.dMass[i]
-				s.ThetaM[i] = e.saveTheta[i] + frac*e.dTheta[i]
+		e.parallelFor(e.sets.tend.ids, func(ids []int32) {
+			for _, c := range ids {
+				for k := 0; k < nlev; k++ {
+					i := int(c)*nlev + k
+					s.DryMass[i] = e.saveMass[i] + frac*e.dMass[i]
+					s.ThetaM[i] = e.saveTheta[i] + frac*e.dTheta[i]
+				}
 			}
 		})
-		e.eachUEdge(func(ed int32) {
-			for k := 0; k < s.NLev; k++ {
-				i := int(ed)*s.NLev + k
-				s.U[i] = e.saveU[i] + frac*e.dU[i]
+		e.parallelFor(e.sets.u.ids, func(ids []int32) {
+			for _, ed := range ids {
+				for k := 0; k < nlev; k++ {
+					i := int(ed)*nlev + k
+					s.U[i] = e.saveU[i] + frac*e.dU[i]
+				}
 			}
 		})
 		if si < 2 {
@@ -376,10 +345,12 @@ func (e *engine[T]) Step(dt float64) {
 	sp.End()
 	// Accumulate the final-stage mass flux in double precision for the
 	// tracer sub-cycling (§3.4.2: delta-pi*V must stay FP64).
-	e.eachFluxEdge(func(ed int32) {
-		for k := 0; k < s.NLev; k++ {
-			i := int(ed)*s.NLev + k
-			e.massFluxAcc[i] += float64(e.flux[i])
+	e.parallelFor(e.sets.flux.ids, func(ids []int32) {
+		for _, ed := range ids {
+			for k := 0; k < nlev; k++ {
+				i := int(ed)*nlev + k
+				e.massFluxAcc[i] += float64(e.flux[i])
+			}
 		}
 	})
 	e.accumSteps++
@@ -406,48 +377,23 @@ const (
 	regionBoundary
 )
 
-// stageSets resolves the entity id lists of each kernel for a region
-// (nil = every entity; an empty list = none). Without a split partition,
-// Interior is the whole domain and Boundary is empty.
-func (e *engine[T]) stageSets(reg region) (diag, flux, vert, vtan, tend, u []int32, run bool) {
-	if e.split == nil {
-		if reg == regionBoundary {
-			return nil, nil, nil, nil, nil, nil, false
-		}
-		if e.owned != nil {
-			o := e.owned
-			return o.DiagCells, o.FluxEdges, nil, nil, o.TendCells, o.UEdges, true
-		}
-		return nil, nil, nil, nil, nil, nil, true
-	}
-	sp := e.split
-	switch reg {
-	case regionInterior:
-		return sp.diagInt, sp.fluxInt, sp.vertInt, sp.vtanInt, sp.tendInt, sp.uInt, true
-	case regionBoundary:
-		return sp.diagBnd, sp.fluxBnd, sp.vertBnd, sp.vtanBnd, sp.tendBnd, sp.uBnd, true
-	default:
-		return sp.diagAll, sp.fluxAll, sp.vertAll, sp.vtanAll, sp.tendAll, sp.uAll, true
-	}
-}
-
 // computeTendencies evaluates the explicit horizontal tendencies of
 // delta-pi, Theta and u into dMass, dTheta, dU over the given region.
 func (e *engine[T]) computeTendencies(reg region) {
-	diag, flux, vert, vtan, tend, u, run := e.stageSets(reg)
-	if !run {
-		return
-	}
+	sp := &e.sets
+	diag, u := sp.diag.of(reg), sp.u.of(reg)
 	e.computeRRR(diag)
-	e.primalNormalFluxEdge(flux)
+	e.primalNormalFluxEdge(sp.flux.of(reg))
 	e.computeKineticEnergy(diag)
-	e.computeVorticity(vert)
-	e.tangentialWinds(vtan)
+	e.computeVorticity(sp.vert.of(reg))
+	e.tangentialWinds(sp.vtan.of(reg))
 
-	if e.nu4 > 0 {
-		e.vectorLaplacian(e.lapU)
+	// The del^4 stencil reads the Laplacian two rings out, so a pass with
+	// momentum edges needs it on all of them.
+	if e.nu4 > 0 && len(u) > 0 {
+		e.vectorLaplacian(e.lapU, sp.u.ids)
 	}
-	e.continuityAndThermo(tend)
+	e.continuityAndThermo(sp.tend.of(reg))
 	e.momentum(u)
 }
 
@@ -465,19 +411,21 @@ func (e *engine[T]) computeTendencies(reg region) {
 func (e *engine[T]) computeRRR(ids []int32) {
 	s := e.s
 	nlev := s.NLev
-	e.iterateParallel(ids, s.M.NCells, func(c int32) {
-		phi := s.Phi[int(c)*(nlev+1) : int(c)*(nlev+1)+nlev+1]
-		pIface := PTop
-		for k := 0; k < nlev; k++ {
-			i := int(c)*nlev + k
-			dphi := phi[k] - phi[k+1]
-			dpi := s.DryMass[i]
-			e.rrr[i] = T(dphi / dpi)
-			p, _ := eos(dpi/dphi, s.ThetaM[i]/dpi)
-			piMid := pIface + 0.5*dpi
-			e.phm[i] = 0.5*(phi[k]+phi[k+1]) - refPhi(piMid)
-			e.pnh[i] = p - piMid
-			pIface += dpi
+	e.parallelFor(ids, func(ids []int32) {
+		for _, c := range ids {
+			phi := s.Phi[int(c)*(nlev+1) : int(c)*(nlev+1)+nlev+1]
+			pIface := PTop
+			for k := 0; k < nlev; k++ {
+				i := int(c)*nlev + k
+				dphi := phi[k] - phi[k+1]
+				dpi := s.DryMass[i]
+				e.rrr[i] = T(dphi / dpi)
+				p, _ := eos(dpi/dphi, s.ThetaM[i]/dpi)
+				piMid := pIface + 0.5*dpi
+				e.phm[i] = 0.5*(phi[k]+phi[k+1]) - refPhi(piMid)
+				e.pnh[i] = p - piMid
+				pIface += dpi
+			}
 		}
 	})
 }
@@ -493,35 +441,37 @@ func (e *engine[T]) primalNormalFluxEdge(ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.iterateParallel(ids, m.NEdges, func(ed int32) {
-		c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
-		uStar := T(10.0) // blending velocity scale, m/s
-		for k := 0; k < nlev; k++ {
-			i := int(ed)*nlev + k
-			m0 := T(s.DryMass[int(c0)*nlev+k])
-			m1 := T(s.DryMass[int(c1)*nlev+k])
-			t0 := T(s.ThetaM[int(c0)*nlev+k]) / m0
-			t1 := T(s.ThetaM[int(c1)*nlev+k]) / m1
-			u := T(s.U[i])
-			au := u
-			if au < 0 {
-				au = -au
+	e.parallelFor(ids, func(ids []int32) {
+		for _, ed := range ids {
+			c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
+			uStar := T(10.0) // blending velocity scale, m/s
+			for k := 0; k < nlev; k++ {
+				i := int(ed)*nlev + k
+				m0 := T(s.DryMass[int(c0)*nlev+k])
+				m1 := T(s.DryMass[int(c1)*nlev+k])
+				t0 := T(s.ThetaM[int(c0)*nlev+k]) / m0
+				t1 := T(s.ThetaM[int(c1)*nlev+k]) / m1
+				u := T(s.U[i])
+				au := u
+				if au < 0 {
+					au = -au
+				}
+				// Upwind weight rises with |u|.
+				wUp := au / (au + uStar)
+				// Harmonic mean (centered, positivity-friendly).
+				hm := 2 * m0 * m1 / (m0 + m1)
+				var up, tup T
+				if u >= 0 {
+					up, tup = m0, t0
+				} else {
+					up, tup = m1, t1
+				}
+				me := (1-wUp)*hm + wUp*up
+				te := (1-wUp)*(0.5*(t0+t1)) + wUp*tup
+				e.massEdge[i] = me
+				e.thetaEdge[i] = te
+				e.flux[i] = me * u
 			}
-			// Upwind weight rises with |u|.
-			wUp := au / (au + uStar)
-			// Harmonic mean (centered, positivity-friendly).
-			hm := 2 * m0 * m1 / (m0 + m1)
-			var up, tup T
-			if u >= 0 {
-				up, tup = m0, t0
-			} else {
-				up, tup = m1, t1
-			}
-			me := (1-wUp)*hm + wUp*up
-			te := (1-wUp)*(0.5*(t0+t1)) + wUp*tup
-			e.massEdge[i] = me
-			e.thetaEdge[i] = te
-			e.flux[i] = me * u
 		}
 	})
 }
@@ -538,26 +488,28 @@ func (e *engine[T]) computeKineticEnergy(ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.iterateParallel(ids, m.NCells, func(c int32) {
-		inv := T(1.0 / m.CellArea[c])
-		ke := e.ke[int(c)*nlev : int(c)*nlev+nlev]
-		div := e.div[int(c)*nlev : int(c)*nlev+nlev]
-		for k := range ke {
-			ke[k] = 0
-			div[k] = 0
-		}
-		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
-			ed := m.CellEdge[kk]
-			w := T(0.25 * m.DvEdge[ed] * m.DcEdge[ed])
-			sign, dv := float64(m.CellEdgeSign[kk]), m.DvEdge[ed]
-			for k, u64 := range s.U[int(ed)*nlev : int(ed)*nlev+nlev] {
-				u := T(u64)
-				ke[k] += w * u * u * inv
-				div[k] += sign * u64 * dv
+	e.parallelFor(ids, func(ids []int32) {
+		for _, c := range ids {
+			inv := T(1.0 / m.CellArea[c])
+			ke := e.ke[int(c)*nlev : int(c)*nlev+nlev]
+			div := e.div[int(c)*nlev : int(c)*nlev+nlev]
+			for k := range ke {
+				ke[k] = 0
+				div[k] = 0
 			}
-		}
-		for k := range div {
-			div[k] /= m.CellArea[c]
+			for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
+				ed := m.CellEdge[kk]
+				w := T(0.25 * m.DvEdge[ed] * m.DcEdge[ed])
+				sign, dv := float64(m.CellEdgeSign[kk]), m.DvEdge[ed]
+				for k, u64 := range s.U[int(ed)*nlev : int(ed)*nlev+nlev] {
+					u := T(u64)
+					ke[k] += w * u * u * inv
+					div[k] += sign * u64 * dv
+				}
+			}
+			for k := range div {
+				div[k] /= m.CellArea[c]
+			}
 		}
 	})
 }
@@ -569,15 +521,17 @@ func (e *engine[T]) computeVorticity(ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.iterateParallel(ids, m.NVerts, func(v int32) {
-		inv := T(1.0 / m.VertArea[v])
-		for k := 0; k < nlev; k++ {
-			var acc T
-			for j := 0; j < 3; j++ {
-				ed := m.VertEdge[v][j]
-				acc += T(m.VertEdgeSign[v][j]) * T(s.U[int(ed)*nlev+k]) * T(m.DcEdge[ed])
+	e.parallelFor(ids, func(ids []int32) {
+		for _, v := range ids {
+			inv := T(1.0 / m.VertArea[v])
+			for k := 0; k < nlev; k++ {
+				var acc T
+				for j := 0; j < 3; j++ {
+					ed := m.VertEdge[v][j]
+					acc += T(m.VertEdgeSign[v][j]) * T(s.U[int(ed)*nlev+k]) * T(m.DcEdge[ed])
+				}
+				e.zeta[int(v)*nlev+k] = acc * inv
 			}
-			e.zeta[int(v)*nlev+k] = acc * inv
 		}
 	})
 }
@@ -590,42 +544,44 @@ func (e *engine[T]) continuityAndThermo(ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.iterateParallel(ids, m.NCells, func(c int32) {
-		inv := 1.0 / m.CellArea[c]
-		for k := 0; k < nlev; k++ {
-			e.dMass[int(c)*nlev+k] = 0
-			e.dTheta[int(c)*nlev+k] = 0
-		}
-		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
-			ed := m.CellEdge[kk]
-			sign := float64(m.CellEdgeSign[kk]) * m.DvEdge[ed] * inv
+	e.parallelFor(ids, func(ids []int32) {
+		for _, c := range ids {
+			inv := 1.0 / m.CellArea[c]
 			for k := 0; k < nlev; k++ {
-				f := float64(e.flux[int(ed)*nlev+k])
-				e.dMass[int(c)*nlev+k] -= sign * f
-				e.dTheta[int(c)*nlev+k] -= sign * f * float64(e.thetaEdge[int(ed)*nlev+k])
+				e.dMass[int(c)*nlev+k] = 0
+				e.dTheta[int(c)*nlev+k] = 0
+			}
+			for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
+				ed := m.CellEdge[kk]
+				sign := float64(m.CellEdgeSign[kk]) * m.DvEdge[ed] * inv
+				for k := 0; k < nlev; k++ {
+					f := float64(e.flux[int(ed)*nlev+k])
+					e.dMass[int(c)*nlev+k] -= sign * f
+					e.dTheta[int(c)*nlev+k] -= sign * f * float64(e.thetaEdge[int(ed)*nlev+k])
+				}
 			}
 		}
 	})
 }
 
 // vectorLaplacian evaluates the TRiSK vector Laplacian of the current
-// normal winds into dst: L(u)_e = grad(div u)_e - curl(zeta)_e, from the
-// div and zeta work arrays (assumed fresh from computeKineticEnergy and
-// computeVorticity).
+// normal winds into dst over the given edges: L(u)_e = grad(div u)_e -
+// curl(zeta)_e, from the div and zeta work arrays (assumed fresh from
+// computeKineticEnergy and computeVorticity).
 //
 //grist:hotpath
-func (e *engine[T]) vectorLaplacian(dst []float64) {
+func (e *engine[T]) vectorLaplacian(dst []float64, ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.parallelFor(m.NEdges, func(lo, hi int) {
-		for ed := lo; ed < hi; ed++ {
+	e.parallelFor(ids, func(ids []int32) {
+		for _, ed := range ids {
 			c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
 			v0, v1 := m.EdgeVert[ed][0], m.EdgeVert[ed][1]
 			invDc := 1.0 / m.DcEdge[ed]
 			invDv := 1.0 / m.DvEdge[ed]
 			for k := 0; k < nlev; k++ {
-				dst[ed*nlev+k] = (e.div[int(c1)*nlev+k]-e.div[int(c0)*nlev+k])*invDc -
+				dst[int(ed)*nlev+k] = (e.div[int(c1)*nlev+k]-e.div[int(c0)*nlev+k])*invDc -
 					(float64(e.zeta[int(v1)*nlev+k])-float64(e.zeta[int(v0)*nlev+k]))*invDv
 			}
 		}
@@ -678,50 +634,52 @@ func (e *engine[T]) momentum(ids []int32) {
 	m := s.M
 	nlev := s.NLev
 
-	e.iterateParallel(ids, m.NEdges, func(ed int32) {
-		c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
-		v0, v1 := m.EdgeVert[ed][0], m.EdgeVert[ed][1]
-		invDc := 1.0 / m.DcEdge[ed]
-		invDv := 1.0 / m.DvEdge[ed]
-		f := 2 * Omega * math.Sin(m.EdgeLat[ed])
-		for k := 0; k < nlev; k++ {
-			i := int(ed)*nlev + k
-			i0, i1 := int(c0)*nlev+k, int(c1)*nlev+k
+	e.parallelFor(ids, func(ids []int32) {
+		for _, ed := range ids {
+			c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
+			v0, v1 := m.EdgeVert[ed][0], m.EdgeVert[ed][1]
+			invDc := 1.0 / m.DcEdge[ed]
+			invDv := 1.0 / m.DvEdge[ed]
+			f := 2 * Omega * math.Sin(m.EdgeLat[ed])
+			for k := 0; k < nlev; k++ {
+				i := int(ed)*nlev + k
+				i0, i1 := int(c0)*nlev+k, int(c1)*nlev+k
 
-			// CalcCoriolisTerm: (f + zeta_e) * v_tangential.
-			zetaE := 0.5 * (float64(e.zeta[int(v0)*nlev+k]) + float64(e.zeta[int(v1)*nlev+k]))
-			cor := (f + zetaE) * float64(e.vtan[i])
+				// CalcCoriolisTerm: (f + zeta_e) * v_tangential.
+				zetaE := 0.5 * (float64(e.zeta[int(v0)*nlev+k]) + float64(e.zeta[int(v1)*nlev+k]))
+				cor := (f + zetaE) * float64(e.vtan[i])
 
-			// TendGradKEAtEdge (Fig. 4 of the paper).
-			gradKE := (float64(e.ke[i1]) - float64(e.ke[i0])) * invDc
+				// TendGradKEAtEdge (Fig. 4 of the paper).
+				gradKE := (float64(e.ke[i1]) - float64(e.ke[i0])) * invDc
 
-			// Pressure-gradient force, FP64 (precision-sensitive):
-			// -grad(phi_mid - phi_ref(pi)) - rrr * grad(p - pi), from
-			// the per-cell phm and pnh of computeRRR. Subtracting the
-			// hydrostatic reference profile phi_ref removes the
-			// two-large-terms cancellation error of terrain-following
-			// coordinates over steep orography (the cells of one level
-			// sit at different dry pressures there).
-			rrrE := 0.5 * (float64(e.rrr[i0]) + float64(e.rrr[i1]))
-			pgf := (e.phm[i1] - e.phm[i0] + rrrE*(e.pnh[i1]-e.pnh[i0])) * invDc
+				// Pressure-gradient force, FP64 (precision-sensitive):
+				// -grad(phi_mid - phi_ref(pi)) - rrr * grad(p - pi), from
+				// the per-cell phm and pnh of computeRRR. Subtracting the
+				// hydrostatic reference profile phi_ref removes the
+				// two-large-terms cancellation error of terrain-following
+				// coordinates over steep orography (the cells of one level
+				// sit at different dry pressures there).
+				rrrE := 0.5 * (float64(e.rrr[i0]) + float64(e.rrr[i1]))
+				pgf := (e.phm[i1] - e.phm[i0] + rrrE*(e.pnh[i1]-e.pnh[i0])) * invDc
 
-			// Scale-selective diffusion (insensitive): del^2 background
-			// or del^4 hyperdiffusion when enabled (note the sign flip:
-			// -nu4 * L(L(u)) damps).
-			var lap float64
-			if e.nu4 > 0 {
-				lap = -e.nu4 * e.lapOfField(e.lapU, ed, k)
-			} else {
-				lap = e.nu * ((e.div[i1]-e.div[i0])*invDc -
-					(float64(e.zeta[int(v1)*nlev+k])-float64(e.zeta[int(v0)*nlev+k]))*invDv)
+				// Scale-selective diffusion (insensitive): del^2 background
+				// or del^4 hyperdiffusion when enabled (note the sign flip:
+				// -nu4 * L(L(u)) damps).
+				var lap float64
+				if e.nu4 > 0 {
+					lap = -e.nu4 * e.lapOfField(e.lapU, ed, k)
+				} else {
+					lap = e.nu * ((e.div[i1]-e.div[i0])*invDc -
+						(float64(e.zeta[int(v1)*nlev+k])-float64(e.zeta[int(v0)*nlev+k]))*invDv)
+				}
+
+				// Model-top sponge: Rayleigh damping of the winds in the
+				// top layers absorbs upward-propagating waves instead of
+				// reflecting them off the rigid lid.
+				sponge := spongeRate(k, nlev) * s.U[i]
+
+				e.dU[i] = cor - gradKE - pgf + lap - sponge
 			}
-
-			// Model-top sponge: Rayleigh damping of the winds in the
-			// top layers absorbs upward-propagating waves instead of
-			// reflecting them off the rigid lid.
-			sponge := spongeRate(k, nlev) * s.U[i]
-
-			e.dU[i] = cor - gradKE - pgf + lap - sponge
 		}
 	})
 }
@@ -773,12 +731,14 @@ func (e *engine[T]) VorticityAtLevel(k int) []float64 {
 func (e *engine[T]) ApplyHeating(q1 []float64, dt float64) {
 	s := e.s
 	nlev := s.NLev
-	e.eachTendCell(func(c int32) {
-		for k := 0; k < nlev; k++ {
-			i := int(c)*nlev + k
-			dphi := s.Phi[int(c)*(nlev+1)+k] - s.Phi[int(c)*(nlev+1)+k+1]
-			_, exner := eos(s.DryMass[i]/dphi, s.ThetaM[i]/s.DryMass[i])
-			s.ThetaM[i] += dt * s.DryMass[i] * q1[i] / exner
+	e.parallelFor(e.sets.tend.ids, func(ids []int32) {
+		for _, c := range ids {
+			for k := 0; k < nlev; k++ {
+				i := int(c)*nlev + k
+				dphi := s.Phi[int(c)*(nlev+1)+k] - s.Phi[int(c)*(nlev+1)+k+1]
+				_, exner := eos(s.DryMass[i]/dphi, s.ThetaM[i]/s.DryMass[i])
+				s.ThetaM[i] += dt * s.DryMass[i] * q1[i] / exner
+			}
 		}
 	})
 }

@@ -13,9 +13,9 @@ import (
 // sum still runs over the stencil in order.
 //
 //grist:hotpath
-func tangentialVelocityLevels[T precision.Real](m *mesh.Mesh, dst []T, u []float64, nlev, lo, hi int) {
-	for e := lo; e < hi; e++ {
-		d := dst[e*nlev : e*nlev+nlev]
+func tangentialVelocityLevels[T precision.Real](m *mesh.Mesh, dst []T, u []float64, nlev int, ids []int32) {
+	for _, e := range ids {
+		d := dst[int(e)*nlev : int(e)*nlev+nlev]
 		for k := range d {
 			d[k] = 0
 		}
@@ -30,21 +30,15 @@ func tangentialVelocityLevels[T precision.Real](m *mesh.Mesh, dst []T, u []float
 }
 
 // tangentialWinds evaluates the TRiSK reconstruction over the given
-// edges (nil = every edge, chunked across the host workers when
-// enabled).
+// edges. m is read outside the closure as in every kernel: with e.s.M
+// read inside it the G5 x 30 call measured 8.4 ms against 5.7.
 //
 //grist:hotpath
 func (e *engine[T]) tangentialWinds(ids []int32) {
 	m := e.s.M
-	if ids == nil {
-		e.parallelFor(m.NEdges, func(lo, hi int) {
-			tangentialVelocityLevels(m, e.vtan, e.s.U, e.s.NLev, lo, hi)
-		})
-		return
-	}
-	for _, ed := range ids {
-		tangentialVelocityLevels(m, e.vtan, e.s.U, e.s.NLev, int(ed), int(ed)+1)
-	}
+	e.parallelFor(ids, func(ids []int32) {
+		tangentialVelocityLevels(m, e.vtan, e.s.U, e.s.NLev, ids)
+	})
 }
 
 // implicitScratch is the per-goroutine workspace of the column solve;
@@ -91,62 +85,64 @@ func (e *engine[T]) implicitVertical(dt float64) {
 	}
 	ni := nlev + 1
 
-	e.eachTendCell(func(c int32) {
+	e.parallelFor(e.sets.tend.ids, func(ids []int32) {
 		sc := e.implicitPool.Get().(*implicitScratch)
-		defer e.implicitPool.Put(sc)
 		p, a, dPi := sc.p, sc.a, sc.dPi
 		diag, lower, upper, rhs, wNew := sc.diag, sc.lower, sc.upper, sc.rhs, sc.wNew
-		base := int(c) * nlev
-		ibase := int(c) * ni
+		for _, c := range ids {
+			base := int(c) * nlev
+			ibase := int(c) * ni
 
-		// Layer pressures and linearization coefficients.
-		for k := 0; k < nlev; k++ {
-			dphi := s.Phi[ibase+k] - s.Phi[ibase+k+1]
-			p[k] = s.LayerPressureFromPhi(int(c), k)
-			a[k] = Gamma * p[k] * Gravity * dt / dphi
-		}
-		// Interface mass spacing dPi_i = pi_mid(k=i) - pi_mid(k=i-1).
-		for i := 1; i < nlev; i++ {
-			dPi[i] = 0.5 * (s.DryMass[base+i-1] + s.DryMass[base+i])
-		}
+			// Layer pressures and linearization coefficients.
+			for k := 0; k < nlev; k++ {
+				dphi := s.Phi[ibase+k] - s.Phi[ibase+k+1]
+				p[k] = s.LayerPressureFromPhi(int(c), k)
+				a[k] = Gamma * p[k] * Gravity * dt / dphi
+			}
+			// Interface mass spacing dPi_i = pi_mid(k=i) - pi_mid(k=i-1).
+			for i := 1; i < nlev; i++ {
+				dPi[i] = 0.5 * (s.DryMass[base+i-1] + s.DryMass[base+i])
+			}
 
-		// Assemble the tridiagonal system for interior interfaces
-		// i = 1..nlev-1. Layer above interface i is k=i-1; below is k=i.
-		for i := 1; i < nlev; i++ {
-			g := Gravity * dt / dPi[i]
-			diag[i] = 1 + g*(a[i]+a[i-1])
-			upper[i] = -g * a[i]   // couples to w_{i+1}
-			lower[i] = -g * a[i-1] // couples to w_{i-1}
-			rhs[i] = s.W[ibase+i] + Gravity*dt*((p[i]-p[i-1])/dPi[i]-1)
-		}
-		// Boundary conditions: w at top and surface fixed at 0.
-		wNew[0], wNew[nlev] = 0, 0
+			// Assemble the tridiagonal system for interior interfaces
+			// i = 1..nlev-1. Layer above interface i is k=i-1; below is k=i.
+			for i := 1; i < nlev; i++ {
+				g := Gravity * dt / dPi[i]
+				diag[i] = 1 + g*(a[i]+a[i-1])
+				upper[i] = -g * a[i]   // couples to w_{i+1}
+				lower[i] = -g * a[i-1] // couples to w_{i-1}
+				rhs[i] = s.W[ibase+i] + Gravity*dt*((p[i]-p[i-1])/dPi[i]-1)
+			}
+			// Boundary conditions: w at top and surface fixed at 0.
+			wNew[0], wNew[nlev] = 0, 0
 
-		// Thomas algorithm on i = 1..nlev-1.
-		for i := 2; i < nlev; i++ {
-			m := lower[i] / diag[i-1]
-			diag[i] -= m * upper[i-1]
-			rhs[i] -= m * rhs[i-1]
-		}
-		if nlev >= 2 {
-			wNew[nlev-1] = rhs[nlev-1] / diag[nlev-1]
-			for i := nlev - 2; i >= 1; i-- {
-				wNew[i] = (rhs[i] - upper[i]*wNew[i+1]) / diag[i]
+			// Thomas algorithm on i = 1..nlev-1.
+			for i := 2; i < nlev; i++ {
+				m := lower[i] / diag[i-1]
+				diag[i] -= m * upper[i-1]
+				rhs[i] -= m * rhs[i-1]
+			}
+			if nlev >= 2 {
+				wNew[nlev-1] = rhs[nlev-1] / diag[nlev-1]
+				for i := nlev - 2; i >= 1; i-- {
+					wNew[i] = (rhs[i] - upper[i]*wNew[i+1]) / diag[i]
+				}
+			}
+
+			// Commit w and integrate phi.
+			for i := 1; i < nlev; i++ {
+				s.W[ibase+i] = wNew[i]
+				s.Phi[ibase+i] += dt * Gravity * wNew[i]
+			}
+			// Keep the column monotone: geopotential must decrease downward.
+			for i := nlev - 1; i >= 0; i-- {
+				minGap := 1.0 // m^2/s^2, tiny floor
+				if s.Phi[ibase+i] < s.Phi[ibase+i+1]+minGap {
+					s.Phi[ibase+i] = s.Phi[ibase+i+1] + minGap
+				}
 			}
 		}
-
-		// Commit w and integrate phi.
-		for i := 1; i < nlev; i++ {
-			s.W[ibase+i] = wNew[i]
-			s.Phi[ibase+i] += dt * Gravity * wNew[i]
-		}
-		// Keep the column monotone: geopotential must decrease downward.
-		for i := nlev - 1; i >= 0; i-- {
-			minGap := 1.0 // m^2/s^2, tiny floor
-			if s.Phi[ibase+i] < s.Phi[ibase+i+1]+minGap {
-				s.Phi[ibase+i] = s.Phi[ibase+i+1] + minGap
-			}
-		}
+		e.implicitPool.Put(sc)
 	})
 }
 

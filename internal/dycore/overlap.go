@@ -1,11 +1,15 @@
 package dycore
 
-import "gristgo/internal/mesh"
+import (
+	"slices"
 
-// splitSets partitions one rank's entity sets into an exchange-
-// independent interior and an exchange-dependent boundary, so a stage
-// can run Start() → interior compute → Finish() → boundary compute and
-// overlap the halo round-trip with useful work.
+	"gristgo/internal/mesh"
+)
+
+// entitySet is one kernel's iteration space: the engine's own copy of an
+// id list, ordered interior first. ids[:k] is independent of the halo
+// exchange and may run while it is in flight; ids[k:] reads data the
+// exchange refreshes.
 //
 // An entity is "boundary" when the dependency cone of its tendency
 // touches data refreshed by the halo exchange: state at halo cells, or
@@ -13,42 +17,66 @@ import "gristgo/internal/mesh"
 // tendency reads diagnostic intermediates, which read state one ring
 // out), so the classification follows from OwnedSets plus the mesh
 // one-ring, computed once at SetOwned time.
-type splitSets struct {
-	diagAll, diagInt, diagBnd []int32 // cells of diagnostic kernels (rrr, ke, div)
-	fluxAll, fluxInt, fluxBnd []int32 // edges of the mass-flux kernel
-	vertAll, vertInt, vertBnd []int32 // dual vertices of the vorticity kernel
-	vtanAll, vtanInt, vtanBnd []int32 // edges of the TRiSK tangential kernel
-	tendAll, tendInt, tendBnd []int32 // cells of continuity/thermo tendencies
-	uAll, uInt, uBnd          []int32 // edges of the momentum tendency
+type entitySet struct {
+	ids []int32
+	k   int
 }
 
-// nonNil maps a nil id list to an empty one: in split mode every kernel
-// iterates an explicit list, and nil means "every entity" to the
-// iteration helpers.
-func nonNil(ids []int32) []int32 {
-	if ids == nil {
-		return []int32{}
+// of returns the share of the set a pass over reg visits.
+func (s entitySet) of(reg region) []int32 {
+	switch reg {
+	case regionInterior:
+		return s.ids[:s.k]
+	case regionBoundary:
+		return s.ids[s.k:]
 	}
-	return ids
+	return s.ids
 }
 
-// partition splits ids by the taint predicate into (interior, boundary).
-func partition(ids []int32, tainted func(int32) bool) (in, bnd []int32) {
-	in = make([]int32, 0, len(ids))
-	bnd = make([]int32, 0, len(ids))
+// newSet copies ids with the untainted entities first, both shares in the
+// caller's order (the caller's list is never reordered: the exchanger
+// layouts index it).
+func newSet(ids []int32, tainted func(int32) bool) entitySet {
+	out := make([]int32, len(ids))
+	k, j := 0, len(ids)
 	for _, id := range ids {
 		if tainted(id) {
-			bnd = append(bnd, id)
+			j--
+			out[j] = id
 		} else {
-			in = append(in, id)
+			out[k] = id
+			k++
 		}
 	}
-	return in, bnd
+	slices.Reverse(out[k:])
+	return entitySet{out, k}
+}
+
+// splitSets holds the iteration space of every stage loop, so a stage can
+// run Start() → interior compute → Finish() → boundary compute and
+// overlap the halo round-trip with useful work.
+type splitSets struct {
+	diag entitySet // cells of diagnostic kernels (rrr, ke, div)
+	flux entitySet // edges of the mass-flux kernel
+	vert entitySet // dual vertices of the vorticity kernel
+	vtan entitySet // edges of the TRiSK tangential kernel
+	tend entitySet // cells of continuity/thermo tendencies
+	u    entitySet // edges of the momentum tendency
+}
+
+// fullSets is the one-rank case: every entity, all of it interior (no
+// exchange refreshes anything).
+func fullSets(m *mesh.Mesh) splitSets {
+	ids := mesh.IdentityIDs(max(m.NCells, m.NEdges, m.NVerts))
+	cells := entitySet{ids[:m.NCells], m.NCells}
+	edges := entitySet{ids[:m.NEdges], m.NEdges}
+	verts := entitySet{ids[:m.NVerts], m.NVerts}
+	return splitSets{diag: cells, flux: edges, vert: verts, vtan: edges, tend: cells, u: edges}
 }
 
 // buildSplit derives the interior/boundary partition of every stage
 // loop from the ownership sets.
-func buildSplit(m *mesh.Mesh, o *OwnedSets) *splitSets {
+func buildSplit(m *mesh.Mesh, o *OwnedSets) splitSets {
 	owned := make([]bool, m.NCells)
 	for _, c := range o.TendCells {
 		owned[c] = true
@@ -113,49 +141,42 @@ func buildSplit(m *mesh.Mesh, o *OwnedSets) *splitSets {
 		return false
 	}
 
-	sp := &splitSets{
-		diagAll: nonNil(o.DiagCells),
-		fluxAll: nonNil(o.FluxEdges),
-		tendAll: nonNil(o.TendCells),
-		uAll:    nonNil(o.UEdges),
-	}
 	// Vorticity and tangential winds are consumed only at the owned
 	// momentum edges, so their loops run over the verts of those edges
-	// and the edges themselves (the full-mesh sweep of the serial
-	// engine would read stale winds far from this rank's domain).
-	sp.vtanAll = sp.uAll
+	// and the edges themselves (a sweep of the whole mesh would read stale
+	// winds far from this rank's domain).
+	var verts []int32
 	vertSeen := make([]bool, m.NVerts)
-	for _, ed := range sp.uAll {
-		for j := 0; j < 2; j++ {
-			if v := m.EdgeVert[ed][j]; !vertSeen[v] {
+	for _, ed := range o.UEdges {
+		for _, v := range m.EdgeVert[ed] {
+			if !vertSeen[v] {
 				vertSeen[v] = true
-				sp.vertAll = append(sp.vertAll, v)
+				verts = append(verts, v)
 			}
 		}
 	}
-	sp.vertAll = nonNil(sp.vertAll)
-
-	sp.diagInt, sp.diagBnd = partition(sp.diagAll, cellTaint)
-	sp.fluxInt, sp.fluxBnd = partition(sp.fluxAll, fluxTaint)
-	sp.vertInt, sp.vertBnd = partition(sp.vertAll, vertTaint)
-	sp.vtanInt, sp.vtanBnd = partition(sp.vtanAll, vtanTaint)
-	// Continuity at an owned cell reads flux and theta at its edges.
-	sp.tendInt, sp.tendBnd = partition(sp.tendAll, func(c int32) bool {
-		for _, e := range m.CellEdges(c) {
-			if fluxTaint(e) {
-				return true
+	return splitSets{
+		diag: newSet(o.DiagCells, cellTaint),
+		flux: newSet(o.FluxEdges, fluxTaint),
+		vert: newSet(verts, vertTaint),
+		vtan: newSet(o.UEdges, vtanTaint),
+		// Continuity at an owned cell reads flux and theta at its edges.
+		tend: newSet(o.TendCells, func(c int32) bool {
+			for _, e := range m.CellEdges(c) {
+				if fluxTaint(e) {
+					return true
+				}
 			}
-		}
-		return false
-	})
-	// Momentum at an owned edge reads diagnostics at both adjacent
-	// cells, vorticity at both end vertices, and its tangential wind.
-	sp.uInt, sp.uBnd = partition(sp.uAll, func(ed int32) bool {
-		return cellTaint(m.EdgeCell[ed][0]) || cellTaint(m.EdgeCell[ed][1]) ||
-			vertTaint(m.EdgeVert[ed][0]) || vertTaint(m.EdgeVert[ed][1]) ||
-			vtanTaint(ed)
-	})
-	return sp
+			return false
+		}),
+		// Momentum at an owned edge reads diagnostics at both adjacent
+		// cells, vorticity at both end vertices, and its tangential wind.
+		u: newSet(o.UEdges, func(ed int32) bool {
+			return cellTaint(m.EdgeCell[ed][0]) || cellTaint(m.EdgeCell[ed][1]) ||
+				vertTaint(m.EdgeVert[ed][0]) || vertTaint(m.EdgeVert[ed][1]) ||
+				vtanTaint(ed)
+		}),
+	}
 }
 
 // stencilRegistry is the audit trail tying every adjacency-walking

@@ -1,6 +1,7 @@
 package dycore
 
 import (
+	"slices"
 	"testing"
 
 	"gristgo/internal/mesh"
@@ -56,14 +57,19 @@ func ringOwned(m *mesh.Mesh, pick func(c int32) bool) *OwnedSets {
 	return o
 }
 
-func sameIDs(t *testing.T, name string, got, want []int32) {
+// sameSets compares the six entity sets, list and split point.
+func sameSets(t *testing.T, got, want *splitSets) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d ids, want %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s[%d] = %d, want %d", name, i, got[i], want[i])
+	for _, c := range []struct {
+		name      string
+		got, want entitySet
+	}{
+		{"diag", got.diag, want.diag}, {"flux", got.flux, want.flux}, {"vert", got.vert, want.vert},
+		{"vtan", got.vtan, want.vtan}, {"tend", got.tend, want.tend}, {"u", got.u, want.u},
+	} {
+		if c.got.k != c.want.k || !slices.Equal(c.got.ids, c.want.ids) {
+			t.Fatalf("%s: %d ids split at %d, want %d split at %d (or the ids differ)",
+				c.name, len(c.got.ids), c.got.k, len(c.want.ids), c.want.k)
 		}
 	}
 }
@@ -81,42 +87,54 @@ func TestSetOwnedRebuildsSplitSets(t *testing.T) {
 
 	rebound := New(m, nlev, precision.DP).(*engine[float64])
 	rebound.SetOwned(oA)
-	if rebound.split == nil {
-		t.Fatal("SetOwned(A) built no split sets")
-	}
+	setsA := rebound.sets
 	rebound.SetOwned(oB)
 
 	fresh := New(m, nlev, precision.DP).(*engine[float64])
 	fresh.SetOwned(oB)
-
-	got, want := rebound.split, fresh.split
-	if got == nil || want == nil {
-		t.Fatal("split sets missing after SetOwned(B)")
-	}
-	sameIDs(t, "diagInt", got.diagInt, want.diagInt)
-	sameIDs(t, "diagBnd", got.diagBnd, want.diagBnd)
-	sameIDs(t, "fluxInt", got.fluxInt, want.fluxInt)
-	sameIDs(t, "fluxBnd", got.fluxBnd, want.fluxBnd)
-	sameIDs(t, "vertInt", got.vertInt, want.vertInt)
-	sameIDs(t, "vertBnd", got.vertBnd, want.vertBnd)
-	sameIDs(t, "vtanInt", got.vtanInt, want.vtanInt)
-	sameIDs(t, "vtanBnd", got.vtanBnd, want.vtanBnd)
-	sameIDs(t, "tendInt", got.tendInt, want.tendInt)
-	sameIDs(t, "tendBnd", got.tendBnd, want.tendBnd)
-	sameIDs(t, "uInt", got.uInt, want.uInt)
-	sameIDs(t, "uBnd", got.uBnd, want.uBnd)
+	sameSets(t, &rebound.sets, &fresh.sets)
 
 	// And the split must actually have changed shape between A and B —
 	// otherwise the rebind test is vacuous.
-	reboundA := New(m, nlev, precision.DP).(*engine[float64])
-	reboundA.SetOwned(oA)
-	if len(reboundA.split.tendInt) == len(got.tendInt) && len(reboundA.split.tendBnd) == len(got.tendBnd) {
+	if got := rebound.sets.tend; len(setsA.tend.ids) == len(got.ids) && setsA.tend.k == got.k {
 		t.Fatal("ownership A and B produced identical split shapes; pick different predicates")
 	}
 
-	// Clearing ownership drops the split entirely (serial mode).
+	// Clearing ownership reinstalls the full mesh, hooks inert.
+	calls := 0
+	oB.Start, oB.Finish = func() { calls++ }, func() { calls++ }
 	rebound.SetOwned(nil)
-	if rebound.split != nil || rebound.owned != nil {
-		t.Fatal("SetOwned(nil) did not clear the ownership split")
+	sameSets(t, &rebound.sets, &New(m, nlev, precision.DP).(*engine[float64]).sets)
+	rebound.hookStart()
+	rebound.hookFinish()
+	if calls != 0 {
+		t.Fatalf("SetOwned(nil) left the old ownership's hooks live (%d calls)", calls)
+	}
+}
+
+// An engine bound to empty sets owns nothing: a step computes nothing,
+// leaves every prognostic array bitwise alone, and still runs the four
+// halo rounds its peers are waiting in.
+func TestEmptyOwnedSetsComputeNothing(t *testing.T) {
+	e := New(testMesh(t, 2), 4, precision.DP)
+	s := e.State()
+	s.InitIdealized(CaseBaroclinicWave)
+	before := s.Clone()
+	starts, finishes := 0, 0
+	e.SetOwned(&OwnedSets{Start: func() { starts++ }, Finish: func() { finishes++ }})
+	e.Step(90)
+	if starts != 4 || finishes != 4 {
+		t.Errorf("Start ran %d times and Finish %d, want 4 each", starts, finishes)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"DryMass", s.DryMass, before.DryMass}, {"ThetaM", s.ThetaM, before.ThetaM},
+		{"U", s.U, before.U}, {"W", s.W, before.W}, {"Phi", s.Phi, before.Phi},
+	} {
+		if !slices.Equal(f.got, f.want) {
+			t.Errorf("%s changed on an engine that owns nothing", f.name)
+		}
 	}
 }

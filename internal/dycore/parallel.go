@@ -8,12 +8,9 @@ import (
 // SetHostParallelism enables shared-memory parallel execution of the
 // engine's entity loops across n host workers (0 or 1 restores serial
 // execution; negative uses GOMAXPROCS). This is the host-side analog of
-// the paper's OpenMP parallelization: every loop is conflict-free per
-// entity (§3.3.4 — "most of loops are conflict-free"), so the static
-// chunking matches the "!$omp do" schedule.
-//
-// Parallel execution is only available for full-mesh (serial-domain)
-// runs; distributed runs with OwnedSets keep their own decomposition.
+// the paper's OpenMP parallelization inside each MPI rank: every loop is
+// conflict-free per entity (§3.3.4 — "most of loops are conflict-free"),
+// so the static chunking matches the "!$omp do" schedule.
 func (e *engine[T]) SetHostParallelism(n int) {
 	if n < 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -21,44 +18,23 @@ func (e *engine[T]) SetHostParallelism(n int) {
 	e.workers = n
 }
 
-// parallelFor splits [0, n) into static chunks across the configured
-// workers. With workers <= 1 it runs inline.
-func (e *engine[T]) parallelFor(n int, body func(lo, hi int)) {
-	w := e.workers
+// parallelFor is the one loop driver: it hands body the id list in static
+// chunks across the configured workers, or whole and inline with
+// workers <= 1 or a list too short to share out.
+func (e *engine[T]) parallelFor(ids []int32, body func(ids []int32)) {
+	w, n := e.workers, len(ids)
 	if w <= 1 || n < 4*w {
-		body(0, n)
+		body(ids)
 		return
 	}
 	chunk := (n + w - 1) / w
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(ids []int32) {
 			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+			body(ids)
+		}(ids[lo:min(lo+chunk, n)])
 	}
 	wg.Wait()
-}
-
-// iterateParallel runs f over the id set (or [0, n) when ids is nil),
-// in parallel when the engine is configured for it.
-func (e *engine[T]) iterateParallel(ids []int32, n int, f func(int32)) {
-	if ids != nil {
-		// Distributed runs stay serial per rank (each rank is already a
-		// goroutine).
-		for _, i := range ids {
-			f(i)
-		}
-		return
-	}
-	e.parallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(int32(i))
-		}
-	})
 }

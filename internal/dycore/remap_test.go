@@ -199,3 +199,18 @@ func TestRemapperRunAllocFree(t *testing.T) {
 		t.Errorf("Remapper.Run allocates %.1f times per call; want 0", allocs)
 	}
 }
+
+// TestStepAllocBudget keeps the benchmark's dycore.step_allocs rung under
+// tier-1: what is left per serial step is one closure per loop handed to
+// parallelFor, and it may not grow past the 55 measured before the loops
+// were flattened.
+func TestStepAllocBudget(t *testing.T) {
+	eng := New(testMesh(t, 2), 6, precision.DP)
+	eng.State().InitIdealized(CaseBaroclinicWave)
+	eng.Step(90) // warm up: the implicit scratch pool fills on first use
+	allocs := testing.AllocsPerRun(10, func() { eng.Step(90) })
+	t.Logf("Step allocates %.0f times per call", allocs)
+	if allocs > 55 {
+		t.Errorf("Step allocates %.0f times per call; the budget is 55", allocs)
+	}
+}

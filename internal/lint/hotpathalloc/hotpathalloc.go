@@ -11,11 +11,11 @@
 //
 // Two sanctioned idioms are carved out:
 //
-//   - Closures handed directly to the engine's loop drivers
-//     (iterateParallel and friends, below) are the repo's OpenMP-analog
-//     iteration idiom; the closure header is one O(1) allocation per
-//     kernel invocation while the closure BODY runs once per entity, so
-//     bodies are still checked, creations are not.
+//   - A closure handed directly to the engine's loop driver
+//     (parallelFor) is the repo's OpenMP-analog iteration idiom; the
+//     closure header is one O(1) allocation per kernel invocation while
+//     the closure BODY holds the per-entity loop, so bodies are still
+//     checked, creations are not.
 //   - Anything inside the argument list of panic(...) is a cold path.
 //
 // Call-graph propagation is name-resolved. Same-package calls are
@@ -55,20 +55,9 @@ type Fact struct {
 	Reason string
 }
 
-// loopDrivers are the sanctioned per-entity iteration helpers: a closure
-// passed directly to one of these is not reported (its body still is).
-var loopDrivers = map[string]bool{
-	"iterate":             true,
-	"iterateParallel":     true,
-	"parallelFor":         true,
-	"eachTendCell":        true,
-	"eachFluxEdge":        true,
-	"eachUEdge":           true,
-	"eachCell":            true,
-	"eachEdge":            true,
-	"eachCommitCell":      true,
-	"eachCommitCellOrAll": true,
-}
+// loopDrivers names the sanctioned iteration helper: a closure passed
+// directly to it is not reported (its body still is).
+var loopDrivers = map[string]bool{"parallelFor": true}
 
 func run(pass *lint.Pass) error {
 	info := pass.TypesInfo
@@ -319,7 +308,7 @@ func (w *walker) visitCall(call *ast.CallExpr, inPanic bool) bool {
 	case loopDrivers[name]:
 		// Sanctioned iteration scaffolding: do not flag direct closure
 		// arguments and do not propagate into the driver, but do check
-		// the closure bodies (they run once per entity).
+		// the closure bodies (they hold the per-entity loops).
 		for _, a := range call.Args {
 			if fl, ok := a.(*ast.FuncLit); ok {
 				w.walk(fl.Body, inPanic)

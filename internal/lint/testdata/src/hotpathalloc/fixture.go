@@ -10,11 +10,9 @@ type engine struct {
 	buf []float64
 }
 
-// iterateParallel is the fixture's stand-in for the dycore loop drivers.
-func (e *engine) iterateParallel(n int, f func(int)) {
-	for i := 0; i < n; i++ {
-		f(i)
-	}
+// parallelFor is the fixture's stand-in for the dycore loop driver.
+func (e *engine) parallelFor(ids []int32, body func(ids []int32)) {
+	body(ids)
 }
 
 //grist:hotpath
@@ -35,13 +33,15 @@ func (e *engine) step(n int) {
 	bad := func() {} // want `closure created`
 	bad()
 
-	// Sanctioned: a closure handed directly to a loop driver is the
-	// repo's iteration idiom — but its body still runs per entity and
+	// Sanctioned: a closure handed directly to the loop driver is the
+	// repo's iteration idiom — but its body holds the per-entity loop and
 	// is checked.
-	e.iterateParallel(n, func(i int) {
-		e.buf[i] += 1
-		q := make([]float64, 1) // want `make in hot path`
-		_ = q
+	e.parallelFor(nil, func(ids []int32) {
+		for _, i := range ids {
+			e.buf[i] += 1
+			q := make([]float64, 1) // want `make in hot path`
+			_ = q
+		}
 	})
 
 	// Sanctioned: panic arguments are a cold path.

@@ -87,6 +87,16 @@ func (m *Mesh) CellVerts(c int32) []int32 { return m.CellVert[m.CellOff[c]:m.Cel
 // CellDegree returns the number of edges of cell c (5 or 6).
 func (m *Mesh) CellDegree(c int32) int { return int(m.CellOff[c+1] - m.CellOff[c]) }
 
+// IdentityIDs returns the id list 0, 1, ..., n-1: "every entity" in the
+// form the kernels take one rank's share of the mesh in.
+func IdentityIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
 // New builds the hexagonal C-grid at the given icosahedral level on a
 // sphere of radius EarthRadius. Levels up to about 8 are practical in
 // memory; use Census for the closed-form grid statistics of larger levels.

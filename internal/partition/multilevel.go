@@ -3,6 +3,8 @@ package partition
 import (
 	"math/rand"
 	"sort"
+
+	"gristgo/internal/mesh"
 )
 
 // KWay partitions the graph into nparts parts of near-equal vertex weight
@@ -14,12 +16,8 @@ func KWay(g *Graph, nparts int, seed int64) []int32 {
 	if nparts <= 1 {
 		return part
 	}
-	verts := make([]int32, g.NumVertices())
-	for i := range verts {
-		verts[i] = int32(i)
-	}
 	rng := rand.New(rand.NewSource(seed))
-	recursiveBisect(g, verts, 0, nparts, part, rng)
+	recursiveBisect(g, mesh.IdentityIDs(g.NumVertices()), 0, nparts, part, rng)
 	return part
 }
 

@@ -85,10 +85,10 @@ type Transport interface {
 	// sub-steps).
 	Step(f *Field, massFlux []float64, dt float64)
 	Mode() precision.Mode
-	// SetOwned restricts computation for distributed runs (nil resets):
-	// Cells is the compute region (owned + two halo rings), Commit the
-	// cells whose updated values are kept (owned), Edges the edges of
-	// the compute region.
+	// SetOwned restricts computation for distributed runs (nil resets to
+	// the whole mesh): Cells is the compute region (owned + two halo
+	// rings), Commit the cells whose updated values are kept (owned),
+	// Edges the edges of the compute region.
 	SetOwned(o *OwnedSets)
 	// SetTelemetry attaches a flight recorder: each Step emits a
 	// tracer_step span attributed to rank (nil recorder detaches).
@@ -115,7 +115,9 @@ type transport[T precision.Real] struct {
 	nlev int
 	mode precision.Mode
 
-	owned *OwnedSets
+	// sets is the iteration space of the kernels: identity lists (the
+	// whole mesh) until SetOwned narrows it to one rank's share.
+	sets OwnedSets
 
 	// Work arrays in working precision T (§3.4.2: the tracer equation is
 	// computed almost entirely in lowered precision).
@@ -136,7 +138,7 @@ type transport[T precision.Real] struct {
 func newTransport[T precision.Real](m *mesh.Mesh, nlev int, mode precision.Mode) *transport[T] {
 	n := m.NCells * nlev
 	ne := m.NEdges * nlev
-	return &transport[T]{
+	tr := &transport[T]{
 		m: m, nlev: nlev, mode: mode,
 		fluxLo:  make([]T, ne),
 		fluxA:   make([]T, ne),
@@ -147,54 +149,24 @@ func newTransport[T precision.Real](m *mesh.Mesh, nlev int, mode precision.Mode)
 		rMinus:  make([]T, n),
 		newMass: make([]float64, n),
 	}
+	tr.SetOwned(nil)
+	return tr
 }
 
 func (tr *transport[T]) Mode() precision.Mode { return tr.mode }
 
-func (tr *transport[T]) SetOwned(o *OwnedSets) { tr.owned = o }
+func (tr *transport[T]) SetOwned(o *OwnedSets) {
+	if o == nil {
+		ids := mesh.IdentityIDs(max(tr.m.NCells, tr.m.NEdges))
+		cells := ids[:tr.m.NCells]
+		o = &OwnedSets{Cells: cells, Commit: cells, Edges: ids[:tr.m.NEdges]}
+	}
+	tr.sets = *o
+}
 
 func (tr *transport[T]) SetTelemetry(rec *telemetry.Recorder, rank int32) {
 	tr.rec = rec
 	tr.telRank = rank
-}
-
-// eachCell iterates the compute cells.
-func (tr *transport[T]) eachCell(f func(c int)) {
-	if tr.owned == nil {
-		for c := 0; c < tr.m.NCells; c++ {
-			f(c)
-		}
-		return
-	}
-	for _, c := range tr.owned.Cells {
-		f(int(c))
-	}
-}
-
-// eachCommitCell iterates the cells whose results are kept.
-func (tr *transport[T]) eachCommitCell(f func(c int)) {
-	if tr.owned == nil {
-		for c := 0; c < tr.m.NCells; c++ {
-			f(c)
-		}
-		return
-	}
-	for _, c := range tr.owned.Commit {
-		f(int(c))
-	}
-}
-
-// eachEdge iterates the compute edges.
-func (tr *transport[T]) eachEdge(f func(e int)) {
-	if tr.owned == nil {
-		for e := 0; e < tr.m.NEdges; e++ {
-			f(e)
-		}
-		return
-	}
-	for _, e := range tr.owned.Edges {
-		f(int(e))
-	}
 }
 
 // Step advances every species: first the tracer-step dry mass with the
@@ -207,7 +179,8 @@ func (tr *transport[T]) Step(f *Field, massFlux []float64, dt float64) {
 	nlev := tr.nlev
 
 	// New tracer-step mass (double precision like the flux itself).
-	tr.eachCell(func(c int) {
+	for _, id := range tr.sets.Cells {
+		c := int(id)
 		inv := dt / m.CellArea[c]
 		for k := 0; k < nlev; k++ {
 			tr.newMass[c*nlev+k] = f.Mass[c*nlev+k]
@@ -219,14 +192,15 @@ func (tr *transport[T]) Step(f *Field, massFlux []float64, dt float64) {
 				tr.newMass[c*nlev+k] -= s * massFlux[int(ed)*nlev+k]
 			}
 		}
-	})
+	}
 
 	for sp := range f.Q {
 		tr.advectSpecies(f, Species(sp), massFlux, dt)
 	}
-	tr.eachCommitCell(func(c int) {
+	for _, id := range tr.sets.Commit {
+		c := int(id)
 		copy(f.Mass[c*nlev:(c+1)*nlev], tr.newMass[c*nlev:(c+1)*nlev])
-	})
+	}
 	sp.End()
 }
 
@@ -240,7 +214,8 @@ func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, 
 
 	// --- Low-order (upwind) and antidiffusive (centered minus upwind)
 	// tracer fluxes: the HoriFluxLimiter kernel's first phase. ---
-	tr.eachEdge(func(e int) {
+	for _, id := range tr.sets.Edges {
+		e := int(id)
 		c0, c1 := int(m.EdgeCell[e][0]), int(m.EdgeCell[e][1])
 		for k := 0; k < nlev; k++ {
 			i := e*nlev + k
@@ -258,10 +233,11 @@ func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, 
 			tr.fluxLo[i] = lo
 			tr.fluxA[i] = hi - lo
 		}
-	})
+	}
 
 	// --- Provisional low-order update (monotone). ---
-	tr.eachCell(func(c int) {
+	for _, id := range tr.sets.Cells {
+		c := int(id)
 		invA := T(dt / m.CellArea[c])
 		for k := 0; k < nlev; k++ {
 			tr.qtd[c*nlev+k] = T(q[c*nlev+k])
@@ -277,10 +253,11 @@ func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, 
 		for k := 0; k < nlev; k++ {
 			tr.qtd[c*nlev+k] /= T(tr.newMass[c*nlev+k])
 		}
-	})
+	}
 
 	// --- Zalesak bounds from the old ratios and neighbors. ---
-	tr.eachCell(func(c int) {
+	for _, id := range tr.sets.Cells {
+		c := int(id)
 		for k := 0; k < nlev; k++ {
 			i := c*nlev + k
 			qc := T(q[i]) / T(f.Mass[i])
@@ -310,10 +287,11 @@ func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, 
 			}
 			tr.qmin[i], tr.qmax[i] = lo, hi
 		}
-	})
+	}
 
 	// --- Limiter coefficients R+/R- per cell. ---
-	tr.eachCell(func(c int) {
+	for _, id := range tr.sets.Cells {
+		c := int(id)
 		invA := T(dt / m.CellArea[c])
 		for k := 0; k < nlev; k++ {
 			i := c*nlev + k
@@ -333,10 +311,13 @@ func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, 
 			tr.rPlus[i] = limiterRatio(qPlus*mass, pPlus*mass)
 			tr.rMinus[i] = limiterRatio(qMinus*mass, pMinus*mass)
 		}
-	})
+	}
 
-	// --- Apply limited antidiffusive fluxes. ---
-	tr.eachCommitCellOrAll(func(c int) {
+	// --- Apply limited antidiffusive fluxes, to the commit cells only: the
+	// limited flux of an edge on the cut uses identical r coefficients on
+	// both owning ranks, so conservation holds across it. ---
+	for _, id := range tr.sets.Commit {
+		c := int(id)
 		invA := T(dt / m.CellArea[c])
 		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
 			ed := int(m.CellEdge[kk])
@@ -355,10 +336,11 @@ func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, 
 				tr.qtd[i] -= s * cLim * tr.fluxA[ed*nlev+k] / T(tr.newMass[i])
 			}
 		}
-	})
+	}
 
 	// --- Commit: back to mass-weighted double-precision storage. ---
-	tr.eachCommitCell(func(c int) {
+	for _, id := range tr.sets.Commit {
+		c := int(id)
 		for k := 0; k < nlev; k++ {
 			i := c*nlev + k
 			v := float64(tr.qtd[i]) * tr.newMass[i]
@@ -367,15 +349,7 @@ func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, 
 			}
 			q[i] = v
 		}
-	})
-}
-
-// eachCommitCellOrAll applies the antidiffusive pass: in serial mode all
-// cells; in distributed mode the commit cells only (the limited flux of
-// boundary edges uses identical r coefficients on both owning ranks, so
-// conservation holds across the cut).
-func (tr *transport[T]) eachCommitCellOrAll(f func(c int)) {
-	tr.eachCommitCell(f)
+	}
 }
 
 // limiterRatio returns min(1, capacity/demand) handling zero demand.
