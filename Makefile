@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-baseline lint-sarif test pin pin-update profile-step race race-serve fuzz-smoke loc benchmark bench bench-ml bench-halo chaos chaos-serve serve-smoke bench-serve bench-obs bench-check
+.PHONY: check build vet lint lint-baseline lint-sarif test pin pin-update profile-step race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve serve-smoke bench-obs bench-check
 
 check: build vet lint test race
 
@@ -91,28 +91,26 @@ fuzz-smoke:
 loc:
 	@for d in internal/*/; do printf '%7d %s\n' $$(ls $$d*.go | grep -v _test.go | xargs cat | wc -l) $$d; done; printf '%7d total\n' $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)
 
+# The importer ledger of ROADMAP aim 2: every internal/ package that
+# nothing under cmd/, benchmark or examples/ reaches outside test files.
+# The two test-support packages are the only ones allowed on it; anything
+# else is wired, or deleted, in the PR that orphans it.
+LEDGER_ALLOW = gristgo/internal/lint/analysistest gristgo/internal/pintest
+ledger:
+	@reached=$$($(GO) list -deps ./cmd/... ./benchmark ./examples/...) || exit 1; \
+	echo "internal/ packages with no non-test importer:"; \
+	for p in $$($(GO) list ./internal/...); do \
+		echo "$$reached" | grep -qx "$$p" && continue; \
+		echo "  $$p"; \
+		case " $(LEDGER_ALLOW) " in *" $$p "*) ;; *) bad=1 ;; esac; \
+	done; \
+	if [ -n "$$bad" ]; then echo "ledger: a package other than test support has no importer: wire it or delete it" >&2; exit 1; fi
+
 # The repository benchmark declared by BENCHMARK.json: six workloads over
 # both planes, every sample in benchmark/out/result.json (see
 # benchmark/README.md). Speed claims cite its (metric, workload) pairs.
 benchmark:
 	bash benchmark/run.sh
-
-# The observability benchmark: a fully instrumented coupled run plus a
-# distributed dynamics leg, emitting BENCH_telemetry.json (step latency
-# percentiles, SYPD, comm share, load imbalance) and BENCH_trace.json
-# (Chrome trace_event, open at https://ui.perfetto.dev).
-bench:
-	$(GO) run ./cmd/gristbench -exp telemetry
-
-# Scalar vs batched-FP64 vs batched-FP32 inference throughput at the
-# G5-scale column count (see EXPERIMENTS.md for recorded numbers).
-bench-ml:
-	$(GO) test -run xxx -bench BenchmarkMLInference -benchtime 3x .
-
-# Blocking vs overlapped halo rounds, FP64 vs mixed wire precision (see
-# EXPERIMENTS.md for recorded numbers).
-bench-halo:
-	$(GO) test -run xxx -bench BenchmarkHaloExchange ./internal/comm/
 
 # The fault-injection suite under the race detector (deadline waits,
 # rollback-and-replay, sentinel-driven degradation, elastic
@@ -139,8 +137,8 @@ chaos:
 # committed tolerance windows.
 chaos-serve:
 	$(GO) test -race -count=1 \
-		-run 'FS|Vfs|OSRoundTrip|Decode|Replace|ReadFile|WriteOwnedFile|WriteShard|CommittedEpochs|LatestCommitted|Quarantine|Rederive|CrashRestart|Breaker|Backoff|Degraded|SnapshotStore' \
-		./internal/vfs/ ./internal/fault/ ./internal/durable/ ./internal/core/ ./internal/pario/ ./internal/serve/
+		-run 'FS|Vfs|OSRoundTrip|Decode|Replace|ReadFile|WriteShard|CommittedEpochs|LatestCommitted|Quarantine|Rederive|CrashRestart|Breaker|Backoff|Degraded|SnapshotStore' \
+		./internal/vfs/ ./internal/fault/ ./internal/durable/ ./internal/core/ ./internal/serve/
 	$(GO) run ./cmd/gristbench -exp chaosserve
 	$(GO) run ./cmd/gristbench -check -check-files CHAOS_serve.json -baseline bench.baseline.json
 
@@ -152,13 +150,6 @@ serve-smoke:
 	$(GO) run ./cmd/gristd -addr :0 -level 3 -layers 6 \
 		-replay.epochs 3 -quota.rate 1000 -quota.burst 200 \
 		-smoke.queries 10000 -smoke.p99 50ms
-
-# The query-plane benchmark: a 1.2M-query in-process replay through the
-# full admission pipeline (quota -> queue -> tile cache -> coalescing),
-# emitting BENCH_serve.json (latency percentiles, hit rate, coalesce
-# ratio, status breakdown) for the CI artifact upload.
-bench-serve:
-	$(GO) run ./cmd/gristbench -exp serve
 
 # The cross-rank trace aggregation benchmark: two rebalanced runs from
 # the same skewed decomposition (wall-weighted vs span-attributed cost

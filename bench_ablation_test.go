@@ -6,11 +6,9 @@
 package main
 
 import (
-	"fmt"
 	"testing"
 
 	"gristgo/internal/comm"
-	"gristgo/internal/dycore"
 	"gristgo/internal/mesh"
 	"gristgo/internal/partition"
 	"gristgo/internal/perfmodel"
@@ -138,67 +136,4 @@ func BenchmarkAblationHaloAggregation(b *testing.B) {
 			run(false)
 		}
 	})
-}
-
-// BenchmarkDycoreStep measures the real Go cost of one HEVI step per
-// precision mode on a G4 mesh (the reproduction's native performance,
-// not the Sunway model's).
-func BenchmarkDycoreStep(b *testing.B) {
-	m := mesh.New(4).ReorderBFS()
-	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			eng := dycore.New(m, 10, mode)
-			eng.State().InitIdealized(dycore.CaseBaroclinicWave)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Step(120)
-			}
-			cells := float64(m.NCells * 10)
-			b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cell-levels/s")
-		})
-	}
-}
-
-// BenchmarkMeshGeneration measures mesh construction (including TRiSK
-// weights) per level.
-func BenchmarkMeshGeneration(b *testing.B) {
-	for _, lvl := range []int{3, 4, 5} {
-		lvl := lvl
-		b.Run(mesh.Census(lvl).Label, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = mesh.New(lvl)
-			}
-		})
-	}
-}
-
-// BenchmarkPartitioner measures the METIS-substitute on a G5 mesh.
-func BenchmarkPartitioner(b *testing.B) {
-	m := mesh.New(5)
-	g := partition.FromMesh(m)
-	var cut int64
-	for i := 0; i < b.N; i++ {
-		part := partition.KWay(g, 64, int64(i))
-		cut = g.EdgeCut(part)
-	}
-	b.ReportMetric(float64(cut), "edge_cut_64way")
-}
-
-// BenchmarkHostParallelism measures the shared-memory speedup of the
-// dycore step across worker counts (the host-side OpenMP analog).
-func BenchmarkHostParallelism(b *testing.B) {
-	m := mesh.New(5).ReorderBFS()
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			eng := dycore.New(m, 10, precision.Mixed)
-			eng.SetHostParallelism(workers)
-			eng.State().InitIdealized(dycore.CaseBaroclinicWave)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Step(200)
-			}
-		})
-	}
 }

@@ -7,16 +7,11 @@
 package main
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"gristgo/internal/experiments"
 	"gristgo/internal/mesh"
-	"gristgo/internal/mlphysics"
-	"gristgo/internal/nn"
 	"gristgo/internal/perfmodel"
-	"gristgo/internal/physics"
 	"gristgo/internal/precision"
 	"gristgo/internal/synthclim"
 )
@@ -113,94 +108,6 @@ func BenchmarkFig8MLPhysics(b *testing.B) {
 	if !r.Stable {
 		b.Log("warning: ML-coupled run unstable in benchmark configuration")
 	}
-}
-
-// benchMLSuite assembles an ML physics suite with randomly initialized
-// (untrained) networks at the reproduction architecture — throughput
-// does not depend on the weight values — and normalizers fitted to a
-// small synthetic sample.
-func benchMLSuite(nlev int) *mlphysics.Suite {
-	rng := rand.New(rand.NewSource(42))
-	randRows := func(n, dim int) [][]float64 {
-		rows := make([][]float64, n)
-		for i := range rows {
-			rows[i] = make([]float64, dim)
-			for j := range rows[i] {
-				rows[i][j] = rng.NormFloat64()
-			}
-		}
-		return rows
-	}
-	return &mlphysics.Suite{
-		NLev:    nlev,
-		Tend:    nn.NewResUnitCNN(mlphysics.TendencyChannels, 16, mlphysics.TendencyOutputs, nlev, 5, 3, rng),
-		Rad:     nn.NewResMLP(2*nlev+2, 48, mlphysics.RadiationOutputs, 7, rng),
-		TendIn:  mlphysics.NewNormalizer(randRows(64, mlphysics.TendencyChannels*nlev)),
-		TendOut: mlphysics.NewNormalizer(randRows(64, mlphysics.TendencyOutputs*nlev)),
-		RadIn:   mlphysics.NewNormalizer(randRows(64, 2*nlev+2)),
-		RadOut:  mlphysics.NewNormalizer(randRows(64, mlphysics.RadiationOutputs)),
-	}
-}
-
-// benchMLInput builds a G5-scale physics state (10242 columns).
-func benchMLInput(ncol, nlev int) *physics.Input {
-	in := physics.NewInput(ncol, nlev)
-	for c := 0; c < ncol; c++ {
-		for k := 0; k < nlev; k++ {
-			i := c*nlev + k
-			p := 22500 + float64(k)/float64(nlev-1)*75000
-			in.P[i] = p
-			in.Dpi[i] = 97750.0 / float64(nlev)
-			in.T[i] = 295 - 55*math.Log(1e5/p)
-			in.Qv[i] = 0.012 * math.Pow(p/1e5, 3)
-			in.U[i] = 8 * math.Sin(float64(i))
-			in.V[i] = 4 * math.Cos(float64(i))
-		}
-		in.Tskin[c] = 300
-		in.CosZ[c] = math.Max(0, math.Sin(float64(c)*0.7))
-	}
-	return in
-}
-
-// BenchmarkMLInference compares the ML physics suite's inference paths
-// at a G5-scale column count: the per-column scalar oracle, the batched
-// FP64 engine (bit-identical to the oracle), and the batched FP32 engine
-// (weights quantized at compile time). The headline metric is cols/sec;
-// the ≥4x batched-FP64-over-scalar acceptance number in EXPERIMENTS.md
-// comes from this benchmark with HostWorkers=4.
-func BenchmarkMLInference(b *testing.B) {
-	const ncol, nlev = 10242, 10 // G5 cells, reproduction layer count
-	in := benchMLInput(ncol, nlev)
-	out := physics.NewOutput(ncol, nlev)
-	tskin0 := append([]float64(nil), in.Tskin...)
-
-	run := func(b *testing.B, setup func(*mlphysics.Suite)) {
-		suite := benchMLSuite(nlev)
-		setup(suite)
-		suite.Compute(in, out, 600) // warmup: plan compile, buffer sizing
-		copy(in.Tskin, tskin0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			suite.Compute(in, out, 600)
-			b.StopTimer()
-			copy(in.Tskin, tskin0) // the surface slab advances Tskin
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(ncol)*float64(b.N)/b.Elapsed().Seconds(), "cols/sec")
-	}
-
-	b.Run("scalar", func(b *testing.B) {
-		run(b, func(s *mlphysics.Suite) { s.SetScalarOracle(true) })
-	})
-	b.Run("batched-fp64", func(b *testing.B) {
-		run(b, func(s *mlphysics.Suite) { s.SetWorkers(4) })
-	})
-	b.Run("batched-fp32", func(b *testing.B) {
-		run(b, func(s *mlphysics.Suite) {
-			s.SetWorkers(4)
-			s.SetPrecision(precision.Mixed)
-		})
-	})
 }
 
 // BenchmarkFig9Kernels runs the CPE kernel study on the simulated

@@ -35,15 +35,12 @@ func cellLayout(d *partition.Decomposition, p int) *Layout {
 func TestSwapLayoutRebindsDecomposition(t *testing.T) {
 	m := mesh.New(3)
 	const nparts, nlev = 3, 2
-	e, err := partition.NewElastic(m, 11, []int{0, 1, 2})
+	d0 := partition.MustDecompose(m, nparts, partition.EpochSeed(11, 0))
+	d1, err := partition.DecomposeWeighted(m, nparts, partition.EpochSeed(11, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0 := e.Decomposition()
-	d1, err := e.Resize([]int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d1.Epoch = 1
 
 	check := func(r *Rank, d *partition.Decomposition, q []float64, round int) {
 		t.Helper()

@@ -287,14 +287,11 @@ func TestRedistributePreservesOwnerTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	el, err := partition.NewElastic(m, 12345, []int{0, 1, 2, 3})
+	d, err := partition.DecomposeWeighted(m, 3, partition.EpochSeed(12345, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := el.Resize([]int{0, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d.Epoch = 1
 	plB := NewDistPlanFromDecomp(m, nlev, d)
 	if err := store.Redistribute(epoch, step, plB); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package durable owns the two decisions every durable file of the model
 // shares: how bytes are framed and verified, and how a file is replaced
-// crash-safely. Checkpoint shards, restart files, pario leader streams
-// and history files are all one record of the same container:
+// crash-safely. Checkpoint shards, restart files and history files are
+// all one record of the same container:
 //
 //	magic "GRST" | version uint16 | kind uint8 | pad | payload | CRC32-IEEE
 //
@@ -26,11 +26,12 @@ import (
 // to the reader of another is refused before its payload is parsed.
 type Kind uint8
 
+// The byte values are the on-disk format. 3 was the grouped-I/O leader
+// stream; it is retired, not free: files of that kind may still exist.
 const (
-	Shard   Kind = iota + 1 // one rank's region of a checkpoint epoch
-	Restart                 // a serial model's full restart state
-	Pario                   // one I/O group leader's (index, value) stream
-	History                 // a GDF history dataset
+	Shard   Kind = 1 // one rank's region of a checkpoint epoch
+	Restart Kind = 2 // a serial model's full restart state
+	History Kind = 4 // a GDF history dataset
 )
 
 func (k Kind) String() string {
@@ -39,8 +40,6 @@ func (k Kind) String() string {
 		return "shard"
 	case Restart:
 		return "restart"
-	case Pario:
-		return "pario"
 	case History:
 		return "history"
 	}
@@ -48,8 +47,8 @@ func (k Kind) String() string {
 }
 
 // Version history: 1 = bare gob restart, 2 = framed restart with its own
-// header (shards, pario and history each had a private framing), 3 = this
-// container for all four.
+// header (shards and history each had a private framing), 3 = this
+// container for all of them.
 const (
 	magic   = "GRST"
 	version = 3

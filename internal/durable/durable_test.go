@@ -30,7 +30,7 @@ func record(t testing.TB, k Kind, payload []byte) []byte {
 
 func TestRoundTripEveryKind(t *testing.T) {
 	payload := []byte("sixteen byte pay")
-	for _, k := range []Kind{Shard, Restart, Pario, History} {
+	for _, k := range []Kind{Shard, Restart, History} {
 		raw := record(t, k, payload)
 		if len(raw) != len(payload)+Overhead {
 			t.Fatalf("%s record is %d bytes, want payload+%d", k, len(raw), Overhead)
@@ -67,6 +67,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"bad-version", "version", mutate(func(b []byte) []byte { b[4] ^= 0xff; return b }), Shard},
 		{"wrong-kind", "a restart record, not a shard", record(t, Restart, []byte("gob")), Shard},
 		{"shard-as-history", "a shard record, not a history", good, History},
+		{"retired-kind", "a kind(3) record, not a shard", record(t, Kind(3), []byte("leader stream")), Shard},
 		{"bit-flip-magic", "not a shard file", flip(0), Shard},
 		{"bit-flip-version", "version", flip(5), Shard},
 		{"bit-flip-kind", "record, not a shard", flip(6), Shard},
@@ -151,13 +152,13 @@ func TestReplaceRenameTornIsDetected(t *testing.T) {
 	path := filepath.Join(dir, "rec.grist")
 	ffs := fault.NewFS(vfs.OS, 9, fault.FSProfile{RenameTornProb: 1})
 	payload := bytes.Repeat([]byte{7}, 4096)
-	if err := WriteFile(ffs, path, Pario, func(w io.Writer) error { _, err := w.Write(payload); return err }); err != nil {
+	if err := WriteFile(ffs, path, History, func(w io.Writer) error { _, err := w.Write(payload); return err }); err != nil {
 		t.Fatalf("rename-torn WriteFile must lie about success, got %v", err)
 	}
 	if _, _, counts := ffs.FSEvents(); counts["fsrenametorn"] == 0 {
 		t.Fatal("no fsrenametorn event recorded")
 	}
-	if _, err := ReadFile(vfs.OS, path, Pario); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadFile(vfs.OS, path, History); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadFile of a rename-torn record = %v, want ErrCorrupt", err)
 	}
 }
@@ -165,7 +166,8 @@ func TestReplaceRenameTornIsDetected(t *testing.T) {
 // FuzzDecode: arbitrary bytes are either refused with ErrCorrupt or are
 // exactly the record Encode would write for the returned payload.
 func FuzzDecode(f *testing.F) {
-	for _, k := range []Kind{Shard, Restart, Pario, History} {
+	// 3 is the retired kind; its seeds stay, so every seed#N keeps its bytes.
+	for _, k := range []Kind{Shard, Restart, 3, History} {
 		good := record(f, k, []byte("payload bytes"))
 		f.Add(good, uint8(k))
 		f.Add(good, uint8(k%4+1))           // wrong kind

@@ -100,12 +100,27 @@ func statesBitwise(a, b *dycore.State) bool {
 	return true
 }
 
+// emptyDir makes dir exist and hold nothing. Every checkpointing leg
+// starts from one: core.Run resumes from whatever committed epoch it
+// finds, so a directory left by an earlier run would skip the injected
+// fault (and shift every per-file fault ordinal) and change the verdict.
+func emptyDir(dir string) error {
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
+	return os.MkdirAll(dir, 0o755)
+}
+
 // runChaosLeg runs one resilient integration under plan and compares it
 // to the clean reference state.
 func runChaosLeg(m *mesh.Mesh, cfg ChaosConfig, mode precision.Mode, clean *dycore.State,
 	plan *fault.Plan, dir string, mon *diag.HealthMonitor, reg *telemetry.Registry) ChaosLeg {
 
 	leg := ChaosLeg{Profile: plan.Prof.Name}
+	if err := emptyDir(dir); err != nil {
+		leg.Err = err.Error()
+		return leg
+	}
 	final, rep, err := core.Run(core.RunSpec{
 		Mesh: m, NLev: cfg.NLev, NParts: cfg.NParts, Mode: mode, Init: chaosInit, Steps: cfg.Steps, Dt: 60.0,
 		Injector:        plan,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -65,5 +66,18 @@ func TestWriteChaos(t *testing.T) {
 	}
 	if len(res.Rows()) == 0 {
 		t.Error("no report rows")
+	}
+
+	// A second run beside the first one's checkpoint scratch prints the
+	// same three leg verdicts: a leg that resumed from a stale committed
+	// epoch would never reach its injected fault ("faults=0", "bit flip:
+	// FAILED"). The counters row is left out: it totals per-rank trips,
+	// and how many ranks see a fault before the leg is abandoned is timing.
+	again, err := WriteChaos(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := again.Rows()[:3], res.Rows()[:3]; !reflect.DeepEqual(got, want) {
+		t.Errorf("second run in the same directory:\n got %q\nwant %q", got, want)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 
 	"gristgo/internal/core"
+	"gristgo/internal/dycore"
 	"gristgo/internal/fault"
 	"gristgo/internal/mesh"
 	"gristgo/internal/serve"
@@ -96,6 +97,17 @@ type ChaosServeResult struct {
 // chaosServeProfiles lists the fault profiles each run exercises.
 var chaosServeProfiles = []string{"fsflaky", "fstorn", "fsslow"}
 
+// benchState builds one epoch's full-mesh state: a resting isothermal
+// atmosphere with a traveling warm anomaly and a solid-body wind, so
+// the served fields vary by epoch without running the dycore.
+func benchState(m *mesh.Mesh, nlev, epoch int) *dycore.State {
+	s := dycore.NewState(m, nlev)
+	s.IsothermalRest(290 + float64(epoch))
+	s.AddThermalBubble(0.3+0.2*float64(epoch), 1.0, 0.25, 5)
+	s.AddSolidBodyWind(15)
+	return s
+}
+
 // cleanChecksums derives the uninjected truth: the snapshot checksum
 // of every epoch the producer would commit, computed directly from the
 // deterministic per-epoch state without touching a filesystem.
@@ -143,14 +155,8 @@ func quarantineCount(reg *telemetry.Registry) int64 {
 func runChaosServeLeg(m *mesh.Mesh, cfg ChaosServeConfig, prof fault.FSProfile, sums map[int]uint64) (ChaosServeLeg, error) {
 	leg := ChaosServeLeg{Profile: prof.Name, ChecksumsMatch: true}
 
-	// The leg starts from an empty directory: epochs left by an earlier
-	// run would shift every per-file fault ordinal and with it the verdict
-	// stream the gates were recorded against.
 	dir := filepath.Join(cfg.Dir, "chaosserve-"+prof.Name)
-	if err := os.RemoveAll(dir); err != nil {
-		return leg, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := emptyDir(dir); err != nil {
 		return leg, err
 	}
 	ffs := fault.NewFS(vfs.OS, cfg.Seed, prof)

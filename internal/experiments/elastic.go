@@ -124,6 +124,10 @@ func runElasticLeg(m *mesh.Mesh, cfg ElasticConfig, mode precision.Mode, overlap
 	clean *dycore.State, dir string, reg *telemetry.Registry) (ElasticLeg, *dycore.State) {
 
 	leg := ElasticLeg{Mode: mode.String(), Overlap: overlap}
+	if err := emptyDir(dir); err != nil {
+		leg.Err = err.Error()
+		return leg, nil
+	}
 	plan := fault.NewPlan(cfg.Seed, fault.Profile{
 		Name: "shrinkgrow", KillRank: cfg.KillNode, KillStep: cfg.KillStep,
 	})

@@ -101,7 +101,7 @@ func run(pass *lint.Pass) error {
 				continue
 			}
 			sums[obj] = analyzeFunc(pass, fd)
-			if hasDirective(fd) {
+			if lint.HasDirective(fd, directive) {
 				roots = append(roots, obj)
 			}
 		}
@@ -115,7 +115,7 @@ func run(pass *lint.Pass) error {
 	for obj, s := range sums {
 		if len(s.findings) > 0 {
 			pos := pass.Fset.Position(s.findings[0].pos)
-			reason[obj] = fmt.Sprintf("%s (%s:%d)", s.findings[0].msg, shortFile(pos.Filename), pos.Line)
+			reason[obj] = fmt.Sprintf("%s (%s:%d)", s.findings[0].msg, lint.ShortFile(pos.Filename), pos.Line)
 		}
 	}
 	for obj, s := range sums {
@@ -124,7 +124,7 @@ func run(pass *lint.Pass) error {
 		}
 		for _, c := range s.crossPkg {
 			if f, ok := importFact(pass, c.obj); ok {
-				reason[obj] = fmt.Sprintf("calls %s, which is nondeterministic: %s", calleeLabel(c.obj), f.Reason)
+				reason[obj] = fmt.Sprintf("calls %s, which is nondeterministic: %s", lint.FuncLabel(c.obj), f.Reason)
 				break
 			}
 		}
@@ -172,7 +172,7 @@ func run(pass *lint.Pass) error {
 		for _, c := range s.crossPkg {
 			if f, ok := importFact(pass, c.obj); ok {
 				pass.Reportf(c.pos, "call to %s in bitwise-critical %s is nondeterministic: %s",
-					calleeLabel(c.obj), s.decl.Name.Name, f.Reason)
+					lint.FuncLabel(c.obj), s.decl.Name.Name, f.Reason)
 			}
 		}
 		for _, c := range s.samePkg {
@@ -203,18 +203,6 @@ func importFact(pass *lint.Pass, fn *types.Func) (Fact, bool) {
 	return f, ok
 }
 
-func hasDirective(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, directive) {
-			return true
-		}
-	}
-	return false
-}
-
 // analyzeFunc walks one function body collecting nondeterministic
 // constructs and resolved call sites.
 func analyzeFunc(pass *lint.Pass, fd *ast.FuncDecl) *fnSummary {
@@ -239,7 +227,7 @@ func analyzeFunc(pass *lint.Pass, fd *ast.FuncDecl) *fnSummary {
 }
 
 func (s *fnSummary) visitCall(info *types.Info, call *ast.CallExpr, pass *lint.Pass) {
-	obj := calleeObject(info, call)
+	obj := lint.CalleeObject(info, call)
 	fn, ok := obj.(*types.Func)
 	if !ok {
 		return
@@ -354,7 +342,7 @@ func orderEscapes(info *types.Info, rs *ast.RangeStmt) bool {
 			if allowedCall[x] {
 				return true
 			}
-			if b, ok := calleeObject(info, x).(*types.Builtin); ok {
+			if b, ok := lint.CalleeObject(info, x).(*types.Builtin); ok {
 				switch b.Name() {
 				case "len", "cap", "min", "max", "delete":
 					return true
@@ -387,7 +375,7 @@ func selfAppend(info *types.Info, as *ast.AssignStmt) (*ast.CallExpr, bool) {
 	if !ok || len(call.Args) == 0 {
 		return nil, false
 	}
-	if b, ok := calleeObject(info, call).(*types.Builtin); !ok || b.Name() != "append" {
+	if b, ok := lint.CalleeObject(info, call).(*types.Builtin); !ok || b.Name() != "append" {
 		return nil, false
 	}
 	arg0, ok := call.Args[0].(*ast.Ident)
@@ -395,58 +383,4 @@ func selfAppend(info *types.Info, as *ast.AssignStmt) (*ast.CallExpr, bool) {
 		return nil, false
 	}
 	return call, true
-}
-
-// calleeObject resolves the called object, seeing through parens and
-// generic instantiation.
-func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
-	fun := call.Fun
-	for {
-		switch f := fun.(type) {
-		case *ast.ParenExpr:
-			fun = f.X
-			continue
-		case *ast.IndexExpr:
-			fun = f.X
-			continue
-		case *ast.IndexListExpr:
-			fun = f.X
-			continue
-		}
-		break
-	}
-	switch f := fun.(type) {
-	case *ast.Ident:
-		return info.Uses[f]
-	case *ast.SelectorExpr:
-		return info.Uses[f.Sel]
-	}
-	return nil
-}
-
-// calleeLabel renders pkg.Func or pkg.(Type).Method for messages.
-func calleeLabel(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Name() + "."
-	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := types.Unalias(t).(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := types.Unalias(t).(*types.Named); ok {
-			return pkg + named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return pkg + fn.Name()
-}
-
-// shortFile trims the path to its last two elements for messages.
-func shortFile(path string) string {
-	parts := strings.Split(path, "/")
-	if len(parts) <= 2 {
-		return path
-	}
-	return strings.Join(parts[len(parts)-2:], "/")
 }

@@ -98,7 +98,7 @@ func run(pass *lint.Pass) error {
 				continue
 			}
 			decls[obj] = fd
-			if hasDirective(fd) {
+			if lint.HasDirective(fd, directive) {
 				roots = append(roots, obj)
 			}
 		}
@@ -121,7 +121,7 @@ func run(pass *lint.Pass) error {
 			if !ok {
 				return true
 			}
-			if fn, ok := calleeObject(info, call).(*types.Func); ok && fn.Pkg() == pass.Pkg {
+			if fn, ok := lint.CalleeObject(info, call).(*types.Func); ok && fn.Pkg() == pass.Pkg {
 				if _, local := decls[fn.Origin()]; local && !checked[fn.Origin()] {
 					work = append(work, fn.Origin())
 				}
@@ -130,18 +130,6 @@ func run(pass *lint.Pass) error {
 		})
 	}
 	return nil
-}
-
-func hasDirective(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, directive) {
-			return true
-		}
-	}
-	return false
 }
 
 // checkFunc applies the three rules to one durable function body.
@@ -370,53 +358,13 @@ func callSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
 	return sig
 }
 
-// calleeObject resolves the called object through parens and generic
-// instantiation.
-func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
-	fun := call.Fun
-	for {
-		switch f := fun.(type) {
-		case *ast.ParenExpr:
-			fun = f.X
-			continue
-		case *ast.IndexExpr:
-			fun = f.X
-			continue
-		case *ast.IndexListExpr:
-			fun = f.X
-			continue
-		}
-		break
-	}
-	switch f := fun.(type) {
-	case *ast.Ident:
-		return info.Uses[f]
-	case *ast.SelectorExpr:
-		return info.Uses[f.Sel]
-	}
-	return nil
-}
-
 // calleeLabel renders pkg.Func, pkg.Type.Method or a best-effort
 // expression string for messages and the bestEffort table.
 func calleeLabel(info *types.Info, call *ast.CallExpr) string {
-	obj := calleeObject(info, call)
+	obj := lint.CalleeObject(info, call)
 	fn, ok := obj.(*types.Func)
 	if !ok {
 		return types.ExprString(call.Fun)
 	}
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Name() + "."
-	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := types.Unalias(t).(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := types.Unalias(t).(*types.Named); ok {
-			return pkg + named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return pkg + fn.Name()
+	return lint.FuncLabel(fn)
 }

@@ -153,7 +153,7 @@ func checkBlock(pass *lint.Pass, stmts []ast.Stmt, params map[*types.Var]string)
 			}
 		}
 		// Update bindings and mentions from this statement.
-		straightLine(st, func(n ast.Node) {
+		lint.StraightLine(st, func(n ast.Node) {
 			switch x := n.(type) {
 			case *ast.AssignStmt:
 				for _, l := range x.Lhs {
@@ -195,7 +195,7 @@ type retireCall struct {
 // retireCallsIn finds retiring calls in the straight-line part of st.
 func retireCallsIn(info *types.Info, st ast.Stmt) []retireCall {
 	var out []retireCall
-	straightLine(st, func(n ast.Node) {
+	lint.StraightLine(st, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
@@ -339,21 +339,6 @@ func rootVar(info *types.Info, e ast.Expr) *types.Var {
 		return v
 	}
 	return nil
-}
-
-// straightLine visits st without descending into nested blocks or
-// function literals (those get their own scans).
-func straightLine(st ast.Stmt, f func(ast.Node)) {
-	ast.Inspect(st, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.BlockStmt, *ast.FuncLit:
-			return false
-		}
-		if n != nil {
-			f(n)
-		}
-		return true
-	})
 }
 
 // isRetirable unwraps pointers and reports whether the named type is in

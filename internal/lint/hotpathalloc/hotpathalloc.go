@@ -34,7 +34,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"gristgo/internal/lint"
 )
@@ -74,7 +73,7 @@ func run(pass *lint.Pass) error {
 			if obj := info.Defs[fd.Name]; obj != nil {
 				decls[obj] = fd
 			}
-			if isAnnotated(fd) {
+			if lint.HasDirective(fd, directive) {
 				roots = append(roots, fd)
 			}
 		}
@@ -137,12 +136,12 @@ func exportAllocFacts(pass *lint.Pass, decls map[types.Object]*ast.FuncDecl) {
 	for obj, s := range sums {
 		if s.has {
 			pos := pass.Fset.Position(s.first.pos)
-			reason[obj] = fmt.Sprintf("%s (%s:%d)", s.first.msg, shortFile(pos.Filename), pos.Line)
+			reason[obj] = fmt.Sprintf("%s (%s:%d)", s.first.msg, lint.ShortFile(pos.Filename), pos.Line)
 			continue
 		}
 		for _, c := range s.cross {
 			if f, ok := importAllocFact(pass, c.fn); ok {
-				reason[obj] = fmt.Sprintf("calls %s, which allocates: %s", calleeLabel(c.fn), f.Reason)
+				reason[obj] = fmt.Sprintf("calls %s, which allocates: %s", lint.FuncLabel(c.fn), f.Reason)
 				break
 			}
 		}
@@ -179,18 +178,6 @@ func importAllocFact(pass *lint.Pass, fn *types.Func) (Fact, bool) {
 	}
 	f, ok := v.(Fact)
 	return f, ok
-}
-
-func isAnnotated(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, directive) {
-			return true
-		}
-	}
-	return false
 }
 
 // finding is one allocating construct, for summary mode.
@@ -278,10 +265,10 @@ func (w *walker) walk(n ast.Node, inPanic bool) {
 // children were handled manually.
 func (w *walker) visitCall(call *ast.CallExpr, inPanic bool) bool {
 	info := w.pass.TypesInfo
-	name, obj := calleeName(info, call)
+	obj := lint.CalleeObject(info, call)
 
 	switch {
-	case obj == nil && name == "": // dynamic call through a value
+	case obj == nil: // dynamic call through a value
 		return true
 	case isBuiltin(obj, "panic"):
 		// Cold path: walk arguments with the exemption set.
@@ -301,11 +288,11 @@ func (w *walker) visitCall(call *ast.CallExpr, inPanic bool) bool {
 		if !inPanic {
 			w.report(call.Pos(), "append in hot path %s may grow its backing array; size buffers at construction time", w.fn)
 		}
-	case obj != nil && isFmtCall(obj):
+	case isFmtCall(obj):
 		if !inPanic {
 			w.report(call.Pos(), "fmt call in hot path %s allocates (boxing and buffers); restrict formatting to error paths", w.fn)
 		}
-	case loopDrivers[name]:
+	case loopDrivers[obj.Name()]:
 		// Sanctioned iteration scaffolding: do not flag direct closure
 		// arguments and do not propagate into the driver, but do check
 		// the closure bodies (they hold the per-entity loops).
@@ -318,7 +305,7 @@ func (w *walker) visitCall(call *ast.CallExpr, inPanic bool) bool {
 		}
 		w.walk(call.Fun, inPanic)
 		return false
-	case obj != nil:
+	default:
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil {
 			break
@@ -330,65 +317,11 @@ func (w *walker) visitCall(call *ast.CallExpr, inPanic bool) bool {
 		w.cross = append(w.cross, crossCall{fn: fn, pos: call.Pos()})
 		if w.hot && !inPanic {
 			if f, ok := importAllocFact(w.pass, fn); ok {
-				w.report(call.Pos(), "call to %s in hot path %s allocates: %s", calleeLabel(fn), w.fn, f.Reason)
+				w.report(call.Pos(), "call to %s in hot path %s allocates: %s", lint.FuncLabel(fn), w.fn, f.Reason)
 			}
 		}
 	}
 	return true
-}
-
-// calleeLabel renders pkg.Func or pkg.Type.Method for messages.
-func calleeLabel(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Name() + "."
-	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := types.Unalias(t).(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := types.Unalias(t).(*types.Named); ok {
-			return pkg + named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return pkg + fn.Name()
-}
-
-// shortFile trims the path to its last two elements for messages.
-func shortFile(path string) string {
-	parts := strings.Split(path, "/")
-	if len(parts) <= 2 {
-		return path
-	}
-	return strings.Join(parts[len(parts)-2:], "/")
-}
-
-// calleeName resolves the called function's name and object, seeing
-// through selectors and generic instantiations.
-func calleeName(info *types.Info, call *ast.CallExpr) (string, types.Object) {
-	fun := call.Fun
-	for {
-		switch f := fun.(type) {
-		case *ast.ParenExpr:
-			fun = f.X
-			continue
-		case *ast.IndexExpr: // explicit generic instantiation f[T](...)
-			fun = f.X
-			continue
-		case *ast.IndexListExpr:
-			fun = f.X
-			continue
-		}
-		break
-	}
-	switch f := fun.(type) {
-	case *ast.Ident:
-		return f.Name, info.Uses[f]
-	case *ast.SelectorExpr:
-		return f.Sel.Name, info.Uses[f.Sel]
-	}
-	return "", nil
 }
 
 func isBuiltin(obj types.Object, name string) bool {

@@ -120,7 +120,7 @@ func checkBlock(pass *lint.Pass, stmts []ast.Stmt) {
 		// end, which the scan below already assumes when no inline
 		// unlock is found.
 		var acquired []string
-		straightLine(st, func(n ast.Node) {
+		lint.StraightLine(st, func(n ast.Node) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return
@@ -275,19 +275,4 @@ func recvIsResponseWriter(sig *types.Signature) bool {
 	obj := named.Obj()
 	return obj.Name() == "ResponseWriter" && obj.Pkg() != nil &&
 		strings.HasSuffix(obj.Pkg().Path(), "net/http")
-}
-
-// straightLine visits st without descending into nested blocks or
-// function literals.
-func straightLine(st ast.Stmt, f func(ast.Node)) {
-	ast.Inspect(st, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.BlockStmt, *ast.FuncLit:
-			return false
-		}
-		if n != nil {
-			f(n)
-		}
-		return true
-	})
 }

@@ -195,48 +195,3 @@ func TestDrainTimings(t *testing.T) {
 		t.Errorf("scalar path recorded engine timing %s", name)
 	})
 }
-
-// TestEnsemblePropagation: knob setters reach every member, and the
-// ensemble output matches averaging oracle members exactly when run in
-// FP64.
-func TestEnsemblePropagation(t *testing.T) {
-	nlev := 6
-	a := trainedSuite(t, nlev, 29)
-	b := trainedSuite(t, nlev, 31)
-	ens := NewEnsemble(a, b)
-
-	ens.SetWorkers(3)
-	if a.inf.workers != 3 || b.inf.workers != 3 {
-		t.Error("SetWorkers did not propagate")
-	}
-	ens.SetPrecision(precision.Mixed)
-	if a.inf.mode != precision.Mixed || b.inf.mode != precision.Mixed {
-		t.Error("SetPrecision did not propagate")
-	}
-	ens.SetPrecision(precision.DP)
-	ens.SetScalarOracle(true)
-	if !a.inf.scalar || !b.inf.scalar {
-		t.Error("SetScalarOracle did not propagate")
-	}
-
-	in := physInput(5, nlev)
-	tskin0 := append([]float64(nil), in.Tskin...)
-	ref := physics.NewOutput(5, nlev)
-	ens.Compute(in, ref, 600)
-
-	ens.SetScalarOracle(false)
-	copy(in.Tskin, tskin0)
-	got := physics.NewOutput(5, nlev)
-	ens.Compute(in, got, 600)
-	for i := range ref.Q1 {
-		if got.Q1[i] != ref.Q1[i] {
-			t.Fatalf("ensemble batched diverges from oracle at %d", i)
-		}
-	}
-
-	n := 0
-	ens.DrainTimings(func(string, time.Duration, int) { n++ })
-	if n == 0 {
-		t.Error("ensemble drained no engine timings")
-	}
-}

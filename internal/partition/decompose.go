@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"gristgo/internal/detrand"
 	"gristgo/internal/mesh"
 )
 
@@ -75,6 +76,16 @@ func DecomposeWeighted(m *mesh.Mesh, nparts int, seed int64, cellW []int32) (*De
 		}
 	}
 	return d, nil
+}
+
+// EpochSeed derives the partitioner seed of a decomposition epoch from
+// the run's base seed — a splitmix64 step (detrand.SeedAt), so
+// successive epochs explore independent cut refinements while staying
+// reproducible from (seed, epoch) alone.
+//
+//grist:bitwise
+func EpochSeed(seed int64, epoch int) int64 {
+	return detrand.SeedAt(seed, epoch)
 }
 
 // MustDecompose is Decompose for static configurations whose part count

@@ -351,72 +351,3 @@ func TestDecomposeWeightedBalancesWeight(t *testing.T) {
 		}
 	}
 }
-
-func TestElasticResizeDeterministicEpochs(t *testing.T) {
-	m := mesh.New(3)
-	e1, err := NewElastic(m, 42, []int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1.Epoch() != 0 || e1.Decomposition().Epoch != 0 || e1.Decomposition().NParts != 4 {
-		t.Fatalf("fresh elastic: epoch %d, nparts %d", e1.Epoch(), e1.Decomposition().NParts)
-	}
-	// Two handles replaying the same membership history agree bit-for-bit
-	// at every epoch — the property the two-phase membership agreement
-	// relies on (no part map is ever communicated, only the member list).
-	e2, _ := NewElastic(m, 42, []int{0, 1, 2, 3})
-	history := [][]int{{0, 2, 3}, {0, 2, 3, 4}, {0, 2, 3, 4}}
-	for step, members := range history {
-		d1, err1 := e1.Resize(members)
-		d2, err2 := e2.Resize(members)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if d1.Epoch != step+1 || e1.Epoch() != step+1 {
-			t.Fatalf("resize %d: epoch %d", step, d1.Epoch)
-		}
-		for c := range d1.Part {
-			if d1.Part[c] != d2.Part[c] {
-				t.Fatalf("resize %d: replayed handles disagree at cell %d", step, c)
-			}
-		}
-		for p := 0; p < d1.NParts; p++ {
-			if len(d1.Owned[p]) == 0 {
-				t.Fatalf("resize %d: part %d empty", step, p)
-			}
-		}
-	}
-	// Same member count, different epoch: the seed moved, and the
-	// mapping part -> node tracks the sorted member list.
-	if got := e1.NodeOf(3); got != 4 {
-		t.Fatalf("NodeOf(3) = %d, want 4", got)
-	}
-	if e1.PartOf(1) != -1 || e1.PartOf(2) != 1 {
-		t.Fatalf("PartOf: node1=%d node2=%d", e1.PartOf(1), e1.PartOf(2))
-	}
-}
-
-func TestElasticResizeRejectsBadMembership(t *testing.T) {
-	m := mesh.New(0)
-	e, err := NewElastic(m, 1, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := e.Epoch()
-	if _, err := e.Resize(nil); err == nil {
-		t.Fatal("empty membership accepted")
-	}
-	if _, err := e.Resize([]int{0, 1, 1}); err == nil {
-		t.Fatal("duplicate member accepted")
-	}
-	members := make([]int, m.NCells+1)
-	for i := range members {
-		members[i] = i
-	}
-	if _, err := e.Resize(members); !errors.Is(err, ErrEmptyParts) {
-		t.Fatalf("oversized membership: got %v, want ErrEmptyParts", err)
-	}
-	if e.Epoch() != before {
-		t.Fatal("failed Resize mutated the handle")
-	}
-}

@@ -7,7 +7,7 @@
 //
 // The model is mechanistic where the paper names a mechanism:
 //   - per-element kernel costs and job-server launch overheads follow
-//     the sunway/swgomp cost model;
+//     the sunway cost model;
 //   - halo sizes follow the partitioner's surface/volume scaling, and
 //     message costs follow the netsim fat tree, with the 16:3
 //     oversubscription charged on cross-supernode traffic (the Fig. 10
