@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-baseline lint-sarif test pin pin-update profile-step race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve serve-smoke bench-obs bench-check
+.PHONY: check build vet lint lint-baseline test pin pin-update profile-step race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve serve-smoke bench-obs bench-check
 
 check: build vet lint test race
 
@@ -15,8 +15,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The domain analyzers (precisioncheck, hotpathalloc, sendownership,
-# stencilsafety, determinism, epochsafety, durability, locksafety — see
+# The seven domain analyzers (precisioncheck, hotpathalloc,
+# sendownership, stencilsafety, determinism, durability, locksafety — see
 # DESIGN.md "Statically enforced invariants"). gristlint exits nonzero
 # on any unsuppressed diagnostic or when the tree holds more
 # //lint:ignore suppressions than lint.baseline.json budgets, so `make
@@ -28,11 +28,6 @@ lint:
 
 lint-baseline:
 	$(GO) run ./cmd/gristlint -write-baseline lint.baseline.json ./...
-
-# SARIF artifact for code-hosting annotation (CI uploads this).
-lint-sarif:
-	$(GO) run ./cmd/gristlint -format sarif -o gristlint.sarif ./... || true
-	@test -s gristlint.sarif
 
 test:
 	$(GO) test ./...
@@ -86,10 +81,15 @@ fuzz-smoke:
 	$(FUZZ) -fuzz '^FuzzQueryArgs$$' ./internal/serve/
 
 # Non-test Go lines per internal/ package (its directory, not the
-# subpackages) and their total — the instrument of ROADMAP aim 2: a PR
-# that claims to simplify quotes this before and after.
+# subpackages), their total, and the lint tree on its own line (the
+# framework, every analyzer package and the gristlint driver; fixtures
+# excluded) — the instrument of ROADMAP aim 2: a PR that claims to
+# simplify quotes this before and after.
+NONTEST = -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*'
 loc:
-	@for d in internal/*/; do printf '%7d %s\n' $$(ls $$d*.go | grep -v _test.go | xargs cat | wc -l) $$d; done; printf '%7d total\n' $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)
+	@for d in internal/*/; do printf '%7d %s\n' $$(ls $$d*.go | grep -v _test.go | xargs cat | wc -l) $$d; done; \
+	printf '%7d total\n' $$(find internal $(NONTEST) | xargs cat | wc -l); \
+	printf '%7d lint tree (internal/lint/** + cmd/gristlint)\n' $$(find internal/lint cmd/gristlint $(NONTEST) | xargs cat | wc -l)
 
 # The importer ledger of ROADMAP aim 2: every internal/ package that
 # nothing under cmd/, benchmark or examples/ reaches outside test files.

@@ -5,13 +5,12 @@
 //	sendownership   no buffer reuse while a comm round owns it
 //	stencilsafety   adjacency-walking kernels registered against overlap.go
 //	determinism     bitwise-reproducible //grist:bitwise paths (cross-package facts)
-//	epochsafety     no stale layouts/plans after SwapLayout/SetPlan/Redistribute
 //	durability      no dropped or shadowed errors on //grist:durable paths
 //	locksafety      no blocking calls while a sync mutex is held
 //
 // Usage:
 //
-//	gristlint [-only name[,name]] [-format text|json|sarif] [-o file]
+//	gristlint [-only name[,name]] [-format text|json] [-o file]
 //	          [-baseline file] [-write-baseline file] [packages]
 //
 // Packages default to ./... resolved against the enclosing module.
@@ -19,13 +18,13 @@
 // (the reason is mandatory). -baseline enforces the suppression budget:
 // the run fails if the tree holds more //lint:ignore directives per
 // analyzer than the baseline records, so suppressions ratchet down, not
-// up. -write-baseline records the current counts. -format sarif emits
-// SARIF 2.1.0 for code-hosting annotation; -format json a flat array.
+// up. -write-baseline records the current counts. -format json emits a
+// flat array of findings ([] when clean) for scripts and CI.
 // Exit status 1 when any diagnostic or budget violation survives.
 //
 // The loader type-checks the module and its stdlib imports from source,
-// so gristlint needs no module cache, no network, and no go/packages —
-// see internal/lint for the framework.
+// so gristlint needs no module cache and no network; the framework in
+// internal/lint is stdlib-only.
 package main
 
 import (
@@ -37,7 +36,6 @@ import (
 	"gristgo/internal/lint"
 	"gristgo/internal/lint/determinism"
 	"gristgo/internal/lint/durability"
-	"gristgo/internal/lint/epochsafety"
 	"gristgo/internal/lint/hotpathalloc"
 	"gristgo/internal/lint/locksafety"
 	"gristgo/internal/lint/precisioncheck"
@@ -51,7 +49,6 @@ var analyzers = []*lint.Analyzer{
 	sendownership.Analyzer,
 	stencilsafety.Analyzer,
 	determinism.Analyzer,
-	epochsafety.Analyzer,
 	durability.Analyzer,
 	locksafety.Analyzer,
 }
@@ -59,7 +56,7 @@ var analyzers = []*lint.Analyzer{
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	format := flag.String("format", "text", "output format: text, json or sarif")
+	format := flag.String("format", "text", "output format: text or json")
 	out := flag.String("o", "", "write output to file (default stdout)")
 	baseline := flag.String("baseline", "", "enforce the //lint:ignore suppression budget recorded in this file")
 	writeBaseline := flag.String("write-baseline", "", "record current //lint:ignore counts to this file and exit")
@@ -151,13 +148,8 @@ func main() {
 		if err == nil {
 			rendered = append(rendered, '\n')
 		}
-	case "sarif":
-		rendered, err = lint.EncodeSARIF(diags, loader.Fset(), loader.ModuleRoot(), active)
-		if err == nil {
-			rendered = append(rendered, '\n')
-		}
 	default:
-		fmt.Fprintf(os.Stderr, "gristlint: unknown format %q (want text, json or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "gristlint: unknown format %q (want text or json)\n", *format)
 		os.Exit(2)
 	}
 	if err != nil {

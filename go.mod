@@ -2,11 +2,5 @@ module gristgo
 
 go 1.22
 
-// Pinned for the gristlint analyzers. The build environment is offline,
-// so internal/lint ships a stdlib-only framework whose API mirrors
-// golang.org/x/tools/go/analysis; nothing imports the module yet. The
-// pin fixes the version the analyzers will port onto (swap the
-// internal/lint imports for go/analysis + go/packages) once a module
-// cache or vendor tree is available — run `go mod tidy && go mod vendor`
-// at that point to materialize go.sum.
-require golang.org/x/tools v0.24.0
+// No requirements: the module, including the gristlint framework in
+// internal/lint, builds from the standard library alone, offline.

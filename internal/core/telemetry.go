@@ -8,12 +8,10 @@ package core
 // single switch.
 
 import (
-	"math"
 	"time"
 
 	"gristgo/internal/diag"
 	"gristgo/internal/telemetry"
-	"gristgo/internal/tracer"
 )
 
 // secondsPerYear converts simulated seconds to simulated years for the
@@ -85,14 +83,6 @@ func (mod *Model) EnableTelemetry(reg *telemetry.Registry, rec *telemetry.Record
 	}
 	mod.tel = tel
 	return tel
-}
-
-// SetTracerTelemetry is the Transport leg of EnableTelemetry, exposed so
-// drivers replacing mod.Transport after wiring can re-attach.
-func (mod *Model) SetTracerTelemetry(tr tracer.Transport) {
-	if mod.tel != nil {
-		tr.SetTelemetry(mod.tel.Rec, 0)
-	}
 }
 
 // beginStep stamps the recorder with the upcoming physics step index and
@@ -170,29 +160,4 @@ func globalDryMass(mod *Model) float64 {
 		total += col * m.CellArea[c]
 	}
 	return total
-}
-
-// LoadImbalance returns max/mean of the per-rank wall times — 1.0 is a
-// perfectly balanced step, 2.0 means the slowest rank took twice the
-// average and half the machine idled waiting for it.
-func LoadImbalance(rankWall []time.Duration) float64 {
-	if len(rankWall) == 0 {
-		return 0
-	}
-	var sum, max time.Duration
-	for _, w := range rankWall {
-		sum += w
-		if w > max {
-			max = w
-		}
-	}
-	mean := float64(sum) / float64(len(rankWall))
-	if mean <= 0 {
-		return 0
-	}
-	r := float64(max) / mean
-	if math.IsNaN(r) {
-		return 0
-	}
-	return r
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"gristgo/internal/diag"
 	"gristgo/internal/dycore"
@@ -170,22 +169,5 @@ func TestSentinelTripDegradesPhysics(t *testing.T) {
 	}
 	if mod.tel.Health.TotalTrips() == 0 {
 		t.Fatal("no sentinel trip recorded despite NaN in state")
-	}
-}
-
-func TestLoadImbalance(t *testing.T) {
-	if got := LoadImbalance(nil); got != 0 {
-		t.Errorf("LoadImbalance(nil) = %v", got)
-	}
-	if got := LoadImbalance([]time.Duration{0, 0}); got != 0 {
-		t.Errorf("LoadImbalance(zeros) = %v", got)
-	}
-	even := []time.Duration{time.Second, time.Second}
-	if got := LoadImbalance(even); got != 1 {
-		t.Errorf("LoadImbalance(even) = %v, want 1", got)
-	}
-	skew := []time.Duration{time.Second, 3 * time.Second}
-	if got := LoadImbalance(skew); got != 1.5 {
-		t.Errorf("LoadImbalance(skewed) = %v, want 1.5", got)
 	}
 }

@@ -377,72 +377,6 @@ func TestSpongeRateProfile(t *testing.T) {
 	}
 }
 
-// TestHyperdiffusionScaleSelectivity: del^4 must damp a grid-scale
-// (checkerboard-like) wind perturbation much faster than a planetary-
-// scale one, relative to what del^2 does.
-func TestHyperdiffusionScaleSelectivity(t *testing.T) {
-	m := testMesh(t, 3)
-	nlev := 4
-
-	energy := func(u []float64, edges []int32) float64 {
-		var s float64
-		for _, e := range edges {
-			s += u[int(e)*nlev] * u[int(e)*nlev]
-		}
-		return s
-	}
-	all := mesh.IdentityIDs(m.NEdges)
-
-	run := func(hyper bool, gridScale bool) float64 {
-		eng := New(m, nlev, precision.DP)
-		if hyper {
-			eng.EnableHyperdiffusion()
-		}
-		s := eng.State()
-		s.IsothermalRest(280)
-		for e := 0; e < m.NEdges; e++ {
-			var amp float64
-			if gridScale {
-				amp = 2 * float64(e%2*2-1) // alternating-sign noise
-			} else {
-				lat, _ := m.EdgePos[e].LatLon()
-				amp = 2 * math.Sin(lat)
-			}
-			for k := 0; k < nlev; k++ {
-				s.U[e*nlev+k] = amp
-			}
-		}
-		e0 := energy(s.U, all)
-		for i := 0; i < 10; i++ {
-			eng.Step(60)
-		}
-		return energy(s.U, all) / e0
-	}
-
-	// Hyperdiffusion kills grid noise hard...
-	noiseH := run(true, true)
-	if noiseH > 0.5 {
-		t.Errorf("hyperdiffusion retained %.3f of grid noise", noiseH)
-	}
-	// ...while sparing the planetary scale far more than it spares noise.
-	smoothH := run(true, false)
-	if smoothH < 2*noiseH {
-		t.Errorf("hyperdiffusion not scale-selective: smooth %.3f vs noise %.3f", smoothH, noiseH)
-	}
-}
-
-func TestHyperdiffusionRejectsDistributed(t *testing.T) {
-	m := testMesh(t, 2)
-	eng := New(m, 4, precision.DP)
-	eng.SetOwned(&OwnedSets{})
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic enabling hyperdiffusion on a distributed engine")
-		}
-	}()
-	eng.EnableHyperdiffusion()
-}
-
 // The kernels store each per-cell quantity once; the spellings they
 // replaced recomputed it per reader. Those spellings live on here as the
 // references the stored arrays must equal bit for bit.

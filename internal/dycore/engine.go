@@ -48,9 +48,6 @@ type Engine interface {
 	// rank's share of it — across n host workers (shared-memory OpenMP
 	// analog; 0/1 = serial, negative = all CPUs).
 	SetHostParallelism(n int)
-	// EnableHyperdiffusion replaces the del^2 closure with scale-
-	// selective del^4 (serial engines only).
-	EnableHyperdiffusion()
 	// SetTelemetry attaches a flight recorder: every Step emits a
 	// dyn_step span enclosing the stage phases (halo_start, interior,
 	// halo_finish, boundary, implicit_vertical), attributed to rank. A
@@ -111,7 +108,7 @@ type engine[T precision.Real] struct {
 
 	// sets is the iteration space of every loop: the whole mesh until
 	// SetOwned narrows it to one rank's share. owned is kept for its
-	// Start/Finish hooks and the hyperdiffusion guard (nil: full mesh).
+	// Start/Finish hooks (nil: full mesh).
 	owned *OwnedSets
 	sets  splitSets
 
@@ -159,14 +156,9 @@ type engine[T precision.Real] struct {
 	// across goroutines and steps (constructor set in newEngine).
 	implicitPool sync.Pool
 
-	// Horizontal diffusion coefficients, scaled with mesh spacing at
-	// construction: nu is the del^2 background, nu4 the optional
-	// scale-selective del^4 (enabled by EnableHyperdiffusion).
-	nu  float64
-	nu4 float64
-
-	// lapU holds the vector Laplacian of u when hyperdiffusion is on.
-	lapU []float64
+	// nu is the del^2 background diffusion coefficient, scaled with mesh
+	// spacing at construction.
+	nu float64
 }
 
 func newEngine[T precision.Real](s *State, mode precision.Mode) *engine[T] {
@@ -251,23 +243,6 @@ func (e *engine[T]) SetOwned(o *OwnedSets) {
 	} else {
 		e.sets = buildSplit(e.s.M, o)
 	}
-}
-
-// EnableHyperdiffusion switches the background del^2 closure to a
-// scale-selective del^4 hyperdiffusion (the higher-order dissipation
-// real GSRMs use: it damps grid-scale noise hard while leaving resolved
-// scales nearly untouched). Serial (full-mesh) runs only: the del^4
-// stencil spans two rings, beyond the distributed halo.
-func (e *engine[T]) EnableHyperdiffusion() {
-	if e.owned != nil {
-		panic("dycore: hyperdiffusion requires a full-mesh (serial) engine")
-	}
-	m := e.s.M
-	meanDx := meanEdgeLength(m)
-	// nu4 ~ dx^4 / tau with tau ~ 2h at the grid scale.
-	e.nu4 = meanDx * meanDx * meanDx * meanDx / 7200.0
-	e.nu = 0
-	e.lapU = make([]float64, m.NEdges*e.s.NLev)
 }
 
 func (e *engine[T]) hookStart() {
@@ -381,20 +356,14 @@ const (
 // delta-pi, Theta and u into dMass, dTheta, dU over the given region.
 func (e *engine[T]) computeTendencies(reg region) {
 	sp := &e.sets
-	diag, u := sp.diag.of(reg), sp.u.of(reg)
+	diag := sp.diag.of(reg)
 	e.computeRRR(diag)
 	e.primalNormalFluxEdge(sp.flux.of(reg))
 	e.computeKineticEnergy(diag)
 	e.computeVorticity(sp.vert.of(reg))
 	e.tangentialWinds(sp.vtan.of(reg))
-
-	// The del^4 stencil reads the Laplacian two rings out, so a pass with
-	// momentum edges needs it on all of them.
-	if e.nu4 > 0 && len(u) > 0 {
-		e.vectorLaplacian(e.lapU, sp.u.ids)
-	}
 	e.continuityAndThermo(sp.tend.of(reg))
-	e.momentum(u)
+	e.momentum(sp.u.of(reg))
 }
 
 // computeRRR diagnoses the reciprocal density (specific volume)
@@ -564,65 +533,6 @@ func (e *engine[T]) continuityAndThermo(ids []int32) {
 	})
 }
 
-// vectorLaplacian evaluates the TRiSK vector Laplacian of the current
-// normal winds into dst over the given edges: L(u)_e = grad(div u)_e -
-// curl(zeta)_e, from the div and zeta work arrays (assumed fresh from
-// computeKineticEnergy and computeVorticity).
-//
-//grist:hotpath
-func (e *engine[T]) vectorLaplacian(dst []float64, ids []int32) {
-	s := e.s
-	m := s.M
-	nlev := s.NLev
-	e.parallelFor(ids, func(ids []int32) {
-		for _, ed := range ids {
-			c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
-			v0, v1 := m.EdgeVert[ed][0], m.EdgeVert[ed][1]
-			invDc := 1.0 / m.DcEdge[ed]
-			invDv := 1.0 / m.DvEdge[ed]
-			for k := 0; k < nlev; k++ {
-				dst[int(ed)*nlev+k] = (e.div[int(c1)*nlev+k]-e.div[int(c0)*nlev+k])*invDc -
-					(float64(e.zeta[int(v1)*nlev+k])-float64(e.zeta[int(v0)*nlev+k]))*invDv
-			}
-		}
-	})
-}
-
-// lapOfField computes div/curl of an arbitrary edge field (for the
-// second application of the Laplacian in del^4). The div/curl loops are
-// written out flat: this runs per (edge, level) inside momentum, and
-// per-call closures here would be heap traffic in the hottest loop of
-// the hyperdiffusion path.
-//
-//grist:hotpath
-func (e *engine[T]) lapOfField(u []float64, ed int32, k int) float64 {
-	m := e.s.M
-	nlev := e.s.NLev
-	c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
-	v0, v1 := m.EdgeVert[ed][0], m.EdgeVert[ed][1]
-	var div0, div1 float64
-	for kk := m.CellOff[c0]; kk < m.CellOff[c0+1]; kk++ {
-		ee := m.CellEdge[kk]
-		div0 += float64(m.CellEdgeSign[kk]) * u[int(ee)*nlev+k] * m.DvEdge[ee]
-	}
-	div0 /= m.CellArea[c0]
-	for kk := m.CellOff[c1]; kk < m.CellOff[c1+1]; kk++ {
-		ee := m.CellEdge[kk]
-		div1 += float64(m.CellEdgeSign[kk]) * u[int(ee)*nlev+k] * m.DvEdge[ee]
-	}
-	div1 /= m.CellArea[c1]
-	var curl0, curl1 float64
-	for j := 0; j < 3; j++ {
-		e0 := m.VertEdge[v0][j]
-		curl0 += float64(m.VertEdgeSign[v0][j]) * u[int(e0)*nlev+k] * m.DcEdge[e0]
-		e1 := m.VertEdge[v1][j]
-		curl1 += float64(m.VertEdgeSign[v1][j]) * u[int(e1)*nlev+k] * m.DcEdge[e1]
-	}
-	curl0 /= m.VertArea[v0]
-	curl1 /= m.VertArea[v1]
-	return (div1-div0)/m.DcEdge[ed] - (curl1-curl0)/m.DvEdge[ed]
-}
-
 // momentum assembles the edge-normal velocity tendency:
 // Coriolis + vorticity flux (insensitive, T), kinetic-energy gradient
 // (insensitive, T), pressure-gradient force (sensitive, float64), and
@@ -662,16 +572,10 @@ func (e *engine[T]) momentum(ids []int32) {
 				rrrE := 0.5 * (float64(e.rrr[i0]) + float64(e.rrr[i1]))
 				pgf := (e.phm[i1] - e.phm[i0] + rrrE*(e.pnh[i1]-e.pnh[i0])) * invDc
 
-				// Scale-selective diffusion (insensitive): del^2 background
-				// or del^4 hyperdiffusion when enabled (note the sign flip:
-				// -nu4 * L(L(u)) damps).
-				var lap float64
-				if e.nu4 > 0 {
-					lap = -e.nu4 * e.lapOfField(e.lapU, ed, k)
-				} else {
-					lap = e.nu * ((e.div[i1]-e.div[i0])*invDc -
-						(float64(e.zeta[int(v1)*nlev+k])-float64(e.zeta[int(v0)*nlev+k]))*invDv)
-				}
+				// Scale-selective diffusion (insensitive): the del^2
+				// background.
+				lap := e.nu * ((e.div[i1]-e.div[i0])*invDc -
+					(float64(e.zeta[int(v1)*nlev+k])-float64(e.zeta[int(v0)*nlev+k]))*invDv)
 
 				// Model-top sponge: Rayleigh damping of the winds in the
 				// top layers absorbs upward-propagating waves instead of

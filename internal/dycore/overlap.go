@@ -193,8 +193,6 @@ var stencilRegistry = map[string]string{
 	"tangentialVelocityLevels":    "split:vtan — TRiSK neighborhood, boundary = edges with tainted TRiSK stencil",
 	"engine.continuityAndThermo":  "split:tend — flux divergence, boundary = cells with tainted fluxes",
 	"engine.momentum":             "split:u — widest stencil, boundary = edges with any tainted input",
-	"engine.lapOfField":           "exempt: del^4 hyperdiffusion, serial full-mesh engines only",
-	"engine.vectorLaplacian":      "exempt: del^4 hyperdiffusion, serial full-mesh engines only",
 	"engine.VorticityAtLevel":     "exempt: serial diagnostic over the full mesh, no overlap window",
 	"State.TotalEnergy":           "exempt: serial diagnostic over the full mesh, no overlap window",
 	"buildSplit":                  "exempt: the taint machinery itself, runs once at SetOwned",

@@ -11,10 +11,8 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"os"
 	"sort"
-	"strings"
 )
 
 // Baseline is the recorded suppression budget: //lint:ignore directive
@@ -24,34 +22,16 @@ type Baseline struct {
 }
 
 // CountIgnores tallies the well-formed //lint:ignore directives of the
-// given packages per analyzer name. A directive naming several
-// analyzers counts once for each; malformed directives (no reason) are
+// given packages per analyzer name. Malformed directives (no reason) are
 // excluded — they are diagnostics, not suppressions.
 func CountIgnores(pkgs []*Package) map[string]int {
 	counts := make(map[string]int)
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			countFileIgnores(f, counts)
+		for name, n := range collectIgnores(pkg.Fset, pkg.Files).counts {
+			counts[name] += n
 		}
 	}
 	return counts
-}
-
-func countFileIgnores(f *ast.File, counts map[string]int) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, ignorePrefix) {
-				continue
-			}
-			fields := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
-			if len(fields) < 2 {
-				continue // malformed: reported by collectIgnores, not budgeted
-			}
-			for _, name := range strings.Split(fields[0], ",") {
-				counts[name]++
-			}
-		}
-	}
 }
 
 // ReadBaseline loads a baseline file.

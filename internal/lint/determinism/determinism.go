@@ -58,213 +58,91 @@ const directive = "//grist:bitwise"
 // never feed state back into the model).
 var exemptCalleeSuffixes = []string{"internal/detrand", "internal/telemetry"}
 
-// Fact is the per-function determinism summary exported for
-// cross-package propagation: present means the function (transitively)
-// contains a nondeterministic construct, and Reason says which.
-type Fact struct {
-	Reason string
-}
-
-// finding is one position-precise nondeterministic construct.
-type finding struct {
-	pos token.Pos
-	msg string
-}
-
-// callSite is one statically resolved call out of a function.
-type callSite struct {
-	obj *types.Func
-	pos token.Pos
-}
-
-// fnSummary is the per-function analysis result.
-type fnSummary struct {
-	decl     *ast.FuncDecl
-	findings []finding
-	samePkg  []callSite // callees declared in this package
-	crossPkg []callSite // callees declared elsewhere
-}
-
 func run(pass *lint.Pass) error {
-	info := pass.TypesInfo
+	r := lint.NewReach(pass, directive, exemptCallee)
 
-	sums := make(map[types.Object]*fnSummary)
-	var roots []types.Object
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj := info.Defs[fd.Name]
-			if obj == nil {
-				continue
-			}
-			sums[obj] = analyzeFunc(pass, fd)
-			if lint.HasDirective(fd, directive) {
-				roots = append(roots, obj)
-			}
-		}
-	}
+	// A nondeterminism fact for every declaration: later packages check
+	// their bitwise paths' calls into this one against them.
+	r.ExportFacts("is nondeterministic", func(fn *lint.ReachFunc) []lint.Diagnostic {
+		return findings(pass.TypesInfo, fn.Decl.Body)
+	})
 
-	// Transitive nondeterminism fixpoint over the package: a function is
-	// nondeterministic if it contains a construct itself, calls a
-	// same-package function that is, or calls a cross-package function
-	// whose exported fact says so.
-	reason := make(map[types.Object]string)
-	for obj, s := range sums {
-		if len(s.findings) > 0 {
-			pos := pass.Fset.Position(s.findings[0].pos)
-			reason[obj] = fmt.Sprintf("%s (%s:%d)", s.findings[0].msg, lint.ShortFile(pos.Filename), pos.Line)
+	// Position-precise findings in every function reachable from a
+	// //grist:bitwise root, and calls that cross into a package whose
+	// summary is nondeterministic.
+	for _, fn := range r.Reached() {
+		name := fn.Decl.Name.Name
+		for _, f := range fn.Findings {
+			pass.Reportf(f.Pos, "%s in bitwise-critical %s", f.Message, name)
 		}
-	}
-	for obj, s := range sums {
-		if _, done := reason[obj]; done {
-			continue
-		}
-		for _, c := range s.crossPkg {
-			if f, ok := importFact(pass, c.obj); ok {
-				reason[obj] = fmt.Sprintf("calls %s, which is nondeterministic: %s", lint.FuncLabel(c.obj), f.Reason)
-				break
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, s := range sums {
-			if _, done := reason[obj]; done {
-				continue
-			}
-			for _, c := range s.samePkg {
-				if r, ok := reason[c.obj.Origin()]; ok {
-					reason[obj] = fmt.Sprintf("calls %s, which is nondeterministic: %s", c.obj.Name(), r)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for obj := range sums {
-		if r, ok := reason[obj]; ok {
-			pass.ExportObjectFact(obj, Fact{Reason: r})
-		}
-	}
-
-	// Report position-precise findings in every function reachable from
-	// a //grist:bitwise root through same-package calls, and flag calls
-	// that cross into a package whose summary is nondeterministic.
-	checked := make(map[types.Object]bool)
-	work := append([]types.Object(nil), roots...)
-	for len(work) > 0 {
-		obj := work[0]
-		work = work[1:]
-		if checked[obj] {
-			continue
-		}
-		checked[obj] = true
-		s, ok := sums[obj]
-		if !ok {
-			continue
-		}
-		for _, f := range s.findings {
-			pass.Reportf(f.pos, "%s in bitwise-critical %s", f.msg, s.decl.Name.Name)
-		}
-		for _, c := range s.crossPkg {
-			if f, ok := importFact(pass, c.obj); ok {
-				pass.Reportf(c.pos, "call to %s in bitwise-critical %s is nondeterministic: %s",
-					lint.FuncLabel(c.obj), s.decl.Name.Name, f.Reason)
-			}
-		}
-		for _, c := range s.samePkg {
-			if !checked[c.obj.Origin()] {
-				work = append(work, c.obj.Origin())
+		for _, c := range fn.Cross {
+			if reason, ok := r.Fact(c.Fn); ok {
+				pass.Reportf(c.Pos, "call to %s in bitwise-critical %s is nondeterministic: %s",
+					lint.FuncLabel(c.Fn), name, reason)
 			}
 		}
 	}
 	return nil
 }
 
-// importFact resolves the callee's exported Fact, honoring the
-// whitelist.
-func importFact(pass *lint.Pass, fn *types.Func) (Fact, bool) {
-	if fn.Pkg() != nil {
-		path := fn.Pkg().Path()
-		for _, suf := range exemptCalleeSuffixes {
-			if strings.HasSuffix(path, suf) {
-				return Fact{}, false
-			}
+// exemptCallee honors the whitelist.
+func exemptCallee(fn *types.Func) bool {
+	for _, suf := range exemptCalleeSuffixes {
+		if strings.HasSuffix(fn.Pkg().Path(), suf) {
+			return true
 		}
 	}
-	v, ok := pass.ImportObjectFact(fn.Origin())
-	if !ok {
-		return Fact{}, false
-	}
-	f, ok := v.(Fact)
-	return f, ok
+	return false
 }
 
-// analyzeFunc walks one function body collecting nondeterministic
-// constructs and resolved call sites.
-func analyzeFunc(pass *lint.Pass, fd *ast.FuncDecl) *fnSummary {
-	info := pass.TypesInfo
-	s := &fnSummary{decl: fd}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+// findings walks one function body collecting its nondeterministic
+// constructs.
+func findings(info *types.Info, body *ast.BlockStmt) []lint.Diagnostic {
+	var out []lint.Diagnostic
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.RangeStmt:
 			if isMapType(info, x.X) && orderEscapes(info, x) {
-				s.findings = append(s.findings, finding{
-					pos: x.Pos(),
-					msg: fmt.Sprintf("map iteration order over %s escapes", types.ExprString(x.X)) +
+				out = append(out, lint.Diagnostic{
+					Pos: x.Pos(),
+					Message: fmt.Sprintf("map iteration order over %s escapes", types.ExprString(x.X)) +
 						"; collect and sort the keys first so every rank walks the same sequence",
 				})
 			}
 		case *ast.CallExpr:
-			s.visitCall(info, x, pass)
+			if msg := clockOrRand(info, x); msg != "" {
+				out = append(out, lint.Diagnostic{Pos: x.Pos(), Message: msg})
+			}
 		}
 		return true
 	})
-	return s
+	return out
 }
 
-func (s *fnSummary) visitCall(info *types.Info, call *ast.CallExpr, pass *lint.Pass) {
-	obj := lint.CalleeObject(info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return
+// clockOrRand describes call when it reads the wall clock or draws from
+// a global math/rand generator, "" otherwise.
+func clockOrRand(info *types.Info, call *ast.CallExpr) string {
+	fn, ok := lint.CalleeObject(info, call).(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return ""
 	}
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return
-	}
-	switch pkg.Path() {
+	switch fn.Pkg().Path() {
 	case "time":
 		switch fn.Name() {
 		case "Now", "Since", "Until":
-			s.findings = append(s.findings, finding{
-				pos: call.Pos(),
-				msg: fmt.Sprintf("wall-clock read time.%s", fn.Name()) +
-					"; bitwise paths must derive every decision from (seed, coordinates, epoch)",
-			})
+			return fmt.Sprintf("wall-clock read time.%s", fn.Name()) +
+				"; bitwise paths must derive every decision from (seed, coordinates, epoch)"
 		}
-		return
 	case "math/rand", "math/rand/v2":
 		// Only the global-generator draws (rand.Intn, rand.Float64, ...)
 		// are nondeterministic; the New* constructors build explicitly
 		// seeded generators, which are fine.
 		if fn.Type().(*types.Signature).Recv() == nil && !strings.HasPrefix(fn.Name(), "New") {
-			s.findings = append(s.findings, finding{
-				pos: call.Pos(),
-				msg: fmt.Sprintf("global math/rand draw rand.%s", fn.Name()) +
-					"; use internal/detrand, the sanctioned seeded source",
-			})
+			return fmt.Sprintf("global math/rand draw rand.%s", fn.Name()) +
+				"; use internal/detrand, the sanctioned seeded source"
 		}
-		return
 	}
-	if pkg == pass.Pkg {
-		s.samePkg = append(s.samePkg, callSite{obj: fn, pos: call.Pos()})
-	} else {
-		s.crossPkg = append(s.crossPkg, callSite{obj: fn, pos: call.Pos()})
-	}
+	return ""
 }
 
 // isMapType reports whether e's type is a map.

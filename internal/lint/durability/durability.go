@@ -7,8 +7,8 @@
 //
 //	//grist:durable
 //
-// in its doc comment — the atomic-write helper, shard writes, manifest
-// commit, parallel-IO owners, snapshot export — and every same-package
+// in its doc comment — the atomic-replace helper, shard writes, manifest
+// commit, redistribution, the restart file — and every same-package
 // function it statically calls must account for every error:
 //
 //   - a call whose error result is discarded outright (expression
@@ -83,51 +83,9 @@ var renameLabels = map[string]bool{
 var errorType = types.Universe.Lookup("error").Type()
 
 func run(pass *lint.Pass) error {
-	info := pass.TypesInfo
-
-	decls := make(map[types.Object]*ast.FuncDecl)
-	var roots []types.Object
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj := info.Defs[fd.Name]
-			if obj == nil {
-				continue
-			}
-			decls[obj] = fd
-			if lint.HasDirective(fd, directive) {
-				roots = append(roots, obj)
-			}
-		}
-	}
-
-	checked := make(map[types.Object]bool)
-	work := append([]types.Object(nil), roots...)
-	for len(work) > 0 {
-		obj := work[0]
-		work = work[1:]
-		if checked[obj] {
-			continue
-		}
-		checked[obj] = true
-		fd := decls[obj]
-		checkFunc(pass, fd)
-		// Same-package callees inherit the durable obligation.
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn, ok := lint.CalleeObject(info, call).(*types.Func); ok && fn.Pkg() == pass.Pkg {
-				if _, local := decls[fn.Origin()]; local && !checked[fn.Origin()] {
-					work = append(work, fn.Origin())
-				}
-			}
-			return true
-		})
+	// Same-package callees inherit the durable obligation.
+	for _, fn := range lint.NewReach(pass, directive, nil).Reached() {
+		checkFunc(pass, fn.Decl)
 	}
 	return nil
 }

@@ -47,176 +47,58 @@ var Analyzer = &lint.Analyzer{
 // directive marks a hot-path function in its doc comment.
 const directive = "//grist:hotpath"
 
-// Fact is the per-function allocation summary exported for
-// cross-package propagation: present means the function (transitively)
-// contains an allocating construct, and Reason says which.
-type Fact struct {
-	Reason string
-}
-
 // loopDrivers names the sanctioned iteration helper: a closure passed
-// directly to it is not reported (its body still is).
+// directly to it is not reported (its body still is), and the check
+// does not propagate into the driver itself.
 var loopDrivers = map[string]bool{"parallelFor": true}
 
 func run(pass *lint.Pass) error {
-	info := pass.TypesInfo
+	r := lint.NewReach(pass, directive, func(fn *types.Func) bool { return loopDrivers[fn.Name()] })
 
-	// Index this package's function declarations by their object.
-	decls := make(map[types.Object]*ast.FuncDecl)
-	var roots []*ast.FuncDecl
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj := info.Defs[fd.Name]; obj != nil {
-				decls[obj] = fd
-			}
-			if lint.HasDirective(fd, directive) {
-				roots = append(roots, fd)
-			}
+	// An "allocates" fact for every declaration, hot or not: later
+	// packages check their hot paths' calls into this one against them.
+	r.ExportFacts("allocates", func(fn *lint.ReachFunc) []lint.Diagnostic {
+		w := &walker{info: pass.TypesInfo, fn: fn.Decl.Name.Name}
+		w.walk(fn.Decl.Body, false)
+		return w.findings
+	})
+
+	for _, fn := range r.Reached() {
+		for _, f := range fn.Findings {
+			pass.Report(f)
 		}
-	}
-
-	// Export an "allocates" fact for every declaration, hot or not:
-	// later packages check their hot paths' calls into this one against
-	// these summaries.
-	exportAllocFacts(pass, decls)
-
-	if len(roots) == 0 {
-		return nil
-	}
-
-	// Worklist: every function reachable from an annotated root through
-	// statically resolved same-package calls is hot.
-	checked := make(map[*ast.FuncDecl]bool)
-	work := append([]*ast.FuncDecl(nil), roots...)
-	for len(work) > 0 {
-		fd := work[0]
-		work = work[1:]
-		if checked[fd] {
-			continue
-		}
-		checked[fd] = true
-		callees := checkBody(pass, fd)
-		for _, obj := range callees {
-			if cd, ok := decls[obj]; ok && !checked[cd] {
-				work = append(work, cd)
+		for _, c := range fn.Cross {
+			if reason, ok := r.Fact(c.Fn); ok && !inPanicArgs(pass.TypesInfo, fn.Decl.Body, c.Pos) {
+				pass.Reportf(c.Pos, "call to %s in hot path %s allocates: %s", lint.FuncLabel(c.Fn), fn.Decl.Name.Name, reason)
 			}
 		}
 	}
 	return nil
 }
 
-// exportAllocFacts computes the transitive allocates-summary of every
-// function in the package — own allocating constructs, same-package
-// callees (fixpoint), imported facts of cross-package callees — and
-// exports a Fact for each function that allocates.
-func exportAllocFacts(pass *lint.Pass, decls map[types.Object]*ast.FuncDecl) {
-	type summary struct {
-		first finding
-		has   bool
-		same  []types.Object
-		cross []crossCall
-	}
-	sums := make(map[types.Object]*summary, len(decls))
-	for obj, fd := range decls {
-		s := &summary{}
-		w := &walker{pass: pass, fn: fd.Name.Name, sink: func(pos token.Pos, msg string) {
-			if !s.has {
-				s.first, s.has = finding{pos: pos, msg: msg}, true
-			}
-		}}
-		w.walk(fd.Body, false)
-		s.same, s.cross = w.callees, w.cross
-		sums[obj] = s
-	}
-	reason := make(map[types.Object]string)
-	for obj, s := range sums {
-		if s.has {
-			pos := pass.Fset.Position(s.first.pos)
-			reason[obj] = fmt.Sprintf("%s (%s:%d)", s.first.msg, lint.ShortFile(pos.Filename), pos.Line)
-			continue
+// inPanicArgs reports whether pos lies inside the argument list of a
+// panic(...) in body — the cold path a hot function may allocate on.
+func inPanicArgs(info *types.Info, body *ast.BlockStmt, pos token.Pos) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && call.Lparen < pos && pos < call.Rparen &&
+			isBuiltin(lint.CalleeObject(info, call), "panic") {
+			found = true
 		}
-		for _, c := range s.cross {
-			if f, ok := importAllocFact(pass, c.fn); ok {
-				reason[obj] = fmt.Sprintf("calls %s, which allocates: %s", lint.FuncLabel(c.fn), f.Reason)
-				break
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, s := range sums {
-			if _, done := reason[obj]; done {
-				continue
-			}
-			for _, callee := range s.same {
-				co := callee
-				if fn, ok := co.(*types.Func); ok {
-					co = fn.Origin()
-				}
-				if r, ok := reason[co]; ok {
-					reason[obj] = fmt.Sprintf("calls %s, which allocates: %s", callee.Name(), r)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for obj, r := range reason {
-		pass.ExportObjectFact(obj, Fact{Reason: r})
-	}
+		return !found
+	})
+	return found
 }
 
-// importAllocFact resolves a cross-package callee's exported Fact.
-func importAllocFact(pass *lint.Pass, fn *types.Func) (Fact, bool) {
-	v, ok := pass.ImportObjectFact(fn.Origin())
-	if !ok {
-		return Fact{}, false
-	}
-	f, ok := v.(Fact)
-	return f, ok
-}
-
-// finding is one allocating construct, for summary mode.
-type finding struct {
-	pos token.Pos
-	msg string
-}
-
-// crossCall is one statically resolved call into another package.
-type crossCall struct {
-	fn  *types.Func
-	pos token.Pos
-}
-
-// walker carries the traversal state through one function body. In hot
-// mode (checkBody) findings become diagnostics and cross-package calls
-// are checked against imported facts; in summary mode (sink set by
-// exportAllocFacts) findings feed the function's exported summary.
+// walker collects the allocating constructs of one function body.
 type walker struct {
-	pass    *lint.Pass
-	fn      string
-	hot     bool
-	sink    func(token.Pos, string)
-	callees []types.Object
-	cross   []crossCall
+	info     *types.Info
+	fn       string
+	findings []lint.Diagnostic
 }
 
 func (w *walker) report(pos token.Pos, format string, args ...any) {
-	w.sink(pos, fmt.Sprintf(format, args...))
-}
-
-// checkBody reports allocating constructs in fd's body and returns the
-// statically resolved callees to propagate into.
-func checkBody(pass *lint.Pass, fd *ast.FuncDecl) []types.Object {
-	w := &walker{pass: pass, fn: fd.Name.Name, hot: true, sink: func(pos token.Pos, msg string) {
-		pass.Reportf(pos, "%s", msg)
-	}}
-	w.walk(fd.Body, false)
-	return w.callees
+	w.findings = append(w.findings, lint.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // walk visits n; inPanic marks subtrees inside panic(...) arguments.
@@ -224,7 +106,7 @@ func (w *walker) walk(n ast.Node, inPanic bool) {
 	if n == nil {
 		return
 	}
-	info := w.pass.TypesInfo
+	info := w.info
 	ast.Inspect(n, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.GoStmt:
@@ -264,8 +146,7 @@ func (w *walker) walk(n ast.Node, inPanic bool) {
 // visitCall classifies one call expression. Returns false when the
 // children were handled manually.
 func (w *walker) visitCall(call *ast.CallExpr, inPanic bool) bool {
-	info := w.pass.TypesInfo
-	obj := lint.CalleeObject(info, call)
+	obj := lint.CalleeObject(w.info, call)
 
 	switch {
 	case obj == nil: // dynamic call through a value
@@ -305,21 +186,6 @@ func (w *walker) visitCall(call *ast.CallExpr, inPanic bool) bool {
 		}
 		w.walk(call.Fun, inPanic)
 		return false
-	default:
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			break
-		}
-		if fn.Pkg() == w.pass.Pkg {
-			w.callees = append(w.callees, obj)
-			break
-		}
-		w.cross = append(w.cross, crossCall{fn: fn, pos: call.Pos()})
-		if w.hot && !inPanic {
-			if f, ok := importAllocFact(w.pass, fn); ok {
-				w.report(call.Pos(), "call to %s in hot path %s allocates: %s", lint.FuncLabel(fn), w.fn, f.Reason)
-			}
-		}
 	}
 	return true
 }

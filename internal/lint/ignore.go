@@ -18,15 +18,18 @@ import (
 const ignorePrefix = "//lint:ignore"
 
 // ignoreSet indexes the well-formed directives of one package by
-// (file, line) and carries diagnostics for the malformed ones.
+// (file, line), counts them per analyzer name (a directive naming
+// several counts once for each) and carries diagnostics for the
+// malformed ones.
 type ignoreSet struct {
 	byLine    map[string]map[int][]string // file -> line -> analyzer names
+	counts    map[string]int
 	malformed []Diagnostic
 }
 
 // collectIgnores scans every comment of the package.
 func collectIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
-	ig := &ignoreSet{byLine: make(map[string]map[int][]string)}
+	ig := &ignoreSet{byLine: make(map[string]map[int][]string), counts: make(map[string]int)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -46,6 +49,9 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
 					continue
 				}
 				names := strings.Split(fields[0], ",")
+				for _, name := range names {
+					ig.counts[name]++
+				}
 				m := ig.byLine[pos.Filename]
 				if m == nil {
 					m = make(map[int][]string)

@@ -5,11 +5,11 @@
 // offline package loader (load.go) and the //lint:ignore suppression
 // machinery (ignore.go).
 //
-// The API deliberately mirrors go/analysis (Analyzer, Pass, Diagnostic,
-// Pass.Reportf) so the four domain analyzers can be ported onto the real
-// framework, and driven through `go vet -vettool`, the day
-// golang.org/x/tools becomes available to this build. Until then
-// cmd/gristlint is a standalone multichecker over this package.
+// The framework is stdlib-only (go/ast, go/types, go/build) and meant
+// to stay so: cmd/gristlint is a standalone multichecker over this
+// package, and the two walks more than one analyzer needs live here once
+// — the directive-reach walk (reach.go) and the statement-list window
+// walk (StmtLists, astutil.go).
 package lint
 
 import (
@@ -40,47 +40,16 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	report func(Diagnostic)
-	facts  *factSet
+	facts  map[factKey]string // cross-package function summaries, shared by the Run
 }
 
-// factSet carries analyzer-exported object facts across the packages of
-// one Run. Facts are keyed by (analyzer, types.Object); because every
-// package comes from one Loader, an imported function's types.Object is
-// pointer-identical to the one its defining package exported under, so
-// no serialization or renaming is needed.
-type factSet struct {
-	m map[factKey]any
-}
-
+// factKey addresses one function's exported summary (see Reach). Every
+// package of a Run comes from one Loader, so an imported function's
+// types.Func is pointer-identical to the one its defining package
+// exported under, and no serialization or renaming is needed.
 type factKey struct {
 	analyzer string
-	obj      types.Object
-}
-
-// ExportObjectFact records a fact about obj under the running analyzer's
-// name. Facts survive for the rest of the Run, so packages analyzed
-// later (the importers — Run visits packages in dependency order) can
-// read their callees' summaries with ImportObjectFact. Re-exporting
-// overwrites.
-func (p *Pass) ExportObjectFact(obj types.Object, fact any) {
-	if p.facts == nil || obj == nil {
-		return
-	}
-	p.facts.m[factKey{p.Analyzer.Name, obj}] = fact
-}
-
-// ImportObjectFact returns the fact the running analyzer exported for
-// obj while analyzing an earlier package (or this one), and whether one
-// exists. Objects from packages outside the Run — the stdlib, module
-// packages not loaded this invocation — have no facts; callers treat
-// them as unknown, exactly like the package-local propagation did at
-// package boundaries before facts existed.
-func (p *Pass) ImportObjectFact(obj types.Object) (any, bool) {
-	if p.facts == nil || obj == nil {
-		return nil, false
-	}
-	f, ok := p.facts.m[factKey{p.Analyzer.Name, obj}]
-	return f, ok
+	fn       *types.Func
 }
 
 // Report emits a diagnostic.
@@ -116,14 +85,13 @@ func (d Diagnostic) Position(fset *token.FileSet) token.Position {
 // All packages must come from one Loader (they share its FileSet).
 //
 // Packages are analyzed in import dependency order (imports before
-// importers), so an analyzer that exports object facts for a package's
-// functions can rely on its module-local callees' facts being present —
-// cross-package propagation instead of the old package-local horizon.
+// importers), so an analyzer that exports facts for a package's
+// functions can rely on its module-local callees' facts being present.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
 	}
-	facts := &factSet{m: make(map[factKey]any)}
+	facts := make(map[factKey]string)
 	var all []Diagnostic
 	for _, pkg := range dependencyOrder(pkgs) {
 		ig := collectIgnores(pkg.Fset, pkg.Files)
@@ -140,9 +108,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				TypesInfo: pkg.Info,
 				facts:     facts,
 				report: func(d Diagnostic) {
-					if d.Analyzer == "" {
-						d.Analyzer = a.Name
-					}
 					if ig.suppresses(pkg.Fset, d) {
 						return
 					}

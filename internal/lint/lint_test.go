@@ -167,75 +167,6 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodeSARIF(t *testing.T) {
-	fset, f := parseIgnoreSrc(t)
-	diags := []Diagnostic{
-		{Pos: varPos(f, 0), Analyzer: "foo", Message: "finding one"},
-		{Pos: varPos(f, 1), Analyzer: "lint", Message: "malformed directive"},
-	}
-	analyzers := []*Analyzer{{Name: "foo", Doc: "doc foo"}, {Name: "bar", Doc: "doc bar"}}
-	raw, err := EncodeSARIF(diags, fset, "", analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(raw, &log); err != nil {
-		t.Fatalf("SARIF output is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Errorf("version/schema: %q %q", log.Version, log.Schema)
-	}
-	if len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "gristlint" {
-		t.Fatalf("runs/driver malformed: %s", raw)
-	}
-	// Rule table: every registered analyzer plus the framework's "lint"
-	// pseudo-rule appearing in the findings.
-	ids := make(map[string]bool)
-	for _, r := range log.Runs[0].Tool.Driver.Rules {
-		ids[r.ID] = true
-	}
-	for _, want := range []string{"foo", "bar", "lint"} {
-		if !ids[want] {
-			t.Errorf("rule table missing %q (have %v)", want, ids)
-		}
-	}
-	rs := log.Runs[0].Results
-	if len(rs) != 2 || rs[0].RuleID != "foo" || rs[0].Level != "error" {
-		t.Fatalf("results malformed: %s", raw)
-	}
-	loc := rs[0].Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "x.go" || loc.Region.StartLine == 0 {
-		t.Errorf("location malformed: %+v", loc)
-	}
-}
-
 func TestEncodeJSON(t *testing.T) {
 	fset, f := parseIgnoreSrc(t)
 	diags := []Diagnostic{{Pos: varPos(f, 0), Analyzer: "foo", Message: "m"}}

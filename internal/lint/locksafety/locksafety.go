@@ -56,23 +56,7 @@ var blockingNames = map[string]bool{
 
 func run(pass *lint.Pass) error {
 	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd, func(n ast.Node) bool {
-				switch b := n.(type) {
-				case *ast.BlockStmt:
-					checkBlock(pass, b.List)
-				case *ast.CaseClause:
-					checkBlock(pass, b.Body)
-				case *ast.CommClause:
-					checkBlock(pass, b.Body)
-				}
-				return true
-			})
-		}
+		lint.StmtLists(f, func(stmts []ast.Stmt) { checkBlock(pass, stmts) })
 	}
 	return nil
 }

@@ -57,102 +57,41 @@ var syncMethods = map[string]bool{
 	"Recv":     true,
 }
 
+// run scans every statement list in source order. For every transfer
+// (or round start) found in the straight-line part of a statement, the
+// remaining statements of the same list are scanned for mentions of the
+// transferred buffer until a sync call shows up. Transfers inside nested
+// lists (if/for/switch bodies, labeled or not) are scoped to their own
+// list: a guard branch that sends and returns does not taint the
+// fall-through path.
 func run(pass *lint.Pass) error {
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
+		lint.StmtLists(f, func(stmts []ast.Stmt) {
+			for i, st := range stmts {
+				lint.StraightLine(st, func(n ast.Node) {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return
+					}
+					name, recv, ok := rankMethod(pass.TypesInfo, call)
+					if !ok {
+						return
+					}
+					if argIdx, isTransfer := transferMethods[name]; isTransfer && len(call.Args) > argIdx {
+						if s := trackable(call.Args[argIdx]); s != "" {
+							scanAfter(pass, stmts[i+1:], transfer{expr: s, method: name})
+						}
+					}
+					// A Start on a trackable exchanger expression opens an
+					// in-flight-round window for its receiver.
+					if s := trackable(recv); name == "Start" && s != "" {
+						scanRoundAfter(pass, stmts[i+1:], s)
+					}
+				})
 			}
-			if body != nil {
-				checkBlock(pass, body.List)
-			}
-			return true
 		})
 	}
 	return nil
-}
-
-// checkBlock scans one statement list in source order. For every
-// transfer found in the straight-line part of a statement, the remaining
-// statements of the same list are scanned for mentions of the
-// transferred buffer until a sync call shows up. Transfers inside nested
-// blocks (if/for/switch bodies) are scoped to their own block by the
-// recursion: a guard branch that sends and returns does not taint the
-// fall-through path.
-func checkBlock(pass *lint.Pass, stmts []ast.Stmt) {
-	for i, st := range stmts {
-		switch s := st.(type) {
-		case *ast.BlockStmt:
-			checkBlock(pass, s.List)
-		case *ast.IfStmt:
-			checkBlock(pass, s.Body.List)
-			switch el := s.Else.(type) {
-			case *ast.BlockStmt:
-				checkBlock(pass, el.List)
-			case *ast.IfStmt:
-				checkBlock(pass, []ast.Stmt{el})
-			}
-		case *ast.ForStmt:
-			checkBlock(pass, s.Body.List)
-		case *ast.RangeStmt:
-			checkBlock(pass, s.Body.List)
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkBlock(pass, cc.Body)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkBlock(pass, cc.Body)
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					checkBlock(pass, cc.Body)
-				}
-			}
-		}
-
-		for _, tr := range transfersIn(pass, st) {
-			scanAfter(pass, stmts[i+1:], tr)
-		}
-		for _, recv := range roundStartsIn(pass, st) {
-			scanRoundAfter(pass, stmts[i+1:], recv)
-		}
-	}
-}
-
-// roundStartsIn finds Start calls on trackable exchanger expressions in
-// the straight-line part of a single statement — each opens an
-// in-flight-round window for its receiver.
-func roundStartsIn(pass *lint.Pass, st ast.Stmt) []string {
-	var out []string
-	ast.Inspect(st, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit, *ast.BlockStmt:
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, recv, ok := rankMethodRecv(pass.TypesInfo, call)
-		if !ok || name != "Start" {
-			return true
-		}
-		if s := trackable(recv); s != "" {
-			out = append(out, s)
-		}
-		return true
-	})
-	return out
 }
 
 // scanRoundAfter walks the trailing statements of a Start call looking
@@ -181,7 +120,7 @@ func scanRoundAfter(pass *lint.Pass, stmts []ast.Stmt, recv string) {
 			if !ok {
 				return true
 			}
-			name, r, ok := rankMethodRecv(pass.TypesInfo, call)
+			name, r, ok := rankMethod(pass.TypesInfo, call)
 			if !ok || trackable(r) != recv {
 				return true
 			}
@@ -207,36 +146,6 @@ type transfer struct {
 	method string
 }
 
-// transfersIn finds ownership transfers in the straight-line part of a
-// single statement: nested blocks and function literals are skipped —
-// checkBlock's recursion gives each its own trailing-statement scan.
-func transfersIn(pass *lint.Pass, st ast.Stmt) []transfer {
-	var out []transfer
-	ast.Inspect(st, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit, *ast.BlockStmt:
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, ok := rankMethod(pass.TypesInfo, call)
-		if !ok {
-			return true
-		}
-		argIdx, isTransfer := transferMethods[name]
-		if !isTransfer || len(call.Args) <= argIdx {
-			return true
-		}
-		if s := trackable(call.Args[argIdx]); s != "" {
-			out = append(out, transfer{expr: s, method: name})
-		}
-		return true
-	})
-	return out
-}
-
 // scanAfter walks the trailing statements looking for mentions of the
 // transferred buffer, stopping at the first synchronization call.
 func scanAfter(pass *lint.Pass, stmts []ast.Stmt, tr transfer) {
@@ -251,7 +160,7 @@ func scanAfter(pass *lint.Pass, stmts []ast.Stmt, tr transfer) {
 				return false
 			}
 			if call, ok := n.(*ast.CallExpr); ok {
-				if name, ok := rankMethod(pass.TypesInfo, call); ok && syncMethods[name] {
+				if name, _, ok := rankMethod(pass.TypesInfo, call); ok && syncMethods[name] {
 					done = true
 					return false
 				}
@@ -286,14 +195,8 @@ func scanAfter(pass *lint.Pass, stmts []ast.Stmt, tr transfer) {
 
 // rankMethod reports whether call invokes a method on comm.Rank (or a
 // value of a type named Rank/HaloExchanger, so testdata fixtures work)
-// and returns the method name.
-func rankMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
-	name, _, ok := rankMethodRecv(info, call)
-	return name, ok
-}
-
-// rankMethodRecv is rankMethod returning the receiver expression too.
-func rankMethodRecv(info *types.Info, call *ast.CallExpr) (string, ast.Expr, bool) {
+// and returns the method name and the receiver expression.
+func rankMethod(info *types.Info, call *ast.CallExpr) (string, ast.Expr, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", nil, false

@@ -103,3 +103,16 @@ func swapInLoop(h *HaloExchanger, layouts []int) {
 		h.Finish()
 	}
 }
+
+// labeledLoop: a labeled statement's body is a statement list like any
+// other.
+func labeledLoop(r *Rank, bufs [][]byte) {
+outer:
+	for i := range bufs {
+		r.ISend(i, 0, bufs[i])
+		bufs[i][0] = 1 // want `transport-owned after ISend`
+		if i > 3 {
+			break outer
+		}
+	}
+}

@@ -68,13 +68,3 @@ func Table2() []GridConfig {
 		{Label: "G6", Level: 6, Layers: 30, Steps: w},
 	}
 }
-
-// ConfigByLabel returns the Table 2 configuration with the given label.
-func ConfigByLabel(label string) (GridConfig, bool) {
-	for _, c := range Table2() {
-		if c.Label == label {
-			return c, true
-		}
-	}
-	return GridConfig{}, false
-}

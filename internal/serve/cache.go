@@ -178,23 +178,9 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{inflight: make(map[TileKey]*flightCall)}
 }
 
-// join returns the in-flight call for k, or nil when the caller should
-// try to lead. The coalesce fast path: one map read under the lock.
-//
-//grist:hotpath
-func (g *flightGroup) join(k TileKey) *flightCall {
-	g.mu.Lock()
-	c := g.inflight[k]
-	g.mu.Unlock()
-	if c != nil {
-		g.coalesced.Add(1)
-	}
-	return c
-}
-
-// lead registers a new call for k and reports whether the caller is
-// the leader; a concurrent leader wins the race and the caller gets
-// its call to join instead.
+// lead returns the in-flight call for k and false — the caller joins it
+// and waits on done — or registers a new call and reports the caller its
+// leader.
 func (g *flightGroup) lead(k TileKey) (*flightCall, bool) {
 	g.mu.Lock()
 	if c, ok := g.inflight[k]; ok {

@@ -115,42 +115,30 @@ func (e *Engine) tile(snap *Snapshot, tile int32, field int, qt *QueryTrace) (*T
 		qt.countTile(CacheBreaker)
 		return nil, CacheBreaker, unavailable(wait, "tile build for epoch %d tile %d field %d is shedding (breaker open)", k.Epoch, k.Tile, k.Field)
 	}
-	for {
-		if c := e.flight.join(k); c != nil {
-			<-c.done
-			if c.err != nil {
-				qt.countTile(CacheBreaker)
-				return nil, CacheBreaker, unavailable(e.breaker.cooldown, "tile build for epoch %d tile %d field %d failed: %v", k.Epoch, k.Tile, k.Field, c.err)
-			}
-			qt.countTile(CacheCoalesced)
-			return c.tile, CacheCoalesced, nil
-		}
-		c, leader := e.flight.lead(k)
-		if !leader {
-			<-c.done
-			if c.err != nil {
-				qt.countTile(CacheBreaker)
-				return nil, CacheBreaker, unavailable(e.breaker.cooldown, "tile build for epoch %d tile %d field %d failed: %v", k.Epoch, k.Tile, k.Field, c.err)
-			}
-			qt.countTile(CacheCoalesced)
-			return c.tile, CacheCoalesced, nil
-		}
+	c, leader := e.flight.lead(k)
+	status := CacheCoalesced
+	if leader {
+		status = CacheBuild
 		t0 := time.Now()
-		t, buildErr := e.buildTile(k, snap, tile)
-		if buildErr != nil {
+		t, err := e.buildTile(k, snap, tile)
+		if err != nil {
 			e.breaker.failure(k)
-			e.flight.finish(k, c, nil, buildErr)
-			qt.countTile(CacheBreaker)
-			return nil, CacheBreaker, unavailable(e.breaker.cooldown, "tile build for epoch %d tile %d field %d failed: %v", k.Epoch, k.Tile, k.Field, buildErr)
+		} else {
+			e.breaker.success(k)
+			e.builds.Add(1)
+			e.cache.Add(t)
+			qt.phase("tile_build", time.Since(t0))
 		}
-		e.breaker.success(k)
-		e.builds.Add(1)
-		e.cache.Add(t)
-		e.flight.finish(k, c, t, nil)
-		qt.countTile(CacheBuild)
-		qt.phase("tile_build", time.Since(t0))
-		return t, CacheBuild, nil
+		e.flight.finish(k, c, t, err)
+	} else {
+		<-c.done
 	}
+	if c.err != nil {
+		qt.countTile(CacheBreaker)
+		return nil, CacheBreaker, unavailable(e.breaker.cooldown, "tile build for epoch %d tile %d field %d failed: %v", k.Epoch, k.Tile, k.Field, c.err)
+	}
+	qt.countTile(status)
+	return c.tile, status, nil
 }
 
 // buildTile materializes one tile, converting a panic (a malformed

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
-// FuzzQueryArgs: whatever a client puts after the '?', the three query
-// endpoints answer 2xx or 4xx — never a 5xx, never a panic.
+// FuzzQueryArgs: whatever a client puts after the '?' — or, for
+// endpoint bytes 3..5 and 6..8, into X-Grist-Tenant or X-Grist-Trace —
+// the three query endpoints answer 2xx or 4xx, never a 5xx, never a
+// panic, and the trace ID they echo is always a bounded plain one.
 func FuzzQueryArgs(f *testing.F) {
 	s := newTestServer(Config{})
 	s.Publish(testSnapshot(1))
@@ -38,14 +41,28 @@ func FuzzQueryArgs(f *testing.F) {
 			f.Add(ep, q)
 		}
 	}
+	for ep := uint8(3); ep < 9; ep++ {
+		f.Add(ep, strings.Repeat("x", maxNameLen+1))
+		f.Add(ep, "a b\r\nX-Injected: 1")
+	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, query string) {
 		path := [...]string{"/v1/point", "/v1/region", "/v1/range"}[endpoint%3]
 		req := httptest.NewRequest("GET", path, nil)
-		req.URL.RawQuery = query
+		switch endpoint / 3 % 3 {
+		case 0:
+			req.URL.RawQuery = query
+		case 1:
+			req.Header.Set("X-Grist-Tenant", query)
+		case 2:
+			req.Header.Set("X-Grist-Trace", query)
+		}
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, req)
 		if rec.Code >= 500 {
-			t.Fatalf("GET %s?%s = %d: %s", path, query, rec.Code, rec.Body.String())
+			t.Fatalf("GET %s (endpoint byte %d, input %q) = %d: %s", path, endpoint, query, rec.Code, rec.Body.String())
+		}
+		if id := rec.Header().Get("X-Grist-Trace"); !validTraceID(id) {
+			t.Fatalf("GET %s (endpoint byte %d, input %q) echoed trace ID %q", path, endpoint, query, id)
 		}
 	})
 }

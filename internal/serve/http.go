@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -181,30 +182,107 @@ func (s *Server) Mux() *http.ServeMux {
 	return mux
 }
 
-// Tenant extracts the requesting tenant: the X-Grist-Tenant header,
-// else the tenant query parameter, else "anon".
-func Tenant(r *http.Request) string {
-	if t := r.Header.Get("X-Grist-Tenant"); t != "" {
-		return t
-	}
-	if t := r.URL.Query().Get("tenant"); t != "" {
-		return t
-	}
-	return "anon"
+// maxNameLen bounds the two client-chosen names a request carries into
+// server state: the tenant (a quota-table key and a trace field) and an
+// inbound trace ID (stored in the trace ring, echoed, and kept as the
+// latency histogram's exemplar).
+const maxNameLen = 64
+
+// args is one request's query string, parsed once, with a sticky first
+// error: a handler reads its parameter list, checks err once, and makes
+// one engine call.
+type args struct {
+	v   url.Values
+	err *Error
 }
 
-// wrap applies the admission pipeline around a query handler: trace
-// start (an inbound X-Grist-Trace ID is honored, else one is minted and
-// echoed), quota check, bounded-queue admission, latency and result
-// accounting with the trace ID recorded as the latency histogram's
-// exemplar, JSON encoding. Handlers return (payload, cacheStatus,
-// *Error).
-func (s *Server) wrap(kind string, fn func(*http.Request, *QueryTrace) (any, string, *Error)) http.HandlerFunc {
+func (a *args) fail(format string, v ...any) {
+	if a.err == nil {
+		a.err = badRequest(format, v...)
+	}
+}
+
+// float parses a float parameter; def when absent.
+func (a *args) float(name string, def float64) float64 {
+	raw := a.v.Get(name)
+	if raw == "" {
+		return def
+	}
+	v, err := strconv.ParseFloat(raw, 64)
+	if err != nil {
+		a.fail("parameter %s=%q is not a number", name, raw)
+	}
+	return v
+}
+
+// int parses an integer parameter; def when absent.
+func (a *args) int(name string, def int) int {
+	raw := a.v.Get(name)
+	if raw == "" {
+		return def
+	}
+	v, err := strconv.Atoi(raw)
+	if err != nil {
+		a.fail("parameter %s=%q is not an integer", name, raw)
+	}
+	return v
+}
+
+// field is the field parameter, defaulting to surface pressure.
+func (a *args) field() string {
+	if f := a.v.Get("field"); f != "" {
+		return f
+	}
+	return "ps"
+}
+
+// tenant is the requesting tenant: the X-Grist-Tenant header, else the
+// tenant query parameter, else "anon". A name over maxNameLen is a 400
+// (and is truncated, so the oversized string is never retained).
+func (a *args) tenant(h http.Header) string {
+	t := h.Get("X-Grist-Tenant")
+	if t == "" {
+		t = a.v.Get("tenant")
+	}
+	if t == "" {
+		return "anon"
+	}
+	if len(t) > maxNameLen {
+		a.fail("tenant name is %d bytes, over the %d-byte limit", len(t), maxNameLen)
+		t = t[:maxNameLen]
+	}
+	return t
+}
+
+// validTraceID reports whether an inbound X-Grist-Trace may be honored:
+// 1..maxNameLen bytes of [0-9A-Za-z_.-]. Anything else is replaced by a
+// minted ID rather than stored and echoed.
+func validTraceID(id string) bool {
+	if id == "" || len(id) > maxNameLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' || c == '.' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
+
+// wrap applies the admission pipeline around a query handler: the query
+// string parsed once, trace start (a well-formed inbound X-Grist-Trace
+// ID is honored, else one is minted; either way it is echoed), quota
+// check, bounded-queue admission, latency and result accounting with
+// the trace ID recorded as the latency histogram's exemplar, JSON
+// encoding. Handlers return (payload, cacheStatus, *Error).
+func (s *Server) wrap(kind string, fn func(*args, *QueryTrace) (any, string, *Error)) http.HandlerFunc {
 	lat := s.latency[kind]
 	ok2xx, bad4xx := s.okCount[kind], s.badCount[kind]
 	return func(w http.ResponseWriter, r *http.Request) {
-		qt := &QueryTrace{ID: r.Header.Get("X-Grist-Trace"), Kind: kind, Tenant: Tenant(r), Start: time.Now()}
-		if qt.ID == "" {
+		a := &args{v: r.URL.Query()}
+		qt := &QueryTrace{ID: r.Header.Get("X-Grist-Trace"), Kind: kind, Tenant: a.tenant(r.Header), Start: time.Now()}
+		if !validTraceID(qt.ID) {
 			qt.ID = s.traces.newID()
 		}
 		w.Header().Set("X-Grist-Trace", qt.ID)
@@ -212,6 +290,12 @@ func (s *Server) wrap(kind string, fn func(*http.Request, *QueryTrace) (any, str
 			// Degraded mode is advertised, never hidden: clients see how
 			// many committed epochs the answer lags behind.
 			w.Header().Set("X-Grist-Stale", strconv.Itoa(stale))
+		}
+		if a.err != nil { // oversized tenant: refused before it can key a quota bucket
+			bad4xx.Inc()
+			s.finishTrace(qt, a.err.Code, "", a.err.Msg)
+			writeJSON(w, a.err.Code, a.err)
+			return
 		}
 		t0 := time.Now()
 		if !s.Quotas.Allow(qt.Tenant) {
@@ -239,7 +323,7 @@ func (s *Server) wrap(kind string, fn func(*http.Request, *QueryTrace) (any, str
 		qt.phase("queue", time.Since(tq))
 		s.queueDepth.Set(float64(len(s.queue)))
 		t0 = time.Now()
-		payload, status, qerr := fn(r, qt)
+		payload, status, qerr := fn(a, qt)
 		dt := time.Since(t0).Seconds()
 		qt.phase("handler", time.Since(t0))
 		<-s.queue
@@ -287,119 +371,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// floatArg parses a float query parameter; def is returned when the
-// parameter is absent.
-func floatArg(r *http.Request, name string, def float64) (float64, *Error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
+func (s *Server) handlePoint(a *args, qt *QueryTrace) (any, string, *Error) {
+	lat, lon, epoch, field := a.float("lat", 0), a.float("lon", 0), a.int("epoch", -1), a.field()
+	if a.err != nil {
+		return nil, "", a.err
 	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, badRequest("parameter %s=%q is not a number", name, raw)
-	}
-	return v, nil
+	return s.Engine.PointT(qt, epoch, field, lat, lon)
 }
 
-// intArg parses an integer query parameter with a default.
-func intArg(r *http.Request, name string, def int) (int, *Error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
+func (s *Server) handleRegion(a *args, qt *QueryTrace) (any, string, *Error) {
+	minLat, maxLat := a.float("min_lat", -90), a.float("max_lat", 90)
+	minLon, maxLon := a.float("min_lon", -180), a.float("max_lon", 180)
+	epoch, limit, field := a.int("epoch", -1), a.int("limit", 0), a.field()
+	if a.err != nil {
+		return nil, "", a.err
 	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, badRequest("parameter %s=%q is not an integer", name, raw)
-	}
-	return v, nil
+	return s.Engine.RegionT(qt, epoch, field, minLat, maxLat, minLon, maxLon, limit)
 }
 
-func (s *Server) handlePoint(r *http.Request, qt *QueryTrace) (any, string, *Error) {
-	lat, err := floatArg(r, "lat", 0)
-	if err != nil {
-		return nil, "", err
+func (s *Server) handleRange(a *args, qt *QueryTrace) (any, string, *Error) {
+	lat, lon, from, to, field := a.float("lat", 0), a.float("lon", 0), a.int("from", 0), a.int("to", -1), a.field()
+	if a.err != nil {
+		return nil, "", a.err
 	}
-	lon, err := floatArg(r, "lon", 0)
-	if err != nil {
-		return nil, "", err
-	}
-	epoch, err := intArg(r, "epoch", -1)
-	if err != nil {
-		return nil, "", err
-	}
-	field := r.URL.Query().Get("field")
-	if field == "" {
-		field = "ps"
-	}
-	res, status, qerr := s.Engine.PointT(qt, epoch, field, lat, lon)
-	if qerr != nil {
-		return nil, "", qerr
-	}
-	return res, status, nil
-}
-
-func (s *Server) handleRegion(r *http.Request, qt *QueryTrace) (any, string, *Error) {
-	minLat, err := floatArg(r, "min_lat", -90)
-	if err != nil {
-		return nil, "", err
-	}
-	maxLat, err := floatArg(r, "max_lat", 90)
-	if err != nil {
-		return nil, "", err
-	}
-	minLon, err := floatArg(r, "min_lon", -180)
-	if err != nil {
-		return nil, "", err
-	}
-	maxLon, err := floatArg(r, "max_lon", 180)
-	if err != nil {
-		return nil, "", err
-	}
-	epoch, err := intArg(r, "epoch", -1)
-	if err != nil {
-		return nil, "", err
-	}
-	limit, err := intArg(r, "limit", 0)
-	if err != nil {
-		return nil, "", err
-	}
-	field := r.URL.Query().Get("field")
-	if field == "" {
-		field = "ps"
-	}
-	res, status, qerr := s.Engine.RegionT(qt, epoch, field, minLat, maxLat, minLon, maxLon, limit)
-	if qerr != nil {
-		return nil, "", qerr
-	}
-	return res, status, nil
-}
-
-func (s *Server) handleRange(r *http.Request, qt *QueryTrace) (any, string, *Error) {
-	lat, err := floatArg(r, "lat", 0)
-	if err != nil {
-		return nil, "", err
-	}
-	lon, err := floatArg(r, "lon", 0)
-	if err != nil {
-		return nil, "", err
-	}
-	from, err := intArg(r, "from", 0)
-	if err != nil {
-		return nil, "", err
-	}
-	to, err := intArg(r, "to", -1)
-	if err != nil {
-		return nil, "", err
-	}
-	field := r.URL.Query().Get("field")
-	if field == "" {
-		field = "ps"
-	}
-	res, status, qerr := s.Engine.RangeT(qt, field, lat, lon, from, to)
-	if qerr != nil {
-		return nil, "", qerr
-	}
-	return res, status, nil
+	return s.Engine.RangeT(qt, field, lat, lon, from, to)
 }
 
 // epochsResult lists the retained epochs and the served fields — the
@@ -409,7 +404,7 @@ type epochsResult struct {
 	Fields []string `json:"fields"`
 }
 
-func (s *Server) handleEpochs(r *http.Request, qt *QueryTrace) (any, string, *Error) {
+func (s *Server) handleEpochs(*args, *QueryTrace) (any, string, *Error) {
 	return epochsResult{Epochs: s.Engine.Store().Epochs(), Fields: FieldNames[:]}, "", nil
 }
 

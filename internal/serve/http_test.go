@@ -2,8 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,5 +245,139 @@ func TestLoadReplayShortStorm(t *testing.T) {
 	}
 	if rep.TileBuilds == 0 {
 		t.Fatal("no tile was ever built")
+	}
+}
+
+// refQuota is the uncapped token bucket the table replaced, kept as the
+// reference a tenant's allow/deny sequence must still equal.
+type refQuota struct {
+	rate, burst, tokens float64
+	last                time.Time
+	seen                bool
+}
+
+func (b *refQuota) allow(now time.Time) bool {
+	if !b.seen {
+		b.tokens, b.last, b.seen = b.burst, now, true
+	} else {
+		b.tokens = math.Min(b.burst, b.tokens+now.Sub(b.last).Seconds()*b.rate)
+		b.last = now
+	}
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+// Client-chosen tenant names cannot grow the bucket table without
+// bound, and the cap is invisible to a tenant that keeps to its rate:
+// its bucket is only ever dropped when full, which is what a fresh one
+// starts as.
+func TestQuotasTableIsBounded(t *testing.T) {
+	q := NewQuotas(10, 3)
+	clock := time.Unix(1000, 0)
+	q.now = func() time.Time { return clock }
+	ref := &refQuota{rate: 10, burst: 3}
+	denied := 0
+	for i := 0; i < 100000; i++ {
+		clock = clock.Add(time.Millisecond)
+		if !q.Allow("drive-by-" + strconv.Itoa(i)) {
+			denied++
+		}
+		if n := q.Tenants(); n > maxTenants {
+			t.Fatalf("after %d distinct tenants the table holds %d buckets, cap %d", i+1, n, maxTenants)
+		}
+		if i%7 == 0 || i%50 < 5 { // steady use with a burst every 50 ms
+			if got, want := q.Allow("steady"), ref.allow(clock); got != want {
+				t.Fatalf("request at +%d ms: steady tenant allowed=%v, uncapped bucket says %v", i+1, got, want)
+			}
+		}
+	}
+	// A drive-by bucket refills in 100 ms, so each sweep at the cap finds
+	// room: no newcomer is refused at this arrival rate.
+	if denied != 0 {
+		t.Fatalf("%d fresh tenants refused although refilled buckets could be dropped", denied)
+	}
+
+	// With the clock stopped nothing refills: the table fills to the cap
+	// and every further newcomer is answered like a tenant out of tokens.
+	q = NewQuotas(10, 3)
+	q.now = func() time.Time { return clock }
+	for i := 0; i < maxTenants; i++ {
+		if !q.Allow("t" + strconv.Itoa(i)) {
+			t.Fatalf("tenant %d refused below the cap", i)
+		}
+	}
+	if q.Allow("one-too-many") {
+		t.Fatal("newcomer admitted into a full table of non-full buckets")
+	}
+	if !q.Allow("t0") {
+		t.Fatal("a tenant already holding a bucket was refused at the cap")
+	}
+	if q.Tenants() != maxTenants {
+		t.Fatalf("Tenants = %d, want %d", q.Tenants(), maxTenants)
+	}
+}
+
+// Outside names are bounded before they reach server state: an
+// oversized tenant is a 400 that never keys a bucket, and an inbound
+// trace ID is honored only when short and plain.
+func TestHTTPBoundsClientChosenNames(t *testing.T) {
+	s := newTestServer(Config{QuotaRate: 100, QuotaBurst: 100})
+	mux := s.Mux()
+	s.Publish(testSnapshot(1))
+	path := "/v1/point?lat=0&lon=0"
+
+	long := strings.Repeat("t", maxNameLen+1)
+	for _, rec := range []*httptest.ResponseRecorder{
+		get(t, mux, path, long),
+		get(t, mux, path+"&tenant="+long, ""),
+	} {
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "tenant name is 65 bytes") {
+			t.Fatalf("oversized tenant = %d %s, want 400 naming the length", rec.Code, rec.Body.String())
+		}
+	}
+	if n := s.Quotas.Tenants(); n != 0 {
+		t.Fatalf("oversized tenants left %d quota buckets", n)
+	}
+	if rec := get(t, mux, path, long[:maxNameLen]); rec.Code != 200 {
+		t.Fatalf("%d-byte tenant = %d, want 200", maxNameLen, rec.Code)
+	}
+
+	for _, tc := range []struct {
+		id      string
+		honored bool
+	}{
+		{"req-2024.06_A", true},
+		{strings.Repeat("a", maxNameLen), true},
+		{strings.Repeat("a", maxNameLen+1), false},
+		{"has space", false},
+		{"<script>", false},
+		{"line\nbreak", false},
+	} {
+		req := httptest.NewRequest("GET", path, nil)
+		req.Header.Set("X-Grist-Trace", tc.id)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		echoed := rec.Header().Get("X-Grist-Trace")
+		if rec.Code != 200 || (echoed == tc.id) != tc.honored || !validTraceID(echoed) {
+			t.Errorf("X-Grist-Trace %q: code %d, echoed %q, want honored=%v", tc.id, rec.Code, echoed, tc.honored)
+		}
+		if _, kept := s.traces.byID(tc.id); kept != tc.honored {
+			t.Errorf("X-Grist-Trace %q retained in the ring = %v, want %v", tc.id, kept, tc.honored)
+		}
+	}
+}
+
+func TestDebugQueryRejectsMalformedLimit(t *testing.T) {
+	s := newTestServer(Config{})
+	mux := s.Mux()
+	s.RegisterDebug(mux)
+	if rec := get(t, mux, "/debug/query?limit=abc", ""); rec.Code != 400 {
+		t.Fatalf("/debug/query?limit=abc = %d, want 400", rec.Code)
+	}
+	if rec := get(t, mux, "/debug/query?limit=2", ""); rec.Code != 200 {
+		t.Fatalf("/debug/query?limit=2 = %d, want 200", rec.Code)
 	}
 }

@@ -9,6 +9,12 @@ import (
 // up to Burst tokens, refilled at Rate tokens per second; a request
 // spends one. A tenant out of tokens is rejected (the transport turns
 // that into 429, never an error). Rate <= 0 disables limiting.
+//
+// Tenant names are chosen by clients, so the table is capped at
+// maxTenants. A bucket that has refilled to burst is indistinguishable
+// from an absent one, so on an insert at the cap every full bucket is
+// dropped; if the table is still full the newcomer is out of tokens like
+// any other tenant.
 type Quotas struct {
 	rate  float64
 	burst float64
@@ -17,6 +23,9 @@ type Quotas struct {
 	buckets map[string]*bucket
 	now     func() time.Time // injectable clock for tests
 }
+
+// maxTenants caps the bucket table (see Quotas).
+const maxTenants = 4096
 
 type bucket struct {
 	tokens float64
@@ -43,14 +52,20 @@ func (q *Quotas) Allow(tenant string) bool {
 	defer q.mu.Unlock()
 	b, ok := q.buckets[tenant]
 	if !ok {
+		if len(q.buckets) >= maxTenants {
+			for name, old := range q.buckets {
+				if q.level(old, now) >= q.burst {
+					delete(q.buckets, name)
+				}
+			}
+			if len(q.buckets) >= maxTenants {
+				return false
+			}
+		}
 		b = &bucket{tokens: q.burst, last: now}
 		q.buckets[tenant] = b
 	} else {
-		b.tokens += now.Sub(b.last).Seconds() * q.rate
-		if b.tokens > q.burst {
-			b.tokens = q.burst
-		}
-		b.last = now
+		b.tokens, b.last = q.level(b, now), now
 	}
 	if b.tokens < 1 {
 		return false
@@ -59,7 +74,12 @@ func (q *Quotas) Allow(tenant string) bool {
 	return true
 }
 
-// Tenants returns how many distinct tenants have been seen.
+// level is b's token count once refilled up to now.
+func (q *Quotas) level(b *bucket, now time.Time) float64 {
+	return min(q.burst, b.tokens+now.Sub(b.last).Seconds()*q.rate)
+}
+
+// Tenants returns how many tenants hold a bucket (at most maxTenants).
 func (q *Quotas) Tenants() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

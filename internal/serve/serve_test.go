@@ -243,9 +243,6 @@ func TestTileValuesMatchSnapshot(t *testing.T) {
 func TestFlightGroupCoalesces(t *testing.T) {
 	g := newFlightGroup()
 	k := TileKey{Epoch: 1, Tile: 2, Field: 3}
-	if c := g.join(k); c != nil {
-		t.Fatal("join found a call before any leader")
-	}
 	lead, isLeader := g.lead(k)
 	if !isLeader {
 		t.Fatal("first lead was not the leader")
@@ -260,9 +257,10 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := g.join(k)
-			if c == nil {
-				return // leader already finished; that path is cache's job
+			c, late := g.lead(k)
+			if late { // the leader already finished; that path is cache's job
+				g.finish(k, c, nil, nil)
+				return
 			}
 			<-c.done
 			results[i] = c.tile
@@ -279,7 +277,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	if g.Coalesced() < 1 {
 		t.Fatal("coalesced counter never moved")
 	}
-	if c := g.join(k); c != nil {
+	if c, fresh := g.lead(k); !fresh || c == lead {
 		t.Fatal("finished call still joinable")
 	}
 }

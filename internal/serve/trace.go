@@ -149,7 +149,12 @@ type traceSummary struct {
 //	GET /debug/query/{id}     one full trace by X-Grist-Trace ID
 func (s *Server) RegisterDebug(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/query", func(w http.ResponseWriter, r *http.Request) {
-		limit, _ := intArg(r, "limit", 32)
+		a := &args{v: r.URL.Query()}
+		limit := a.int("limit", 32)
+		if a.err != nil {
+			writeJSON(w, a.err.Code, a.err)
+			return
+		}
 		traces := s.traces.recent(limit)
 		out := make([]traceSummary, 0, len(traces))
 		for _, qt := range traces {
