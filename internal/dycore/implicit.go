@@ -8,21 +8,27 @@ import (
 )
 
 // tangentialVelocityLevels applies the TRiSK tangential reconstruction to
-// a multi-level edge field in working precision T. Stencil edge outer,
-// level inner: both level runs are contiguous, and per (edge, level) the
-// sum still runs over the stencil in order.
+// a multi-level edge field in working precision T. Stencil entries outer,
+// three a pass while three are left, then one; level inner over
+// contiguous runs. Per (edge, level) the sum still runs over the stencil
+// in order: d + a + b + c is ((d + a) + b) + c.
 //
 //grist:hotpath
 func tangentialVelocityLevels[T precision.Real](m *mesh.Mesh, dst []T, u []float64, nlev int, ids []int32) {
 	for _, e := range ids {
-		d := dst[int(e)*nlev : int(e)*nlev+nlev]
-		for k := range d {
-			d[k] = 0
+		d := row(dst, e, nlev)
+		clear(d)
+		j, end := m.TrskOff[e], m.TrskOff[e+1]
+		for ; end-j >= 3; j += 3 {
+			w0, w1, w2 := T(m.TrskWeight[j]), T(m.TrskWeight[j+1]), T(m.TrskWeight[j+2])
+			u0, u1, u2 := row(u, m.TrskEdge[j], nlev), row(u, m.TrskEdge[j+1], nlev), row(u, m.TrskEdge[j+2], nlev)
+			for k := range d {
+				d[k] = d[k] + w0*T(u0[k]) + w1*T(u1[k]) + w2*T(u2[k])
+			}
 		}
-		for j := m.TrskOff[e]; j < m.TrskOff[e+1]; j++ {
+		for ; j < end; j++ {
 			w := T(m.TrskWeight[j])
-			src := int(m.TrskEdge[j]) * nlev
-			for k, uk := range u[src : src+nlev] {
+			for k, uk := range row(u, m.TrskEdge[j], nlev) {
 				d[k] += w * T(uk)
 			}
 		}
@@ -93,10 +99,12 @@ func (e *engine[T]) implicitVertical(dt float64) {
 			base := int(c) * nlev
 			ibase := int(c) * ni
 
-			// Layer pressures and linearization coefficients.
-			for k := 0; k < nlev; k++ {
-				dphi := s.Phi[ibase+k] - s.Phi[ibase+k+1]
-				p[k] = s.LayerPressureFromPhi(int(c), k)
+			// Layer pressures (LayerPressureFromPhi's arithmetic on the
+			// dphi at hand) and linearization coefficients.
+			phi, thm := row(s.Phi, c, ni), row(s.ThetaM, c, nlev)
+			for k, dm := range row(s.DryMass, c, nlev) {
+				dphi := phi[k] - phi[k+1]
+				p[k], _ = eos(dm/dphi, thm[k]/dm)
 				a[k] = Gamma * p[k] * Gravity * dt / dphi
 			}
 			// Interface mass spacing dPi_i = pi_mid(k=i) - pi_mid(k=i-1).

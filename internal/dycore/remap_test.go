@@ -200,17 +200,26 @@ func TestRemapperRunAllocFree(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
 // TestStepAllocBudget keeps the benchmark's dycore.step_allocs rung under
 // tier-1: what is left per serial step is one closure per loop handed to
-// parallelFor, and it may not grow past the 55 measured before the loops
-// were flattened.
+// parallelFor, 43 of them, so a kernel whose closure starts allocating
+// fails here. Under -race the budget is the 55 of before the loops were
+// flattened: the race detector drops sync.Pool items at random, so the
+// implicit solver's scratch (9 allocations) is rebuilt on some steps.
 func TestStepAllocBudget(t *testing.T) {
+	budget := 43.0
+	if raceEnabled {
+		budget = 55
+	}
 	eng := New(testMesh(t, 2), 6, precision.DP)
 	eng.State().InitIdealized(CaseBaroclinicWave)
 	eng.Step(90) // warm up: the implicit scratch pool fills on first use
 	allocs := testing.AllocsPerRun(10, func() { eng.Step(90) })
 	t.Logf("Step allocates %.0f times per call", allocs)
-	if allocs > 55 {
-		t.Errorf("Step allocates %.0f times per call; the budget is 55", allocs)
+	if allocs > budget {
+		t.Errorf("Step allocates %.0f times per call; the budget is %.0f", allocs, budget)
 	}
 }
