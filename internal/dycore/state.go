@@ -130,7 +130,7 @@ func (s *State) Theta(c, k int) float64 {
 //grist:hotpath
 func eos(rho, theta float64) (p, exner float64) {
 	x := Rd * rho * theta / P0
-	exner = math.Exp(Rd / Cv * math.Log(x))
+	exner = tabExp(Rd / Cv * tabLog(x))
 	return P0 * x * exner, exner
 }
 

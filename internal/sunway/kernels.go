@@ -196,9 +196,9 @@ func computeRRR(v Variant, m *mesh.Mesh, nlev int) (Stats, float64) {
 			theta := th / dp
 			// Charged as two elementary functions in working precision,
 			// the demotion §3.4.2 allows. The dycore's computeRRR does
-			// not perform it: its equation of state is one log and one
-			// exp in FP64 under every mode (dycore.eos). Reconciling
-			// this count with that kernel is ROADMAP item 1b's.
+			// not: its equation of state is a table-driven log and exp
+			// in FP64 under every mode (dycore.eos). Reconciling this
+			// count with that kernel is ROADMAP item 2's.
 			ctx.Elem(2, word(v, true))
 			p := 1e5 * math.Pow(287.04*(dp/dphi)*theta/1e5, 1.4)
 			storeRounded(ctx, rrr, i, r)
