@@ -114,7 +114,8 @@ benchmark:
 
 # The fault-injection suite under the race detector (deadline waits,
 # rollback-and-replay, sentinel-driven degradation, elastic
-# shrink/grow membership), then the chaos experiment, which writes
+# shrink/grow membership, the coupled dynamics + tracer runs), then the
+# chaos experiment, which writes
 # CHAOS_recovery.json (recovery events, injected faults, bitwise
 # verdicts) and CHAOS_sentinels.json (health sentinel trip history),
 # and the elastic experiment, which writes CHAOS_elastic.json
@@ -122,7 +123,7 @@ benchmark:
 # verdicts, overlap-vs-blocking parity) for the CI artifact upload.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Barrier|Deadline|Halo|Resilient|RankDeath|BitFlip|Sentinel|Shard|LatestCommitted|Fallback|NaNOutput|DegradeFor|Restart|Elastic|Rebalanced|Redistribute|SwapLayout|SetOwned' \
+		-run 'Fault|Barrier|Deadline|Halo|Resilient|RankDeath|BitFlip|Sentinel|Shard|LatestCommitted|Fallback|NaNOutput|DegradeFor|Restart|Elastic|Rebalanced|Redistribute|SwapLayout|SetOwned|CoupledRun' \
 		./internal/comm/ ./internal/fault/ ./internal/core/ ./internal/mlphysics/ ./internal/dycore/
 	$(GO) run ./cmd/gristbench -exp chaos
 	$(GO) run ./cmd/gristbench -exp elastic

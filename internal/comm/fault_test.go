@@ -121,8 +121,7 @@ func TestHaloFinishDeadlinePanics(t *testing.T) {
 		if r.ID() == 1 {
 			return // dies before its Start
 		}
-		h := NewExchanger(r, 0, []int{1})
-		h.AddIndexSet(send, recv)
+		h := NewExchangerWithLayout(r, 0, &Layout{Peers: []int{1}, Sets: []IndexSet{{Send: send, Recv: recv}}})
 		h.RegisterSlice("q", vals, 1, 0, true)
 		h.SetDeadline(30 * time.Millisecond)
 		defer func() {

@@ -114,18 +114,11 @@ type varNode struct {
 	next      *varNode
 }
 
-// indexSet is one family of exchanged entities (e.g. cells, edges): the
-// per-peer entity indices to pack and unpack, aligned with the
-// exchanger's peer order. Indices address entity blocks
-// data[idx*stride : (idx+1)*stride] of every field registered on the
-// set.
-type indexSet struct {
-	send [][]int32
-	recv [][]int32
-}
-
-// IndexSet is the exported form of one exchanged entity family: per-peer
-// send and receive entity indices, aligned with the Layout's peer order.
+// IndexSet is one family of exchanged entities (e.g. cells, edges): the
+// per-peer entity indices to pack and unpack, aligned with the Layout's
+// peer order; a nil list means no traffic with that peer for this set.
+// Indices address entity blocks data[idx*stride : (idx+1)*stride] of
+// every field registered on the set.
 type IndexSet struct {
 	Send [][]int32
 	Recv [][]int32
@@ -168,7 +161,7 @@ type HaloExchanger struct {
 	rank  *Rank
 	mode  precision.Mode
 	peers []int
-	sets  []indexSet
+	sets  []IndexSet
 	head  *varNode // linked list of registered variables
 	tag   int
 
@@ -200,21 +193,14 @@ type HaloExchanger struct {
 	telStep int64
 }
 
-// NewExchanger creates an exchanger bound to a rank with an explicit
-// peer list (sorted order must match across ranks) and precision mode.
-// Index sets and fields are added with AddIndexSet and RegisterSlice.
-func NewExchanger(r *Rank, mode precision.Mode, peers []int) *HaloExchanger {
-	return &HaloExchanger{rank: r, mode: mode, peers: peers, tag: 100}
-}
-
-// NewExchangerWithLayout creates an exchanger whose peers and index sets
-// come from a decomposition-derived Layout. The layout can later be
+// NewExchangerWithLayout creates an exchanger bound to a rank, in the
+// given precision mode, whose peers (sorted order must match across
+// ranks) and index sets come from a decomposition-derived Layout; a set's
+// id for RegisterSlice is its position in l.Sets. The layout can later be
 // replaced wholesale with SwapLayout.
 func NewExchangerWithLayout(r *Rank, mode precision.Mode, l *Layout) *HaloExchanger {
-	h := NewExchanger(r, mode, l.Peers)
-	for _, s := range l.Sets {
-		h.AddIndexSet(s.Send, s.Recv)
-	}
+	h := &HaloExchanger{rank: r, mode: mode, tag: 100, sets: l.Sets}
+	h.SwapLayout(l) // validates the layout
 	return h
 }
 
@@ -245,13 +231,12 @@ func (h *HaloExchanger) SwapLayout(l *Layout) {
 	if len(l.Sets) != len(h.sets) {
 		panic("comm: SwapLayout set count does not match the registered layout")
 	}
-	h.peers = l.Peers
-	for i, s := range l.Sets {
+	for _, s := range l.Sets {
 		if len(s.Send) != len(l.Peers) || len(s.Recv) != len(l.Peers) {
-			panic("comm: SwapLayout index set lists must align with the peer list")
+			panic("comm: index set lists must align with the peer list")
 		}
-		h.sets[i] = indexSet{send: s.Send, recv: s.Recv}
 	}
+	h.peers, h.sets = l.Peers, l.Sets
 	h.built = false
 }
 
@@ -285,19 +270,6 @@ func (h *HaloExchanger) span(name string) telemetry.Span {
 		return h.rec.BeginAt(name, h.telRank, h.telStep)
 	}
 	return h.rec.Begin(name, h.telRank)
-}
-
-// AddIndexSet registers a family of exchanged entities and returns its
-// id for RegisterSlice. send and recv hold one index list per peer, in
-// the exchanger's peer order; a nil list means no traffic with that
-// peer for this set.
-func (h *HaloExchanger) AddIndexSet(send, recv [][]int32) int {
-	if len(send) != len(h.peers) || len(recv) != len(h.peers) {
-		panic("comm: index set lists must align with the peer list")
-	}
-	h.sets = append(h.sets, indexSet{send: send, recv: recv})
-	h.built = false
-	return len(h.sets) - 1
 }
 
 // RegisterSlice appends a raw entity-major array to the exchange list:
@@ -362,8 +334,8 @@ func (h *HaloExchanger) build() {
 		var sb, rb int64
 		for cur := h.head; cur != nil; cur = cur.next {
 			wb := int64(h.wordBytes(cur)) * int64(cur.stride)
-			sb += wb * int64(len(h.sets[cur.set].send[pi]))
-			rb += wb * int64(len(h.sets[cur.set].recv[pi]))
+			sb += wb * int64(len(h.sets[cur.set].Send[pi]))
+			rb += wb * int64(len(h.sets[cur.set].Recv[pi]))
 		}
 		h.sendBytes[pi] = sb
 		h.recvBytes[pi] = rb
@@ -386,7 +358,7 @@ func (h *HaloExchanger) pack(pi int) []byte {
 	buf := h.sendBuf[pi]
 	off := 0
 	for cur := h.head; cur != nil; cur = cur.next {
-		idx := h.sets[cur.set].send[pi]
+		idx := h.sets[cur.set].Send[pi]
 		stride := cur.stride
 		if h.wordBytes(cur) == 8 {
 			for _, e := range idx {
@@ -420,7 +392,7 @@ func (h *HaloExchanger) unpack(pi int) {
 	buf := h.recvBuf[pi]
 	off := 0
 	for cur := h.head; cur != nil; cur = cur.next {
-		idx := h.sets[cur.set].recv[pi]
+		idx := h.sets[cur.set].Recv[pi]
 		stride := cur.stride
 		if h.wordBytes(cur) == 8 {
 			for _, e := range idx {

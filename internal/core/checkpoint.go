@@ -228,7 +228,7 @@ func (st *ShardStore) Redistribute(epoch, step int, newPl *DistPlan) error {
 		if _, err := st.ReadShard(epoch, p, tmp); err != nil {
 			return fmt.Errorf("core: redistributing epoch %d: %w", epoch, err)
 		}
-		unpackOwnedState(s, old, p, packOwnedState(tmp, old, p))
+		unpackOwnedState(s, nil, old, p, packOwnedState(tmp, nil, old, p))
 	}
 	// Captured before SetPlan retires the old plan: only the part count
 	// survives the generation change, for pruning below.

@@ -275,7 +275,8 @@ func TestDistributedModelMatchesSerial(t *testing.T) {
 	}
 
 	for _, nparts := range []int{2, 5} {
-		stateD, fieldD := RunDistributedModel(m, nlev, nparts, precision.DP, init, nTrac, nDyn, dt)
+		stateD, rep := MustRun(coupledSpec(m, nlev, nparts, precision.DP, init, nTrac, nDyn, dt))
+		fieldD := rep.Tracers
 		for i := range fieldS.Q[tracer.QV] {
 			if d := math.Abs(fieldD.Q[tracer.QV][i] - fieldS.Q[tracer.QV][i]); d > 1e-9 {
 				t.Fatalf("nparts=%d: qv[%d] differs by %g", nparts, i, d)

@@ -1,13 +1,14 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"gristgo/internal/comm"
 	"gristgo/internal/dycore"
 	"gristgo/internal/mesh"
 	"gristgo/internal/partition"
 	"gristgo/internal/precision"
+	"gristgo/internal/tracer"
 )
 
 // DistPlan is the precomputed exchange plan of a distributed dynamics
@@ -59,10 +60,6 @@ func NewDistPlanFromDecomp(m *mesh.Mesh, nlev int, d *partition.Decomposition) *
 		cellRecv:  make([]map[int][]int32, nparts),
 		edgeRecv:  make([]map[int][]int32, nparts),
 	}
-	part := d.Part
-
-	edgeOwner := func(e int32) int32 { return part[m.EdgeCell[e][0]] }
-
 	for p := 0; p < nparts; p++ {
 		pl.TendCells[p] = d.Owned[p]
 		pl.DiagCells[p] = append(append([]int32(nil), d.Owned[p]...), d.Halo[p]...)
@@ -80,68 +77,43 @@ func NewDistPlanFromDecomp(m *mesh.Mesh, nlev int, d *partition.Decomposition) *
 		}
 	}
 
-	// Edge ownership and ghost-edge exchange.
+	// Edge ownership and ghost-edge exchange. The flux edges are the
+	// owned cells' edges; ghost edges additionally include edges of halo
+	// cells (needed for kinetic energy at halo cells and vorticity at
+	// boundary vertices). Ascending edge order is the wire order.
 	for p := 0; p < nparts; p++ {
-		seen := make(map[int32]bool)
-		var fluxEdges []int32
-		for _, c := range d.Owned[p] {
-			for _, e := range m.CellEdges(c) {
-				if !seen[e] {
-					seen[e] = true
-					fluxEdges = append(fluxEdges, e)
-				}
+		pl.FluxEdges[p] = sortedEdges(m, d.Owned[p])
+		for _, e := range sortedEdges(m, pl.DiagCells[p]) {
+			if owner := pl.edgeOwner(e); owner == p {
+				pl.UEdges[p] = append(pl.UEdges[p], e)
+			} else {
+				pl.edgeRecv[p][owner] = append(pl.edgeRecv[p][owner], e)
 			}
 		}
-		// Ghost edges additionally include edges of halo cells (needed
-		// for kinetic energy at halo cells and vorticity at boundary
-		// vertices).
-		ghostSeen := make(map[int32]bool)
-		for _, c := range pl.DiagCells[p] {
-			for _, e := range m.CellEdges(c) {
-				if ghostSeen[e] {
-					continue
-				}
-				ghostSeen[e] = true
-				owner := int(edgeOwner(e))
-				if owner == p {
-					pl.UEdges[p] = append(pl.UEdges[p], e)
-				} else {
-					pl.edgeRecv[p][owner] = append(pl.edgeRecv[p][owner], e)
-				}
-			}
-		}
-		sort.Slice(fluxEdges, func(i, j int) bool { return fluxEdges[i] < fluxEdges[j] })
-		pl.FluxEdges[p] = fluxEdges
-		sort.Slice(pl.UEdges[p], func(i, j int) bool { return pl.UEdges[p][i] < pl.UEdges[p][j] })
 	}
-	// Mirror edge receive lists into the owners' send lists (sorted for
-	// a deterministic wire order).
+	// Mirror edge receive lists into the owners' send lists.
 	for p := 0; p < nparts; p++ {
 		for owner, edges := range pl.edgeRecv[p] {
-			es := append([]int32(nil), edges...)
-			sort.Slice(es, func(i, j int) bool { return es[i] < es[j] })
-			pl.edgeRecv[p][owner] = es
-			pl.edgeSend[owner][p] = es
+			pl.edgeSend[owner][p] = edges
 		}
 	}
 	return pl
 }
 
+// edgeOwner returns the part owning edge e: that of its first cell.
+func (pl *DistPlan) edgeOwner(e int32) int { return int(pl.Decomp.Part[pl.Mesh.EdgeCell[e][0]]) }
+
 // sortedPeers returns the sorted union of the peers keyed in per-peer
 // exchange lists.
 func sortedPeers(lists ...map[int][]int32) []int {
-	set := map[int]bool{}
+	var peers []int
 	for _, m := range lists {
 		for q := range m {
-			set[q] = true
+			peers = append(peers, q)
 		}
 	}
-	peers := make([]int, 0, len(set))
-	for q := range set {
-		peers = append(peers, q)
-	}
-	sort.Ints(peers)
-	return peers
+	slices.Sort(peers)
+	return slices.Compact(peers)
 }
 
 // peerLists converts a per-peer map of entity lists into per-position
@@ -169,11 +141,67 @@ func (pl *DistPlan) Layout(p int) *comm.Layout {
 	}}
 }
 
-// Set ids of the state exchanger layout (see Layout).
+// Set ids of the layouts a plan derives (see Layout and tracerLayout).
 const (
-	stateCellSet = 0
-	stateEdgeSet = 1
+	cellSet = 0
+	edgeSet = 1
 )
+
+// sortedEdges returns the ascending, deduplicated edges of the cells.
+func sortedEdges(m *mesh.Mesh, cells []int32) []int32 {
+	var edges []int32
+	for _, c := range cells {
+		edges = append(edges, m.CellEdges(c)...)
+	}
+	slices.Sort(edges)
+	return slices.Compact(edges)
+}
+
+// tracerLayout returns rank p's tracer-transport sets and their halo
+// layout under this plan. The FCT limiter's dependency chain sets the
+// depths: the limited flux at an owned cell needs the limiter
+// coefficients of its ring-1 neighbours, which need provisional ratios at
+// ring 2, which need tracer values at ring 3. So the transport computes
+// owned + rings 1-2 and commits the owned cells; the cell set mirrors the
+// tracer values of rings 1-3, the edge set the averaged mass flux on the
+// compute region's edges owned elsewhere. Peers are symmetric (owners of
+// cells within three rings), so each rank derives its send lists as its
+// peers' receive lists, and a dry run never builds any of this.
+func (pl *DistPlan) tracerLayout(p int) (*tracer.OwnedSets, *comm.Layout) {
+	m, dec := pl.Mesh, pl.Decomp
+	region := func(q int) (cells, edges []int32) {
+		cells = append(slices.Clone(dec.Owned[q]), dec.HaloRings(m, q, 2)...)
+		return cells, sortedEdges(m, cells)
+	}
+	// recv returns part q's receive lists keyed by owner.
+	recv := func(q int) (cells, flux map[int][]int32) {
+		cells, flux = map[int][]int32{}, map[int][]int32{}
+		for _, c := range dec.HaloRings(m, q, 3) {
+			o := int(dec.Part[c])
+			cells[o] = append(cells[o], c)
+		}
+		_, edges := region(q)
+		for _, e := range edges {
+			if o := pl.edgeOwner(e); o != q {
+				flux[o] = append(flux[o], e)
+			}
+		}
+		return cells, flux
+	}
+	cellRecv, fluxRecv := recv(p)
+	peers := sortedPeers(cellRecv, fluxRecv)
+	cellSend, fluxSend := map[int][]int32{}, map[int][]int32{}
+	for _, q := range peers {
+		qc, qf := recv(q)
+		cellSend[q], fluxSend[q] = qc[p], qf[p]
+	}
+	cells, edges := region(p)
+	return &tracer.OwnedSets{Cells: cells, Commit: pl.TendCells[p], Edges: edges},
+		&comm.Layout{Peers: peers, Sets: []comm.IndexSet{
+			{Send: peerLists(cellSend, peers), Recv: peerLists(cellRecv, peers)},
+			{Send: peerLists(fluxSend, peers), Recv: peerLists(fluxRecv, peers)},
+		}}
+}
 
 // OwnedSets returns rank p's dycore entity sets under this plan (Start/
 // Finish hooks unset — the caller binds them to its exchanger). After a
@@ -199,11 +227,11 @@ func newStateExchanger(pl *DistPlan, r *comm.Rank, s *dycore.State, mode precisi
 	ex := comm.NewExchangerWithLayout(r, mode, pl.Layout(r.ID()))
 	nlev := pl.NLev
 	ni := nlev + 1
-	ex.RegisterSlice("dry_mass", s.DryMass, nlev, stateCellSet, false)
-	ex.RegisterSlice("theta_m", s.ThetaM, nlev, stateCellSet, false)
-	ex.RegisterSlice("w", s.W, ni, stateCellSet, false)
-	ex.RegisterSlice("phi", s.Phi, ni, stateCellSet, true)
-	ex.RegisterSlice("u", s.U, nlev, stateEdgeSet, false)
+	ex.RegisterSlice("dry_mass", s.DryMass, nlev, cellSet, false)
+	ex.RegisterSlice("theta_m", s.ThetaM, nlev, cellSet, false)
+	ex.RegisterSlice("w", s.W, ni, cellSet, false)
+	ex.RegisterSlice("phi", s.Phi, ni, cellSet, true)
+	ex.RegisterSlice("u", s.U, nlev, edgeSet, false)
 	return ex
 }
 
@@ -247,32 +275,60 @@ func MeasuredCommShare(tm *Timings) float64 {
 	return float64(wait) / float64(total)
 }
 
-// gatherState collects every rank's owned region into dst on rank 0 via
-// the Gather collective (ranks other than 0 leave dst untouched).
-func gatherState(r *comm.Rank, dst, src *dycore.State, pl *DistPlan) {
-	parts := r.Gather(0, packOwnedState(src, pl, r.ID()))
+// gatherState collects every rank's owned region of the state, and of the
+// tracer field when src carries one, into dst on rank 0 via the Gather
+// collective (ranks other than 0 leave dst untouched).
+func gatherState(r *comm.Rank, dst, src *dycore.State, dstT, srcT *tracer.Field, pl *DistPlan) {
+	parts := r.Gather(0, packOwnedState(src, srcT, pl, r.ID()))
 	if r.ID() != 0 {
 		return
 	}
 	for q, buf := range parts {
-		unpackOwnedState(dst, pl, q, buf)
+		unpackOwnedState(dst, dstT, pl, q, buf)
 	}
 }
 
-// packOwnedState serializes rank p's owned prognostic region into one
-// flat buffer, in dycore.State.Region order.
-func packOwnedState(s *dycore.State, pl *DistPlan, p int) []float64 {
-	cells, edges := pl.TendCells[p], pl.UEdges[p]
-	buf := make([]float64, 0, dycore.RegionLen(s.NLev, len(cells), len(edges)))
-	s.Region(cells, edges, func(run []float64) { buf = append(buf, run...) })
+// ownedRegion visits rank p's owned region in the one order every packed
+// form of it uses: the dycore.State.Region runs of its owned cells and
+// edges, then, when f is non-nil, each owned cell's tracer mass and
+// species runs.
+func ownedRegion(s *dycore.State, f *tracer.Field, pl *DistPlan, p int, visit func(run []float64)) {
+	cells := pl.TendCells[p]
+	s.Region(cells, pl.UEdges[p], visit)
+	if f == nil {
+		return
+	}
+	nlev := pl.NLev
+	for _, c := range cells {
+		b := int(c) * nlev
+		visit(f.Mass[b : b+nlev])
+		for t := range f.Q {
+			visit(f.Q[t][b : b+nlev])
+		}
+	}
+}
+
+// ownedLen returns how many words ownedRegion visits.
+func ownedLen(pl *DistPlan, p int, f *tracer.Field) int {
+	n := dycore.RegionLen(pl.NLev, len(pl.TendCells[p]), len(pl.UEdges[p]))
+	if f != nil {
+		n += len(pl.TendCells[p]) * (1 + len(f.Q)) * pl.NLev
+	}
+	return n
+}
+
+// packOwnedState serializes rank p's owned region into one flat buffer,
+// in ownedRegion order.
+func packOwnedState(s *dycore.State, f *tracer.Field, pl *DistPlan, p int) []float64 {
+	buf := make([]float64, 0, ownedLen(pl, p, f))
+	ownedRegion(s, f, pl, p, func(run []float64) { buf = append(buf, run...) })
 	return buf
 }
 
-// unpackOwnedState writes rank p's packed region into dst.
-func unpackOwnedState(dst *dycore.State, pl *DistPlan, p int, buf []float64) {
-	cells, edges := pl.TendCells[p], pl.UEdges[p]
-	if len(buf) != dycore.RegionLen(dst.NLev, len(cells), len(edges)) {
+// unpackOwnedState writes rank p's packed region into dst and f.
+func unpackOwnedState(dst *dycore.State, f *tracer.Field, pl *DistPlan, p int, buf []float64) {
+	if len(buf) != ownedLen(pl, p, f) {
 		panic("core: distributed gather size mismatch")
 	}
-	dst.Region(cells, edges, func(run []float64) { buf = buf[copy(run, buf):] })
+	ownedRegion(dst, f, pl, p, func(run []float64) { buf = buf[copy(run, buf):] })
 }

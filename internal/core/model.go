@@ -251,11 +251,18 @@ func (mod *Model) StepPhysics(season float64) { mod.StepPhysicsTimed(season, nil
 // transportTracers advances the tracers by one sub-cycle on the
 // accumulated mass flux averaged over its dynamics steps.
 func (mod *Model) transportTracers(dtTrac float64) {
-	n := float64(mod.Engine.AccumSteps())
-	for i, a := range mod.Engine.MassFluxAccum() {
-		mod.avgFlux[i] = a / n
-	}
+	averageMassFlux(mod.avgFlux, mod.Engine)
 	mod.Transport.Step(mod.Tracers, mod.avgFlux, dtTrac)
+}
+
+// averageMassFlux writes the mean of eng's accumulated FP64 mass flux
+// over the accumulated steps into avg: the flux that drives a tracer
+// sub-cycle, serial or on a rank.
+func averageMassFlux(avg []float64, eng dycore.Engine) {
+	n := float64(eng.AccumSteps())
+	for i, a := range eng.MassFluxAccum() {
+		avg[i] = a / n
+	}
 }
 
 // computePhysicsInput fills the coupling Input (U, V, T, Q, P, tskin,

@@ -1,16 +1,17 @@
 package core
 
 // The one rank loop (DESIGN.md §8). Run is the only driver of distributed
-// dry dynamics and its rank body the only step loop: fault gating,
-// deadline-bounded waits, health sentinels, checkpoint epochs, live
-// repartition and per-rank tracing are guarded blocks of that loop, armed
-// by RunSpec fields, and rollback, shrink and grow are cases of the one
-// leg loop around it — a leg being one comm.World of fixed shape. Replay
-// is bitwise-faithful: shards store the full owned+halo region each
-// rank's kernels read, and one-shot injected faults stay spent across
-// legs. In DP the final state is bitwise independent of every reshape and
-// repartition: per-entity kernels have decomposition-independent stencil
-// order and halo mirrors are exact at step boundaries.
+// dynamics, dry or with tracer transport, and its rank body the only step
+// loop: fault gating, deadline-bounded waits, the tracer sub-cycle, health
+// sentinels, checkpoint epochs, live repartition and per-rank tracing are
+// guarded blocks of that loop, armed by RunSpec fields, and rollback,
+// shrink and grow are cases of the one leg loop around it — a leg being
+// one comm.World of fixed shape. Replay is bitwise-faithful: shards store
+// the full owned+halo region each rank's kernels read, and one-shot
+// injected faults stay spent across legs. In DP the final state is
+// bitwise independent of every reshape and repartition: per-entity
+// kernels have decomposition-independent stencil order and halo mirrors
+// are exact at step boundaries.
 
 import (
 	"context"
@@ -28,6 +29,7 @@ import (
 	"gristgo/internal/partition"
 	"gristgo/internal/precision"
 	"gristgo/internal/telemetry"
+	"gristgo/internal/tracer"
 )
 
 // defaultSeed keys every static decomposition (and, through
@@ -67,12 +69,12 @@ const (
 	Shrink
 )
 
-// RunSpec describes one distributed dry-dynamics run. The first seven
-// fields are the problem; every other field arms one block of the rank
-// loop and costs a nil/zero compare per step when unset. A spec with no
-// Injector, no Dir and no Monitor is a plain run: no deadline is armed,
-// and a rank panic crashes the process with its own trace instead of
-// becoming a recovery attempt.
+// RunSpec describes one distributed dynamics run, dry or with tracer
+// transport. The first seven fields are the problem; every other field
+// arms one block of the rank loop and costs a nil/zero compare per step
+// when unset. A spec with no Injector, no Dir and no Monitor is a plain
+// run: no deadline is armed, and a rank panic crashes the process with
+// its own trace instead of becoming a recovery attempt.
 type RunSpec struct {
 	Mesh   *mesh.Mesh
 	NLev   int
@@ -81,6 +83,16 @@ type RunSpec struct {
 	Init   func(*dycore.State) // writes the same full initial state on every rank
 	Steps  int
 	Dt     float64
+
+	// Tracers adds the sub-cycled tracer transport: every rank copies this
+	// initial field the way Init writes the state, and after every
+	// TracerEvery dynamics steps (a divisor of Steps) advects it over the
+	// elapsed interval with the averaged, halo-completed FP64 mass flux.
+	// The merged final field comes back as RunReport.Tracers. Shards do
+	// not store tracers, so a tracer run takes neither CheckpointEvery/Dir
+	// (nor, with them, Shrink or Grow) nor RebalanceAt.
+	Tracers     *tracer.Field
+	TracerEvery int
 
 	// Blocking forces blocking halo rounds (the overlap check's parity leg).
 	Blocking bool
@@ -178,14 +190,18 @@ type RunReport struct {
 	WorldSizes   []int
 	LegImbalance []float64
 
-	// The final leg: exchange statistics summed over ranks, per-rank loop
-	// wall time, and per rank the compute (wall − halo wait) and halo wait
-	// seconds since the last repartition, with max/mean of the compute.
+	// The final leg: the state exchangers' statistics summed over ranks,
+	// per-rank loop wall time, and per rank the compute (wall − halo wait)
+	// and halo wait seconds since the last repartition, with max/mean of
+	// the compute.
 	Exchange        comm.ExchangeStats
 	RankWall        []time.Duration
 	FinalComputeSec []float64
 	FinalWaitSec    []float64
 	FinalImbalance  float64
+
+	// Tracers is the merged final tracer field (nil without RunSpec.Tracers).
+	Tracers *tracer.Field
 }
 
 // abort is the panic value a rank leaves a leg with on purpose: "killed"
@@ -214,6 +230,17 @@ func (s *RunSpec) validate() error {
 		return fmt.Errorf("core: RunSpec.Grow needs CheckpointEvery and Dir")
 	case s.OnDeath == Shrink && !ckpt:
 		return fmt.Errorf("core: RunSpec.OnDeath Shrink needs CheckpointEvery and Dir")
+	case (s.Tracers != nil) != (s.TracerEvery > 0):
+		return fmt.Errorf("core: RunSpec.Tracers and TracerEvery > 0 go together (TracerEvery %d)", s.TracerEvery)
+	case s.Tracers == nil: // the cases below restrict tracer runs
+	case len(s.Tracers.Mass) != s.Mesh.NCells*s.NLev:
+		return fmt.Errorf("core: RunSpec.Tracers holds %d values for %d cells x %d levels", len(s.Tracers.Mass), s.Mesh.NCells, s.NLev)
+	case s.Steps%s.TracerEvery != 0:
+		return fmt.Errorf("core: RunSpec.TracerEvery %d does not divide Steps %d", s.TracerEvery, s.Steps)
+	case ckpt:
+		return fmt.Errorf("core: RunSpec.Tracers cannot combine with CheckpointEvery and Dir: shards do not store tracers")
+	case len(s.RebalanceAt) > 0:
+		return fmt.Errorf("core: RunSpec.Tracers cannot combine with RebalanceAt: a repartition does not move tracers")
 	}
 	for _, at := range s.RebalanceAt {
 		if at <= 0 || at >= s.Steps {
@@ -295,6 +322,9 @@ func Run(spec RunSpec) (*dycore.State, *RunReport, error) {
 		d.members = append(d.members, n)
 	}
 	d.final = dycore.NewState(spec.Mesh, spec.NLev)
+	if spec.Tracers != nil {
+		d.rep.Tracers = tracer.NewField(spec.Mesh, spec.NLev, d.final.DryMass)
+	}
 
 	for gi := 0; ; {
 		d.resumeEpoch, d.resumeStep = d.latest()
@@ -542,6 +572,11 @@ func (d *run) rank(r *comm.Rank) {
 		ex.SetTelemetry(d.Recs[node], int32(node))
 	}
 	bindOwned(eng, ex, pl, p, d.Blocking)
+	var field *tracer.Field
+	var subcycle func(step int)
+	if d.Tracers != nil {
+		field, subcycle = d.tracers(r, pl, eng, node)
+	}
 
 	// segment closes the stretch since the last repartition and returns
 	// its wall and halo-wait seconds.
@@ -564,6 +599,9 @@ func (d *run) rank(r *comm.Rank) {
 		eng.SetTelemetryStep(int64(step))
 		ex.SetTelemetryStep(int64(step))
 		eng.Step(d.Dt)
+		if d.TracerEvery > 0 && step%d.TracerEvery == 0 {
+			subcycle(step)
+		}
 
 		if d.Monitor != nil {
 			d.agreeOnHealth(r, pl, s, step)
@@ -587,7 +625,47 @@ func (d *run) rank(r *comm.Rank) {
 	wall, wait := segment()
 	d.ranks[p] = rankResult{time.Since(t0), ex.Stats(), math.Max(wall-wait, 0), wait}
 	d.sync(r)
-	gatherState(r, d.final, s, pl)
+	gatherState(r, d.final, s, d.rep.Tracers, field, pl)
+}
+
+// tracers arms rank p's tracer sub-cycle: its copy of the initial field,
+// the transport over the plan's tracer region, and one exchanger on the
+// plan's tracer layout for the tracer values and the averaged mass flux —
+// the one term of the tracer equation that stays FP64 on the wire under
+// every mode (§3.4.2). The returned function closes a sub-cycle after its
+// last dynamics step: average the flux, one tracer halo round,
+// Transport.Step over the elapsed interval, and an emptied accumulator
+// for the next sub-cycle (a leg's fresh engine starts with it empty).
+func (d *run) tracers(r *comm.Rank, pl *DistPlan, eng dycore.Engine, node int) (*tracer.Field, func(step int)) {
+	f := tracer.NewField(d.Mesh, d.NLev, d.Tracers.Mass)
+	for t := range f.Q {
+		copy(f.Q[t], d.Tracers.Q[t])
+	}
+	sets, layout := pl.tracerLayout(r.ID())
+	trans := tracer.New(d.Mesh, d.NLev, d.Mode)
+	trans.SetOwned(sets)
+	// avg is persistent: the registration captures the slice.
+	avg := make([]float64, len(eng.MassFluxAccum()))
+	ex := comm.NewExchangerWithLayout(r, d.Mode, layout)
+	ex.SetDeadline(d.HaloTimeout)
+	ex.RegisterSlice("tracer_mass", f.Mass, d.NLev, cellSet, false)
+	for t := range f.Q {
+		ex.RegisterSlice(tracer.Species(t).String(), f.Q[t], d.NLev, cellSet, false)
+	}
+	ex.RegisterSlice("mass_flux_avg", avg, d.NLev, edgeSet, true)
+	if node < len(d.Recs) {
+		trans.SetTelemetry(d.Recs[node], int32(node))
+		ex.SetTelemetry(d.Recs[node], int32(node))
+	}
+	dt := float64(d.TracerEvery) * d.Dt
+	return f, func(step int) {
+		trans.SetTelemetryStep(int64(step))
+		ex.SetTelemetryStep(int64(step))
+		averageMassFlux(avg, eng)
+		ex.Exchange()
+		trans.Step(f, avg, dt)
+		eng.ResetMassFluxAccum()
+	}
 }
 
 // sync is the deadline-bounded rendezvous ahead of every collective and
@@ -651,12 +729,12 @@ func (d *run) rebalance(r *comm.Rank, eng dycore.Engine, ex *comm.HaloExchanger,
 
 	p, n := r.ID(), pl.NParts
 	costs := r.AllGather([]float64{cost})
-	regions := r.AllGather(packOwnedState(s, pl, p))
+	regions := r.AllGather(packOwnedState(s, nil, pl, p))
 	flat := make([]float64, n)
 	for q := 0; q < n; q++ {
 		flat[q] = costs[q][0]
 		if q != p {
-			unpackOwnedState(s, pl, q, regions[q])
+			unpackOwnedState(s, nil, pl, q, regions[q])
 		}
 	}
 	ev := RunEvent{Kind: "rebalance", Step: step}

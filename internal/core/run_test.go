@@ -17,6 +17,7 @@ import (
 	"gristgo/internal/obs"
 	"gristgo/internal/precision"
 	"gristgo/internal/telemetry"
+	"gristgo/internal/tracer"
 )
 
 // newRings returns one flight recorder per rank.
@@ -221,6 +222,7 @@ func TestRebalancedSkipIsLoggedAndReported(t *testing.T) {
 func TestRunSpecValidationOfResilientElasticRebalancedFields(t *testing.T) {
 	base := RunSpec{Mesh: sharedMesh3, NLev: 2, NParts: 3, Mode: precision.DP, Init: resilientInit, Steps: 4, Dt: 60}
 	dir := t.TempDir()
+	tracers := tracer.NewField(sharedMesh3, 2, make([]float64, sharedMesh3.NCells*2))
 	for _, tc := range []struct {
 		field string
 		mut   func(*RunSpec)
@@ -239,6 +241,18 @@ func TestRunSpecValidationOfResilientElasticRebalancedFields(t *testing.T) {
 		{"OnDeath", func(s *RunSpec) { s.OnDeath = Shrink }},
 		{"RebalanceAt", func(s *RunSpec) { s.RebalanceAt = []int{0} }},
 		{"RebalanceAt", func(s *RunSpec) { s.RebalanceAt = []int{2, 4} }},
+		{"Tracers", func(s *RunSpec) { s.TracerEvery = 2 }},
+		{"Tracers", func(s *RunSpec) { s.Tracers = tracers }},
+		{"Tracers", func(s *RunSpec) { s.Tracers, s.TracerEvery = tracer.NewField(sharedMesh3, 3, nil), 2 }},
+		{"TracerEvery", func(s *RunSpec) { s.Tracers, s.TracerEvery = tracers, 3 }},
+		{"Tracers", func(s *RunSpec) { s.Tracers, s.TracerEvery, s.CheckpointEvery, s.Dir = tracers, 2, 2, dir }},
+		{"Tracers", func(s *RunSpec) {
+			s.Tracers, s.TracerEvery, s.CheckpointEvery, s.Dir, s.OnDeath = tracers, 2, 2, dir, Shrink
+		}},
+		{"Tracers", func(s *RunSpec) {
+			s.Tracers, s.TracerEvery, s.CheckpointEvery, s.Dir, s.Grow = tracers, 2, 2, dir, []GrowEvent{{Step: 2, Add: 1}}
+		}},
+		{"Tracers", func(s *RunSpec) { s.Tracers, s.TracerEvery, s.RebalanceAt = tracers, 2, []int{2} }},
 	} {
 		spec := base
 		tc.mut(&spec)

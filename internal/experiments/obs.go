@@ -131,19 +131,7 @@ func RunObsBench(cfg ObsBenchConfig) (ObsBenchResult, *obs.Timeline, *obs.Postmo
 	pm := obs.Build(t, 3)
 	pm.EncodeJSON(&b)
 
-	var critNS, critWaitNS int64
-	spans := 0
-	for _, st := range pm.Steps {
-		critNS += st.CriticalNS
-		critWaitNS += st.CritWaitNS
-		for _, ra := range st.Ranks {
-			spans += ra.Spans
-		}
-	}
-	waitShare := 0.0
-	if critNS > 0 {
-		waitShare = float64(critWaitNS) / float64(critNS)
-	}
+	critNS, waitShare, spans := pathTotals(pm)
 	return ObsBenchResult{
 		Steps:                   cfg.Steps,
 		Parts:                   cfg.Parts,
@@ -158,6 +146,24 @@ func RunObsBench(cfg ObsBenchConfig) (ObsBenchResult, *obs.Timeline, *obs.Postmo
 		CriticalPathNS:          critNS,
 		CritWaitShare:           waitShare,
 	}, t, pm
+}
+
+// pathTotals sums the postmortem's critical-path work (CriticalNS:
+// compute + comm, waits weighing zero) and merged spans, and returns the
+// wait's share of the paths' full time, work plus the wait they traverse.
+func pathTotals(pm *obs.Postmortem) (workNS int64, waitShare float64, spans int) {
+	var waitNS int64
+	for _, st := range pm.Steps {
+		workNS += st.CriticalNS
+		waitNS += st.CritWaitNS
+		for _, ra := range st.Ranks {
+			spans += ra.Spans
+		}
+	}
+	if workNS+waitNS > 0 {
+		waitShare = float64(waitNS) / float64(workNS+waitNS)
+	}
+	return workNS, waitShare, spans
 }
 
 // Rows renders the result as aligned report lines.
@@ -178,25 +184,18 @@ func (r ObsBenchResult) Rows() []string {
 func WriteObsBench(dir string) (ObsBenchResult, error) {
 	res, t, pm := RunObsBench(DefaultObsBenchConfig())
 	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return res, err
+	var post, trace bytes.Buffer
+	if err == nil {
+		err = pm.EncodeJSON(&post)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_obs.json"), append(buf, '\n'), 0o644); err != nil {
-		return res, err
+	if err == nil {
+		err = t.WriteChromeTrace(&trace, pm)
 	}
-	f, err := os.Create(filepath.Join(dir, "BENCH_obs_postmortem.json"))
-	if err != nil {
-		return res, err
+	for name, data := range map[string][]byte{"BENCH_obs.json": append(buf, '\n'),
+		"BENCH_obs_postmortem.json": post.Bytes(), "BENCH_obs_trace.json": trace.Bytes()} {
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), data, 0o644)
+		}
 	}
-	if err := pm.EncodeJSON(f); err != nil {
-		f.Close()
-		return res, err
-	}
-	f.Close()
-	g, err := os.Create(filepath.Join(dir, "BENCH_obs_trace.json"))
-	if err != nil {
-		return res, err
-	}
-	defer g.Close()
-	return res, t.WriteChromeTrace(g, pm)
+	return res, err
 }

@@ -93,6 +93,8 @@ type Transport interface {
 	// SetTelemetry attaches a flight recorder: each Step emits a
 	// tracer_step span attributed to rank (nil recorder detaches).
 	SetTelemetry(rec *telemetry.Recorder, rank int32)
+	// SetTelemetryStep stamps them with a per-rank step (> 0; 0: shared).
+	SetTelemetryStep(step int64)
 }
 
 // OwnedSets is the distributed work description of a Transport.
@@ -133,6 +135,7 @@ type transport[T precision.Real] struct {
 	// Optional flight recorder for Step spans (nil: disabled).
 	rec     *telemetry.Recorder
 	telRank int32
+	telStep int64
 }
 
 func newTransport[T precision.Real](m *mesh.Mesh, nlev int, mode precision.Mode) *transport[T] {
@@ -169,12 +172,19 @@ func (tr *transport[T]) SetTelemetry(rec *telemetry.Recorder, rank int32) {
 	tr.telRank = rank
 }
 
+func (tr *transport[T]) SetTelemetryStep(step int64) { tr.telStep = step }
+
 // Step advances every species: first the tracer-step dry mass with the
 // divergence of the mass flux, then each species with FCT-limited fluxes.
 //
 //grist:hotpath
 func (tr *transport[T]) Step(f *Field, massFlux []float64, dt float64) {
-	sp := tr.rec.Begin("tracer_step", tr.telRank)
+	var sp telemetry.Span
+	if tr.telStep > 0 {
+		sp = tr.rec.BeginAt("tracer_step", tr.telRank, tr.telStep)
+	} else {
+		sp = tr.rec.Begin("tracer_step", tr.telRank)
+	}
 	m := tr.m
 	nlev := tr.nlev
 
