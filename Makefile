@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-baseline test pin pin-update profile-step race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve serve-smoke bench-obs bench-check
+.PHONY: check build vet lint lint-baseline test pin pin-update profile-step race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -142,15 +142,6 @@ chaos-serve:
 		./internal/vfs/ ./internal/fault/ ./internal/durable/ ./internal/core/ ./internal/serve/
 	$(GO) run ./cmd/gristbench -exp chaosserve
 	$(GO) run ./cmd/gristbench -check -check-files CHAOS_serve.json -baseline bench.baseline.json
-
-# The serving-plane smoke: gristd self-generates a 3-epoch replay,
-# fires 10k queries at its own HTTP listener, and exits nonzero unless
-# the run had zero 5xx, cached p99 under the bound, and quota-throttled
-# tenants answered with 429 (never errors).
-serve-smoke:
-	$(GO) run ./cmd/gristd -addr :0 -level 3 -layers 6 \
-		-replay.epochs 3 -quota.rate 1000 -quota.burst 200 \
-		-smoke.queries 10000 -smoke.p99 50ms
 
 # The cross-rank trace aggregation benchmark: two rebalanced runs from
 # the same skewed decomposition (wall-weighted vs span-attributed cost

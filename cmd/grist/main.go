@@ -259,11 +259,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
+		err = rec.WriteChromeTrace(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "writing trace:", err)
 			os.Exit(1)
 		}
-		f.Close()
 		fmt.Printf("Wrote Chrome trace to %s (open at https://ui.perfetto.dev)\n", *traceOut)
 	}
 	if srv != nil || querySrv != nil {
@@ -292,11 +295,4 @@ func main() {
 		}
 		fmt.Printf("Wrote restart to %s (atomic, CRC-framed)\n", *restartOut)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -45,10 +45,7 @@ func main() {
 	quotaRate := flag.Float64("quota.rate", 0, "per-tenant sustained queries/second (0 = unlimited)")
 	quotaBurst := flag.Float64("quota.burst", 64, "per-tenant burst capacity in queries")
 	queueDepth := flag.Int("queue", 256, "max in-flight queries before shedding with 429")
-	replayEpochs := flag.Int("replay.epochs", 0, "self-generate N committed epochs by running the model (demo/smoke mode; -data optional)")
-	replaySteps := flag.Int("replay.steps", 2, "physics steps between self-generated epochs")
-	smokeQueries := flag.Int("smoke.queries", 0, "run a self-smoke: fire N queries over real HTTP, print the report, exit")
-	smokeP99 := flag.Duration("smoke.p99", 50*time.Millisecond, "self-smoke failure bound on cached-query p99")
+	replayEpochs := flag.Int("replay.epochs", 0, "self-generate N committed epochs by running the model (demo mode; -data optional)")
 	logFormat := flag.String("log.format", "text", "structured log format: text or json")
 	maxStale := flag.Int("serve.max-stale", 4, "degraded mode once serving lags this many committed epochs")
 	faultProfile := flag.String("fault.profile", "off", "filesystem fault profile over -data ("+fault.FSProfiles()+")")
@@ -78,7 +75,7 @@ func main() {
 	m := mesh.New(*level).ReorderBFS()
 
 	if *replayEpochs > 0 {
-		if err := generateReplay(m, *data, *level, *layers, *replayEpochs, *replaySteps); err != nil {
+		if err := generateReplay(m, *data, *level, *layers, *replayEpochs); err != nil {
 			fmt.Fprintln(os.Stderr, "replay:", err)
 			os.Exit(1)
 		}
@@ -137,8 +134,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: mux}
-	go httpSrv.Serve(ln)
+	go http.Serve(ln, mux)
 	fmt.Printf("gristd on http://%s/ (/v1/point /v1/region /v1/range /v1/epochs /healthz /metrics /debug/query /debug/step)\n", ln.Addr())
 	fmt.Printf("  watching %s every %s (%d ranks, %d layers, retain %d epochs)\n",
 		*data, *poll, *parts, *layers, *retain)
@@ -166,12 +162,6 @@ func main() {
 		slog.Warn("initial snapshot poll failed", "dir", *data, "err", err)
 	}
 
-	if *smokeQueries > 0 {
-		code := runSmoke(ln.Addr().String(), srv, *smokeQueries, *smokeP99)
-		httpSrv.Close()
-		os.Exit(code)
-	}
-
 	// Persistent poll failures back off exponentially (capped, jittered)
 	// instead of hammering a sick filesystem at the base interval, with
 	// one log line per backoff step rather than one per tick.
@@ -189,11 +179,14 @@ func main() {
 	}
 }
 
+// replayStepsPerEpoch is the physics steps between self-generated epochs.
+const replayStepsPerEpoch = 2
+
 // generateReplay runs a small serial model and exports an epoch every
-// few physics steps — a self-contained producer for demos and smoke
-// tests, using exactly the wire format a real run exports.
-func generateReplay(m *mesh.Mesh, dir string, level, layers, epochs, stepsPer int) error {
-	fmt.Printf("Replay: generating %d epochs (%d steps apart) into %s\n", epochs, stepsPer, dir)
+// replayStepsPerEpoch physics steps — a self-contained producer for
+// demos and tests, using exactly the wire format a real run exports.
+func generateReplay(m *mesh.Mesh, dir string, level, layers, epochs int) error {
+	fmt.Printf("Replay: generating %d epochs (%d steps apart) into %s\n", epochs, replayStepsPerEpoch, dir)
 	mod := core.NewModelOnMesh(core.Config{GridLevel: level, NLev: layers}, physics.Null{}, m)
 	cl := synthclim.ForPeriod(synthclim.Table1()[2], 0)
 	mod.InitializeClimate(cl)
@@ -203,7 +196,7 @@ func generateReplay(m *mesh.Mesh, dir string, level, layers, epochs, stepsPer in
 	}
 	for e := 0; e < epochs; e++ {
 		if e > 0 {
-			for i := 0; i < stepsPer; i++ {
+			for i := 0; i < replayStepsPerEpoch; i++ {
 				mod.StepPhysics(cl.Season)
 			}
 		}
@@ -212,70 +205,4 @@ func generateReplay(m *mesh.Mesh, dir string, level, layers, epochs, stepsPer in
 		}
 	}
 	return nil
-}
-
-// runSmoke fires the standard workload at the daemon's own HTTP
-// listener and enforces the serve-smoke gates: zero 5xx, cached p99
-// under the bound, and quota pressure expressed as 429s (when a quota
-// is configured). Returns the process exit code.
-func runSmoke(addr string, srv *serve.Server, queries int, p99Bound time.Duration) int {
-	fmt.Printf("Smoke: %d queries against http://%s/ (cached p99 bound %s)\n", queries, addr, p99Bound)
-	// Wait for readiness (the first poll already ran, so this is quick).
-	for i := 0; ; i++ {
-		resp, err := http.Get("http://" + addr + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == 200 {
-				break
-			}
-		}
-		if i > 100 {
-			fmt.Fprintln(os.Stderr, "smoke: daemon never became healthy")
-			return 1
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	rep := serve.RunLoadHTTP("http://"+addr, srv.Engine, nil, serve.LoadConfig{Queries: queries})
-	for _, row := range rep.Rows() {
-		fmt.Println("  " + row)
-	}
-	fail := false
-	if rep.Server5xx > 0 {
-		fmt.Fprintf(os.Stderr, "smoke FAIL: %d server 5xx (want 0)\n", rep.Server5xx)
-		fail = true
-	}
-	if rep.Client4xx > 0 {
-		fmt.Fprintf(os.Stderr, "smoke FAIL: %d client 4xx from the well-formed workload\n", rep.Client4xx)
-		fail = true
-	}
-	if rep.OK == 0 {
-		fmt.Fprintln(os.Stderr, "smoke FAIL: no query succeeded")
-		fail = true
-	}
-	if rep.HitP99Sec > p99Bound.Seconds() {
-		fmt.Fprintf(os.Stderr, "smoke FAIL: cached p99 %.3fms over bound %s\n", rep.HitP99Sec*1e3, p99Bound)
-		fail = true
-	}
-	if srv.Quotas != nil && rep.Quota429 == 0 && quotaConfigured(srv) {
-		fmt.Fprintln(os.Stderr, "smoke FAIL: quota configured but the greedy tenant was never throttled")
-		fail = true
-	}
-	if fail {
-		return 1
-	}
-	fmt.Println("Smoke: PASS")
-	return 0
-}
-
-// quotaConfigured reports whether the daemon runs with a finite quota
-// (the smoke only asserts throttling when there is one).
-func quotaConfigured(srv *serve.Server) bool {
-	// A quick probe: a tenant allowed thousands of times in a tight loop
-	// means the limiter is disabled.
-	for i := 0; i < 10000; i++ {
-		if !srv.Quotas.Allow("smoke-probe") {
-			return true
-		}
-	}
-	return false
 }

@@ -180,8 +180,8 @@ type HaloExchanger struct {
 	onTimeout func()
 
 	// statsMu guards stats: the owning rank updates them from Start and
-	// Finish while a telemetry sampler may read or drain them from
-	// another goroutine.
+	// Finish while a telemetry sampler may read them from another
+	// goroutine.
 	statsMu sync.Mutex
 	stats   ExchangeStats
 
@@ -497,33 +497,9 @@ func (h *HaloExchanger) BytesPerExchange() int64 {
 	return total
 }
 
-// Stats returns a copy of the accumulated exchange statistics without
-// resetting them.
+// Stats returns a copy of the accumulated exchange statistics.
 func (h *HaloExchanger) Stats() ExchangeStats {
 	h.statsMu.Lock()
 	defer h.statsMu.Unlock()
 	return h.stats
-}
-
-// DrainStats atomically returns the accumulated statistics and resets
-// them. Read-then-reset is one critical section, so a sampler draining
-// periodically accounts every round and byte exactly once — no window
-// is lost between a Stats read and a separate reset.
-func (h *HaloExchanger) DrainStats() ExchangeStats {
-	h.statsMu.Lock()
-	defer h.statsMu.Unlock()
-	st := h.stats
-	h.stats = ExchangeStats{}
-	return st
-}
-
-// DrainTimings reports the accumulated wait time under "halo_wait" and
-// resets the counters (the core.ComponentTimer contract). Callers that
-// also need the byte and round counts should use DrainStats directly —
-// one drain yields every counter from the same atomic window.
-func (h *HaloExchanger) DrainTimings(emit func(name string, d time.Duration, calls int)) {
-	st := h.DrainStats()
-	if st.Rounds > 0 {
-		emit("halo_wait", st.Wait, st.Rounds)
-	}
 }

@@ -2,18 +2,15 @@ package comm
 
 import (
 	"testing"
-	"time"
 
 	"gristgo/internal/mesh"
 	"gristgo/internal/partition"
 	"gristgo/internal/telemetry"
 )
 
-// TestDrainStatsReturnsAndResets: draining must hand back everything
-// accumulated since the previous drain and leave the counters at zero —
-// read-then-reset as one atom, so a periodic sampler accounts every
-// round exactly once.
-func TestDrainStatsReturnsAndResets(t *testing.T) {
+// TestStatsAccumulatesRounds: every completed round adds one to Rounds
+// and exactly BytesPerExchange to BytesSent.
+func TestStatsAccumulatesRounds(t *testing.T) {
 	m := mesh.New(3)
 	d := partition.MustDecompose(m, 2, 1)
 	Run(2, func(r *Rank) {
@@ -27,64 +24,16 @@ func TestDrainStatsReturnsAndResets(t *testing.T) {
 		h.Exchange()
 		perRound := h.BytesPerExchange()
 
-		st := h.DrainStats()
+		st := h.Stats()
 		if st.Rounds != 3 {
-			t.Errorf("drained Rounds = %d, want 3", st.Rounds)
+			t.Errorf("Rounds = %d, want 3", st.Rounds)
 		}
 		if st.BytesSent != 3*perRound {
-			t.Errorf("drained BytesSent = %d, want %d", st.BytesSent, 3*perRound)
+			t.Errorf("BytesSent = %d, want %d", st.BytesSent, 3*perRound)
 		}
 		if st.Wait < 0 {
-			t.Errorf("drained Wait = %v", st.Wait)
+			t.Errorf("Wait = %v", st.Wait)
 		}
-		if again := h.DrainStats(); again != (ExchangeStats{}) {
-			t.Errorf("second drain not empty: %+v", again)
-		}
-
-		// A round after the drain accumulates into a fresh window: the
-		// drain boundary loses nothing and double-counts nothing.
-		h.Exchange()
-		if st2 := h.DrainStats(); st2.Rounds != 1 || st2.BytesSent != perRound {
-			t.Errorf("post-drain window = %+v, want 1 round / %d bytes", st2, perRound)
-		}
-	})
-}
-
-// TestDrainTimingsUsesOneWindow: the ComponentTimer view reports the
-// same wait/rounds a DrainStats of the identical window would, and
-// resets byte counters with it.
-func TestDrainTimingsUsesOneWindow(t *testing.T) {
-	m := mesh.New(3)
-	d := partition.MustDecompose(m, 2, 1)
-	Run(2, func(r *Rank) {
-		dom := NewDomain(m, d, r.ID())
-		f := dom.NewField("x", 1)
-		h := NewHaloExchanger(dom, r)
-		h.Register(f)
-		h.Exchange()
-		h.Exchange()
-
-		var gotD time.Duration
-		var gotCalls int
-		h.DrainTimings(func(name string, dur time.Duration, calls int) {
-			if name != "halo_wait" {
-				t.Errorf("emitted %q, want halo_wait", name)
-			}
-			gotD, gotCalls = dur, calls
-		})
-		if gotCalls != 2 {
-			t.Errorf("emitted %d calls, want 2", gotCalls)
-		}
-		if gotD < 0 {
-			t.Errorf("emitted wait %v", gotD)
-		}
-		if st := h.Stats(); st != (ExchangeStats{}) {
-			t.Errorf("DrainTimings left residue: %+v", st)
-		}
-		// Nothing accumulated: no emission at all.
-		h.DrainTimings(func(string, time.Duration, int) {
-			t.Error("empty window emitted a sample")
-		})
 	})
 }
 

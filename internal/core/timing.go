@@ -89,9 +89,9 @@ func (t *Timings) Get(name string) (time.Duration, int) {
 	return time.Duration(h.ns.Value()), int(h.calls.Value())
 }
 
-// ComponentTimer is implemented by model components that keep their own
-// fine-grained timing counters — notably the ML physics suite, whose
-// inference engines time each batched Forward (the measurement feeding
+// ComponentTimer is implemented by physics suites that keep their own
+// fine-grained timing counters — the ML physics suite, whose inference
+// engines time each batched Forward (the measurement feeding
 // perfmodel's ML-suite cost). DrainTimings reports and resets them.
 type ComponentTimer interface {
 	DrainTimings(emit func(name string, d time.Duration, calls int))

@@ -120,27 +120,6 @@ func cleanChecksums(m *mesh.Mesh, nlev, epochs, extra int) map[int]uint64 {
 	return sums
 }
 
-// addLoad accumulates one burst's counters into the leg aggregate
-// (latency percentiles are per-burst and not meaningfully summable, so
-// the aggregate keeps the last burst's).
-func addLoad(acc *serve.LoadReport, b serve.LoadReport) {
-	qs := acc.Queries
-	ok, c4, q429, b429, br503, s5 := acc.OK, acc.Client4xx, acc.Quota429, acc.Busy429, acc.Breaker503, acc.Server5xx
-	dur := acc.DurationSec
-	*acc = b
-	acc.Queries += qs
-	acc.OK += ok
-	acc.Client4xx += c4
-	acc.Quota429 += q429
-	acc.Busy429 += b429
-	acc.Breaker503 += br503
-	acc.Server5xx += s5
-	acc.DurationSec += dur
-	if acc.DurationSec > 0 {
-		acc.QPS = float64(acc.Queries) / acc.DurationSec
-	}
-}
-
 // quarantineCount sums the reason-labelled quarantine counter.
 func quarantineCount(reg *telemetry.Registry) int64 {
 	var total int64
@@ -227,11 +206,7 @@ func runChaosServeLeg(m *mesh.Mesh, cfg ChaosServeConfig, prof fault.FSProfile, 
 		if srv.Engine.Store().Latest() == nil {
 			continue // nothing published yet; a load burst would be all 404s
 		}
-		burst := serve.RunLoadInProcess(srv.Mux(), srv.Engine, serve.LoadConfig{
-			Queries: cfg.Queries,
-			Seed:    cfg.Seed + int64(e),
-		})
-		addLoad(&leg.Load, burst)
+		leg.Load.Add(serve.RunLoadInProcess(srv.Mux(), srv.Engine, cfg.Queries, cfg.Seed+int64(e)))
 	}
 
 	// Phase 2: injection off; continued production must drain the
@@ -252,11 +227,7 @@ func runChaosServeLeg(m *mesh.Mesh, cfg ChaosServeConfig, prof fault.FSProfile, 
 
 	// Post-recovery burst: the healthy plane serves clean.
 	if srv.Engine.Store().Latest() != nil {
-		burst := serve.RunLoadInProcess(srv.Mux(), srv.Engine, serve.LoadConfig{
-			Queries: cfg.Queries,
-			Seed:    cfg.Seed + 1000,
-		})
-		addLoad(&leg.Load, burst)
+		leg.Load.Add(serve.RunLoadInProcess(srv.Mux(), srv.Engine, cfg.Queries, cfg.Seed+1000))
 	}
 
 	leg.QuarantinedTotal = quarantineCount(reg)

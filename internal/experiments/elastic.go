@@ -27,7 +27,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -102,21 +101,6 @@ type ElasticResult struct {
 	CkptEpochs       int64 `json:"grist_checkpoint_epochs_total"`
 }
 
-// elasticGate is the §3.4.1 error threshold.
-const elasticGate = 0.05
-
-// elasticRelL2 is the relative L2 error — the same metric the accuracy
-// gates use.
-func elasticRelL2(a, ref []float64) float64 {
-	var num, den float64
-	for i := range a {
-		d := a[i] - ref[i]
-		num += d * d
-		den += ref[i] * ref[i]
-	}
-	return math.Sqrt(num / den)
-}
-
 // runElasticLeg runs the shrinkgrow scenario once and scores it against
 // the same-mode clean reference. Each leg gets a fresh fault plan (the
 // kill is one-shot per plan) and its own checkpoint directory.
@@ -151,11 +135,10 @@ func runElasticLeg(m *mesh.Mesh, cfg ElasticConfig, mode precision.Mode, overlap
 		return leg, nil
 	}
 	leg.Bitwise = statesBitwise(final, clean)
-	leg.PsRelErr = elasticRelL2(final.SurfacePressure(), clean.SurfacePressure())
-	leg.VorRelErr = elasticRelL2(
+	dev := precision.Measure(final.SurfacePressure(), clean.SurfacePressure(),
 		dycore.NewFromState(final, precision.DP).VorticityAtLevel(2),
 		dycore.NewFromState(clean, precision.DP).VorticityAtLevel(2))
-	leg.WithinGate = leg.PsRelErr <= elasticGate && leg.VorRelErr <= elasticGate
+	leg.PsRelErr, leg.VorRelErr, leg.WithinGate = dev.Ps, dev.Vor, dev.Acceptable()
 	return leg, final
 }
 

@@ -1,14 +1,15 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
+
+	"gristgo/internal/telemetry"
 )
 
 // WriteChromeTrace writes the merged timeline as Chrome trace_event
-// JSON (chrome://tracing, Perfetto). Mapping:
+// JSON (chrome://tracing, Perfetto) through telemetry's encoder.
+// Mapping:
 //
 //   - pid is the source ring index (one process per ring), tid the
 //     rank, so each rank gets its own row grouped under its process;
@@ -37,15 +38,21 @@ func (t *Timeline) WriteChromeTrace(w io.Writer, pm *Postmortem) error {
 			}
 		}
 	}
-	var evs []Span
+	var evs []telemetry.ChromeEvent
 	for _, st := range t.Steps {
 		for _, rs := range st.Ranks {
-			evs = append(evs, rs.Spans...)
+			for _, sp := range rs.Spans {
+				evs = append(evs, telemetry.ChromeEvent{
+					Event: telemetry.Event{Name: sp.Name, Rank: sp.Rank, Step: sp.Step, Start: sp.Start, Dur: sp.Dur},
+					Pid:   sp.Ring,
+					Crit:  crit[critKey{sp.Step, sp.Rank, sp.Name, sp.Index}],
+				})
+			}
 		}
 	}
 	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Ring != evs[j].Ring {
-			return evs[i].Ring < evs[j].Ring
+		if evs[i].Pid != evs[j].Pid {
+			return evs[i].Pid < evs[j].Pid
 		}
 		if evs[i].Rank != evs[j].Rank {
 			return evs[i].Rank < evs[j].Rank
@@ -55,35 +62,5 @@ func (t *Timeline) WriteChromeTrace(w io.Writer, pm *Postmortem) error {
 		}
 		return evs[i].Dur > evs[j].Dur
 	})
-	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return err
-	}
-	for i, ev := range evs {
-		sep := ""
-		if i > 0 {
-			sep = ","
-		}
-		mark := ""
-		if crit[critKey{ev.Step, ev.Rank, ev.Name, ev.Index}] {
-			mark = `,"crit":1`
-		}
-		if _, err := fmt.Fprintf(w,
-			"%s\n{\"name\":%s,\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":{\"step\":%d%s}}",
-			sep, strconv.Quote(ev.Name), ev.Ring, ev.Rank, micros(ev.Start), micros(ev.Dur), ev.Step, mark); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
-}
-
-// micros renders nanoseconds as decimal microseconds with nanosecond
-// resolution preserved (integer math; no float wobble in goldens).
-func micros(ns int64) string {
-	sign := ""
-	if ns < 0 {
-		sign = "-"
-		ns = -ns
-	}
-	return fmt.Sprintf("%s%d.%03d", sign, ns/1000, ns%1000)
+	return telemetry.EncodeChromeTrace(w, evs)
 }

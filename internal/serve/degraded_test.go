@@ -76,7 +76,8 @@ func TestHTTPDegradedModeBoundedStaleness(t *testing.T) {
 // X-Grist-Reject: breaker tag so clients (and the load generator) can
 // tell intentional degradation from an unexplained 5xx.
 func TestHTTPBreakerShedCarriesRetryAfter(t *testing.T) {
-	s := newTestServer(Config{BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	s := newTestServer(Config{})
+	s.Engine.SetBreaker(1, time.Minute)
 	mux := s.Mux()
 	s.Publish(malformedSnapshot(1))
 

@@ -65,24 +65,17 @@ type Engine struct {
 }
 
 // NewEngine assembles an engine over store with ntiles spatial tiles
-// and a capTiles-entry cache. The build breaker starts at the default
-// threshold/cooldown; SetBreaker tunes it.
+// and a capTiles-entry cache. Three consecutive build failures open a
+// key's breaker for half a second; SetBreaker tunes it.
 func NewEngine(m *mesh.Mesh, store *SnapshotStore, ntiles, capTiles int, seed int64) *Engine {
 	return &Engine{
 		store:   store,
 		tiler:   NewTiler(m, ntiles, seed),
 		cache:   NewTileCache(capTiles),
 		flight:  newFlightGroup(),
-		breaker: newBuildBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown),
+		breaker: newBuildBreaker(3, 500*time.Millisecond),
 	}
 }
-
-// Default build-breaker tuning: three consecutive failures open a
-// key's breaker for half a second.
-const (
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 500 * time.Millisecond
-)
 
 // SetBreaker replaces the build breaker's tuning. Call before serving
 // traffic; it resets accumulated failure state.

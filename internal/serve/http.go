@@ -29,12 +29,6 @@ type Config struct {
 	// degraded mode — responses carry X-Grist-Stale and /healthz reports
 	// "degraded" (still 200 for LB purposes). Default 4.
 	MaxStale int
-
-	// Build-breaker tuning: consecutive failures to open one tile key's
-	// breaker, and how long it stays open. Defaults
-	// DefaultBreakerThreshold / DefaultBreakerCooldown.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -58,12 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStale <= 0 {
 		c.MaxStale = 4
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
 	}
 	return c
 }
@@ -124,7 +112,6 @@ func NewServer(m *mesh.Mesh, cfg Config, reg *telemetry.Registry) *Server {
 		shedCount:   map[string]*telemetry.Counter{},
 		degradedGge: reg.Gauge("grist_serve_degraded"),
 	}
-	s.Engine.SetBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	for _, kind := range queryKinds {
 		s.latency[kind] = reg.Histogram("grist_serve_latency_seconds", "kind", kind)
 		s.okCount[kind] = reg.Counter("grist_serve_requests_total", "kind", kind, "code", "2xx")

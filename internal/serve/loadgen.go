@@ -2,104 +2,72 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
-	"time"
 )
 
-// LoadConfig drives the synthetic traffic generator: a replay of point
-// (plus a sprinkle of region and time-range) queries with a zipf-like
-// hotspot structure, spread over tenants, one of which is greedy
-// enough to exhaust its quota.
-type LoadConfig struct {
-	Queries  int     // total queries to fire
-	Workers  int     // concurrent clients (default 8)
-	Tenants  int     // well-behaved tenants (default 4)
-	Greedy   float64 // fraction of traffic from the "greedy" tenant (default 0.05)
-	HotFrac  float64 // fraction of point queries aimed at hotspots (default 0.8)
-	Hotspots int     // distinct hot locations (default 16)
-	Region   float64 // fraction of region queries (default 0.01)
-	Range    float64 // fraction of time-range queries (default 0.02)
-	Seed     int64
-}
+// The synthetic workload: point queries (plus a sprinkle of region and
+// time-range ones) with a hotspot structure, spread over tenants, one
+// of which is greedy enough to exhaust its quota.
+const (
+	loadWorkers  = 8    // concurrent clients
+	loadTenants  = 4    // well-behaved tenants
+	loadGreedy   = 0.05 // fraction of traffic from the "greedy" tenant
+	loadHotFrac  = 0.8  // fraction of point queries aimed at hotspots
+	loadHotspots = 16   // distinct hot locations
+	loadRegion   = 0.01 // fraction of region queries
+	loadRange    = 0.02 // fraction of time-range queries
+)
 
-func (c LoadConfig) withDefaults() LoadConfig {
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 4
-	}
-	if c.Greedy == 0 {
-		c.Greedy = 0.05
-	}
-	if c.HotFrac == 0 {
-		c.HotFrac = 0.8
-	}
-	if c.Hotspots <= 0 {
-		c.Hotspots = 16
-	}
-	if c.Region == 0 {
-		c.Region = 0.01
-	}
-	if c.Range == 0 {
-		c.Range = 0.02
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// LoadReport summarizes one replay: status breakdown, exact latency
-// percentiles (overall and cache-hit-only), and the engine's cache and
-// coalescing counters.
+// LoadReport counts one replay's answers by status. It measures no
+// time: query-plane speed is the benchmark's, over a real socket.
 type LoadReport struct {
-	Queries     int64   `json:"queries"`
-	DurationSec float64 `json:"duration_sec"`
-	QPS         float64 `json:"qps"`
-
 	OK         int64 `json:"ok_2xx"`
 	Client4xx  int64 `json:"client_4xx"`
 	Quota429   int64 `json:"quota_429"`
 	Busy429    int64 `json:"busy_429"`
 	Breaker503 int64 `json:"breaker_503"`
 	Server5xx  int64 `json:"server_5xx"`
-
-	P50Sec  float64 `json:"latency_p50_s"`
-	P99Sec  float64 `json:"latency_p99_s"`
-	MeanSec float64 `json:"latency_mean_s"`
-
-	HitP50Sec float64 `json:"cached_latency_p50_s"`
-	HitP99Sec float64 `json:"cached_latency_p99_s"`
-
-	HitRate       float64 `json:"cache_hit_rate"`
-	CoalesceRatio float64 `json:"coalesce_ratio"`
-	TileBuilds    int64   `json:"tile_builds"`
 }
 
-// Rows renders the report as aligned summary lines.
-func (r LoadReport) Rows() []string {
-	return []string{
-		fmt.Sprintf("queries=%d in %.2fs -> %.0f qps", r.Queries, r.DurationSec, r.QPS),
-		fmt.Sprintf("status: 2xx=%d 4xx=%d quota429=%d busy429=%d breaker503=%d 5xx=%d",
-			r.OK, r.Client4xx, r.Quota429, r.Busy429, r.Breaker503, r.Server5xx),
-		fmt.Sprintf("latency: p50=%.3fms p99=%.3fms mean=%.3fms (cached p50=%.3fms p99=%.3fms)",
-			r.P50Sec*1e3, r.P99Sec*1e3, r.MeanSec*1e3, r.HitP50Sec*1e3, r.HitP99Sec*1e3),
-		fmt.Sprintf("tiles: hit rate=%.1f%%  coalesce ratio=%.2f  builds=%d",
-			r.HitRate*100, r.CoalesceRatio, r.TileBuilds),
+// Add accumulates b's counts into r.
+func (r *LoadReport) Add(b LoadReport) {
+	r.OK += b.OK
+	r.Client4xx += b.Client4xx
+	r.Quota429 += b.Quota429
+	r.Busy429 += b.Busy429
+	r.Breaker503 += b.Breaker503
+	r.Server5xx += b.Server5xx
+}
+
+// count files one answer under its status class. reason is the
+// response's X-Grist-Reject header, falling back to X-Grist-Cache.
+func (r *LoadReport) count(status int, reason string) {
+	switch {
+	case status >= 200 && status < 300:
+		r.OK++
+	case status == 429:
+		// quota vs queue: the server tags the reason.
+		if reason == "quota" {
+			r.Quota429++
+		} else {
+			r.Busy429++
+		}
+	case status >= 400 && status < 500:
+		r.Client4xx++
+	case status == 503 && reason == CacheBreaker:
+		// Breaker-keyed shedding is intentional degradation, not an
+		// unexplained 5xx.
+		r.Breaker503++
+	default:
+		r.Server5xx++
 	}
 }
 
-// doer fires one prepared query and reports (HTTP status, X-Grist-Cache).
-type doer func(path, tenant string) (int, string)
-
 // genQuery renders one query path from the workload mix.
-func genQuery(rng *rand.Rand, cfg LoadConfig, hotLat, hotLon []float64, epochs []int) string {
+func genQuery(rng *rand.Rand, hotLat, hotLon []float64, epochs []int) string {
 	epochArg := ""
 	if len(epochs) > 0 && rng.Float64() < 0.3 {
 		epochArg = fmt.Sprintf("&epoch=%d", epochs[rng.Intn(len(epochs))])
@@ -107,17 +75,17 @@ func genQuery(rng *rand.Rand, cfg LoadConfig, hotLat, hotLon []float64, epochs [
 	field := FieldNames[rng.Intn(NumFields)]
 	r := rng.Float64()
 	switch {
-	case r < cfg.Region:
+	case r < loadRegion:
 		lat := rng.Float64()*120 - 60
 		lon := rng.Float64()*300 - 150
 		return fmt.Sprintf("/v1/region?min_lat=%.2f&max_lat=%.2f&min_lon=%.2f&max_lon=%.2f&field=%s&limit=256%s",
 			lat, lat+10, lon, lon+10, field, epochArg)
-	case r < cfg.Region+cfg.Range:
+	case r < loadRegion+loadRange:
 		i := rng.Intn(len(hotLat))
 		return fmt.Sprintf("/v1/range?lat=%.4f&lon=%.4f&field=%s", hotLat[i], hotLon[i], field)
 	default:
 		var lat, lon float64
-		if rng.Float64() < cfg.HotFrac {
+		if rng.Float64() < loadHotFrac {
 			i := rng.Intn(len(hotLat))
 			lat, lon = hotLat[i]+rng.Float64()*0.2, hotLon[i]+rng.Float64()*0.2
 		} else {
@@ -125,133 +93,6 @@ func genQuery(rng *rand.Rand, cfg LoadConfig, hotLat, hotLon []float64, epochs [
 		}
 		return fmt.Sprintf("/v1/point?lat=%.4f&lon=%.4f&field=%s%s", lat, lon, field, epochArg)
 	}
-}
-
-// runLoad is the shared replay core: cfg.Queries calls through do,
-// split over cfg.Workers goroutines, with exact latency accounting.
-// eng may be nil (remote target) — cache counters then stay zero.
-func runLoad(cfg LoadConfig, epochs []int, eng *Engine, do func(worker int) doer) LoadReport {
-	cfg = cfg.withDefaults()
-	hotLat := make([]float64, cfg.Hotspots)
-	hotLon := make([]float64, cfg.Hotspots)
-	hrng := rand.New(rand.NewSource(cfg.Seed))
-	for i := range hotLat {
-		hotLat[i] = hrng.Float64()*140 - 70
-		hotLon[i] = hrng.Float64()*358 - 179
-	}
-
-	var statsBefore EngineStats
-	if eng != nil {
-		statsBefore = eng.Stats()
-	}
-
-	type workerOut struct {
-		lats, hitLats                                      []float64
-		ok, c4, quota429, busy429, breaker503, s5xx, fired int64
-	}
-	outs := make([]workerOut, cfg.Workers)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		n := cfg.Queries / cfg.Workers
-		if w < cfg.Queries%cfg.Workers {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
-			fire := do(w)
-			out := &outs[w]
-			out.lats = make([]float64, 0, n)
-			for i := 0; i < n; i++ {
-				path := genQuery(rng, cfg, hotLat, hotLon, epochs)
-				tenant := fmt.Sprintf("tenant-%d", rng.Intn(cfg.Tenants))
-				if rng.Float64() < cfg.Greedy {
-					tenant = "greedy"
-				}
-				q0 := time.Now()
-				status, cache := fire(path, tenant)
-				dt := time.Since(q0).Seconds()
-				out.fired++
-				switch {
-				case status >= 200 && status < 300:
-					out.ok++
-					out.lats = append(out.lats, dt)
-					if cache == CacheHit {
-						out.hitLats = append(out.hitLats, dt)
-					}
-				case status == 429:
-					// quota vs queue: the server tags the reason.
-					if cache == "quota" {
-						out.quota429++
-					} else {
-						out.busy429++
-					}
-				case status >= 400 && status < 500:
-					out.c4++
-				case status == 503 && cache == "breaker":
-					// Breaker-keyed shedding is intentional degradation,
-					// not an unexplained 5xx.
-					out.breaker503++
-				default:
-					out.s5xx++
-				}
-			}
-		}(w, n)
-	}
-	wg.Wait()
-	dur := time.Since(t0).Seconds()
-
-	rep := LoadReport{DurationSec: dur}
-	var lats, hitLats []float64
-	for i := range outs {
-		o := &outs[i]
-		rep.Queries += o.fired
-		rep.OK += o.ok
-		rep.Client4xx += o.c4
-		rep.Quota429 += o.quota429
-		rep.Busy429 += o.busy429
-		rep.Breaker503 += o.breaker503
-		rep.Server5xx += o.s5xx
-		lats = append(lats, o.lats...)
-		hitLats = append(hitLats, o.hitLats...)
-	}
-	if dur > 0 {
-		rep.QPS = float64(rep.Queries) / dur
-	}
-	rep.P50Sec, rep.P99Sec, rep.MeanSec = latencySummary(lats)
-	rep.HitP50Sec, rep.HitP99Sec, _ = latencySummary(hitLats)
-	if eng != nil {
-		after := eng.Stats()
-		window := EngineStats{
-			Hits:      after.Hits - statsBefore.Hits,
-			Misses:    after.Misses - statsBefore.Misses,
-			Builds:    after.Builds - statsBefore.Builds,
-			Coalesced: after.Coalesced - statsBefore.Coalesced,
-		}
-		rep.HitRate = window.HitRate()
-		rep.CoalesceRatio = window.CoalesceRatio()
-		rep.TileBuilds = window.Builds
-	}
-	return rep
-}
-
-// latencySummary sorts and summarizes a latency sample.
-func latencySummary(lats []float64) (p50, p99, mean float64) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(lats)
-	var sum float64
-	for _, v := range lats {
-		sum += v
-	}
-	pick := func(q float64) float64 {
-		i := int(q * float64(len(lats)-1))
-		return lats[i]
-	}
-	return pick(0.5), pick(0.99), sum / float64(len(lats))
 }
 
 // nullRecorder is a reusable allocation-light http.ResponseWriter for
@@ -272,59 +113,61 @@ func (r *nullRecorder) reset() {
 	clear(r.hdr)
 }
 
-// RunLoadInProcess replays the workload directly against a handler —
-// no sockets, so millions of queries complete in seconds while still
-// exercising the full admission/quota/cache pipeline.
-func RunLoadInProcess(h http.Handler, eng *Engine, cfg LoadConfig) LoadReport {
+// RunLoadInProcess replays queries of the workload directly against h
+// (no sockets), split over loadWorkers goroutines, through the full
+// admission/quota/cache pipeline, and counts the answers by status.
+// The same seed replays the same queries.
+func RunLoadInProcess(h http.Handler, eng *Engine, queries int, seed int64) LoadReport {
 	epochs := eng.Store().Epochs()
-	return runLoad(cfg, epochs, eng, func(worker int) doer {
-		rec := &nullRecorder{hdr: http.Header{}}
-		req := &http.Request{Method: "GET", URL: &url.URL{}, Header: http.Header{}}
-		return func(path, tenant string) (int, string) {
-			u, err := url.Parse(path)
-			if err != nil {
-				return 400, ""
-			}
-			*req.URL = *u
-			req.Header.Set("X-Grist-Tenant", tenant)
-			rec.reset()
-			h.ServeHTTP(rec, req)
-			return rec.status, rejectOrCache(rec.hdr)
-		}
-	})
-}
-
-// RunLoadHTTP replays the workload over real HTTP against baseURL.
-// eng may be nil when the server runs in another process.
-func RunLoadHTTP(baseURL string, eng *Engine, epochs []int, cfg LoadConfig) LoadReport {
-	if eng != nil && epochs == nil {
-		epochs = eng.Store().Epochs()
+	hotLat := make([]float64, loadHotspots)
+	hotLon := make([]float64, loadHotspots)
+	hrng := rand.New(rand.NewSource(seed))
+	for i := range hotLat {
+		hotLat[i] = hrng.Float64()*140 - 70
+		hotLon[i] = hrng.Float64()*358 - 179
 	}
-	return runLoad(cfg, epochs, eng, func(worker int) doer {
-		client := &http.Client{Timeout: 30 * time.Second}
-		return func(path, tenant string) (int, string) {
-			req, err := http.NewRequest("GET", baseURL+path, nil)
-			if err != nil {
-				return 400, ""
-			}
-			req.Header.Set("X-Grist-Tenant", tenant)
-			resp, err := client.Do(req)
-			if err != nil {
-				return 599, "" // transport failure counts as a 5xx
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return resp.StatusCode, rejectOrCache(resp.Header)
-		}
-	})
-}
 
-// rejectOrCache extracts the response's cache status, or the reject
-// reason on 429s (both travel in headers so the replay never has to
-// parse bodies).
-func rejectOrCache(h http.Header) string {
-	if r := h.Get("X-Grist-Reject"); r != "" {
-		return r
+	outs := make([]LoadReport, loadWorkers)
+	var wg sync.WaitGroup
+	for w := range outs {
+		n := queries / loadWorkers
+		if w < queries%loadWorkers {
+			n++
+		}
+		wg.Add(1)
+		go func(out *LoadReport, w, n int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
+			rec := &nullRecorder{hdr: http.Header{}}
+			req := &http.Request{Method: "GET", URL: &url.URL{}, Header: http.Header{}}
+			for i := 0; i < n; i++ {
+				path := genQuery(rng, hotLat, hotLon, epochs)
+				tenant := fmt.Sprintf("tenant-%d", rng.Intn(loadTenants))
+				if rng.Float64() < loadGreedy {
+					tenant = "greedy"
+				}
+				u, err := url.Parse(path)
+				if err != nil {
+					out.count(400, "")
+					continue
+				}
+				*req.URL = *u
+				req.Header.Set("X-Grist-Tenant", tenant)
+				rec.reset()
+				h.ServeHTTP(rec, req)
+				reason := rec.hdr.Get("X-Grist-Reject")
+				if reason == "" {
+					reason = rec.hdr.Get("X-Grist-Cache")
+				}
+				out.count(rec.status, reason)
+			}
+		}(&outs[w], w, n)
 	}
-	return h.Get("X-Grist-Cache")
+	wg.Wait()
+
+	var rep LoadReport
+	for _, o := range outs {
+		rep.Add(o)
+	}
+	return rep
 }

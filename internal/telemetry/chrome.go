@@ -9,37 +9,51 @@ import (
 
 // WriteChromeTrace writes the recorder's held spans as Chrome
 // trace_event JSON (the "X" complete-event form), loadable in
-// chrome://tracing and https://ui.perfetto.dev. Mapping:
-//
-//   - pid 0 is the model process; tid is the MPI rank, so each rank gets
-//     its own timeline row and nested spans (halo_start → interior →
-//     halo_finish → boundary, inference batches, remap) stack within it;
-//   - ts/dur are microseconds since the recorder epoch;
-//   - args.step is the model step the span was attributed to.
-//
-// Events are emitted in (start, longer-first) order, which the viewers
-// require for correct nesting of equal-start spans.
+// chrome://tracing and https://ui.perfetto.dev: pid 0 is the model
+// process, tid the MPI rank (one row per rank, nested spans stacking
+// within it), ts/dur microseconds since the recorder epoch, args.step
+// the model step. Events go out in (start, longer-first) order, which
+// the viewers require for correct nesting of equal-start spans.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	evs := r.Snapshot()
+	var evs []ChromeEvent
+	for _, ev := range r.Snapshot() {
+		evs = append(evs, ChromeEvent{Event: ev})
+	}
 	sort.SliceStable(evs, func(i, j int) bool {
 		if evs[i].Start != evs[j].Start {
 			return evs[i].Start < evs[j].Start
 		}
 		return evs[i].Dur > evs[j].Dur
 	})
+	return EncodeChromeTrace(w, evs)
+}
+
+// ChromeEvent is a span on timeline row (Pid, Rank); Crit adds
+// args.crit=1 beside args.step.
+type ChromeEvent struct {
+	Event
+	Pid  int
+	Crit bool
+}
+
+// EncodeChromeTrace writes evs, in the order given, as Chrome
+// trace_event JSON with ts/dur in microseconds.
+func EncodeChromeTrace(w io.Writer, evs []ChromeEvent) error {
 	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
 		return err
 	}
-	for i, ev := range evs {
-		sep := ""
-		if i > 0 {
-			sep = ","
+	sep := ""
+	for _, ev := range evs {
+		mark := ""
+		if ev.Crit {
+			mark = `,"crit":1`
 		}
 		if _, err := fmt.Fprintf(w,
-			"%s\n{\"name\":%s,\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":{\"step\":%d}}",
-			sep, strconv.Quote(ev.Name), ev.Rank, micros(ev.Start), micros(ev.Dur), ev.Step); err != nil {
+			"%s\n{\"name\":%s,\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":{\"step\":%d%s}}",
+			sep, strconv.Quote(ev.Name), ev.Pid, ev.Rank, micros(ev.Start), micros(ev.Dur), ev.Step, mark); err != nil {
 			return err
 		}
+		sep = ","
 	}
 	_, err := io.WriteString(w, "\n]}\n")
 	return err

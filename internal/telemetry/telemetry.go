@@ -64,11 +64,6 @@ type Recorder struct {
 	now func() int64
 }
 
-// DefaultRingSize is the span capacity used by the CLI drivers: at ~8
-// spans per dynamics step it keeps on the order of a thousand steps of
-// history in a few MB.
-const DefaultRingSize = 1 << 13
-
 // NewRecorder creates a flight recorder holding the last capacity spans
 // (minimum 16).
 func NewRecorder(capacity int) *Recorder {
@@ -189,16 +184,6 @@ func (r *Recorder) Dropped() uint64 {
 		return 0
 	}
 	return r.next - uint64(len(r.events))
-}
-
-// Reset discards all recorded events (capacity is kept).
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.next = 0
-	r.mu.Unlock()
 }
 
 // DropCounter publishes a recorder's ring-wrap drop count into the
