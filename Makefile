@@ -15,9 +15,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The seven domain analyzers (precisioncheck, hotpathalloc,
-# sendownership, stencilsafety, determinism, durability, locksafety — see
-# DESIGN.md "Statically enforced invariants"). gristlint exits nonzero
+# The five domain analyzers (precisioncheck, hotpathalloc,
+# sendownership, determinism, locksafety — see DESIGN.md "Statically
+# enforced invariants"). gristlint exits nonzero
 # on any unsuppressed diagnostic or when the tree holds more
 # //lint:ignore suppressions than lint.baseline.json budgets, so `make
 # check` fails when a finding appears OR when one is suppressed instead
@@ -114,7 +114,8 @@ benchmark:
 
 # The fault-injection suite under the race detector (deadline waits,
 # rollback-and-replay, sentinel-driven degradation, elastic
-# shrink/grow membership, the coupled dynamics + tracer runs), then the
+# shrink/grow membership, the coupled dynamics + tracer runs, the
+# NaN-poisoned overlap window), then the
 # chaos experiment, which writes
 # CHAOS_recovery.json (recovery events, injected faults, bitwise
 # verdicts) and CHAOS_sentinels.json (health sentinel trip history),
@@ -123,14 +124,15 @@ benchmark:
 # verdicts, overlap-vs-blocking parity) for the CI artifact upload.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Barrier|Deadline|Halo|Resilient|RankDeath|BitFlip|Sentinel|Shard|LatestCommitted|Fallback|NaNOutput|DegradeFor|Restart|Elastic|Rebalanced|Redistribute|SwapLayout|SetOwned|CoupledRun' \
+		-run 'Fault|Barrier|Deadline|Halo|Resilient|RankDeath|BitFlip|Sentinel|Shard|LatestCommitted|Fallback|NaNOutput|DegradeFor|Restart|Elastic|Rebalanced|Redistribute|SwapLayout|SetOwned|CoupledRun|PoisonedOverlap' \
 		./internal/comm/ ./internal/fault/ ./internal/core/ ./internal/mlphysics/ ./internal/dycore/
 	$(GO) run ./cmd/gristbench -exp chaos
 	$(GO) run ./cmd/gristbench -exp elastic
 
 # The storage-plane chaos suite under the race detector (the vfs seam,
 # the fault-injecting filesystem, the durable container's corruption
-# table and atomic replace, shard writes under torn renames,
+# table and atomic replace, shard writes under torn renames, the sweep
+# that fails every filesystem operation of each durable write path,
 # quarantine/staleness/breaker behavior in the serve plane),
 # then the chaosserve experiment: producer + poller + load replay per
 # filesystem fault profile, writing CHAOS_serve.json (non-breaker-5xx /
@@ -138,7 +140,7 @@ chaos:
 # committed tolerance windows.
 chaos-serve:
 	$(GO) test -race -count=1 \
-		-run 'FS|Vfs|OSRoundTrip|Decode|Replace|ReadFile|WriteShard|CommittedEpochs|LatestCommitted|Quarantine|Rederive|CrashRestart|Breaker|Backoff|Degraded|SnapshotStore' \
+		-run 'FS|Vfs|OSRoundTrip|Decode|Replace|ReadFile|WriteShard|CommittedEpochs|LatestCommitted|Quarantine|Rederive|CrashRestart|Breaker|Backoff|Degraded|SnapshotStore|FailEvery' \
 		./internal/vfs/ ./internal/fault/ ./internal/durable/ ./internal/core/ ./internal/serve/
 	$(GO) run ./cmd/gristbench -exp chaosserve
 	$(GO) run ./cmd/gristbench -check -check-files CHAOS_serve.json -baseline bench.baseline.json

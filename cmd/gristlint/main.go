@@ -3,9 +3,7 @@
 //	precisioncheck  §3.4 mixed-precision discipline (Real kernels, FP64 pins)
 //	hotpathalloc    allocation-free //grist:hotpath steady state (cross-package facts)
 //	sendownership   no buffer reuse while a comm round owns it
-//	stencilsafety   adjacency-walking kernels registered against overlap.go
 //	determinism     bitwise-reproducible //grist:bitwise paths (cross-package facts)
-//	durability      no dropped or shadowed errors on //grist:durable paths
 //	locksafety      no blocking calls while a sync mutex is held
 //
 // Usage:
@@ -35,21 +33,17 @@ import (
 
 	"gristgo/internal/lint"
 	"gristgo/internal/lint/determinism"
-	"gristgo/internal/lint/durability"
 	"gristgo/internal/lint/hotpathalloc"
 	"gristgo/internal/lint/locksafety"
 	"gristgo/internal/lint/precisioncheck"
 	"gristgo/internal/lint/sendownership"
-	"gristgo/internal/lint/stencilsafety"
 )
 
 var analyzers = []*lint.Analyzer{
 	precisioncheck.Analyzer,
 	hotpathalloc.Analyzer,
 	sendownership.Analyzer,
-	stencilsafety.Analyzer,
 	determinism.Analyzer,
-	durability.Analyzer,
 	locksafety.Analyzer,
 }
 

@@ -7,9 +7,13 @@ package core
 // ranks rendezvous on a checkpoint epoch: only after every shard of an
 // epoch is durable does rank 0 commit the epoch manifest. Recovery scans
 // manifests newest-first and resumes from the first epoch whose shards
-// all verify, so a crash at any point (mid-shard, mid-epoch, mid-
-// manifest) leaves either the previous committed epoch or a complete
-// new one, never a torn mixture.
+// all verify, so a crash while an epoch is written (mid-shard, mid-epoch,
+// mid-manifest) leaves either the previous committed epoch or a complete
+// new one, never a torn mixture. Redistribute is the exception: it
+// rewrites a committed epoch's shards in place, under the same names, so
+// a failure after its first new shard lands leaves that epoch loadable
+// under neither plan. Recovery then falls back to an older epoch or the
+// initial state: still correct, but the epoch's progress is lost.
 //
 // A shard stores the rank's owned cells AND halo mirrors (DiagCells),
 // plus its owned and ghost edges: the dycore step reads halo values
@@ -112,7 +116,6 @@ const shardMetaLen = 5 * 4
 // completed steps as epoch's shard.
 //
 //grist:bitwise
-//grist:durable
 func (st *ShardStore) WriteShard(epoch, rank, step int, s *dycore.State) error {
 	cells, edges := st.pl.DiagCells[rank], st.shardEdges[rank]
 	return durable.WriteFile(st.fs, st.shardPath(epoch, rank), durable.Shard, func(w io.Writer) error {
@@ -201,7 +204,6 @@ type epochManifest struct {
 // Commit atomically writes epoch's manifest, marking it recoverable.
 //
 //grist:bitwise
-//grist:durable
 func (st *ShardStore) Commit(epoch, step int) error {
 	m := epochManifest{Epoch: epoch, Step: step, NParts: st.pl.NParts, Gen: st.planGen()}
 	return durable.Replace(st.fs, st.manifestPath(epoch), func(w io.Writer) error {
@@ -216,10 +218,9 @@ func (st *ShardStore) Commit(epoch, step int) error {
 // rebound to newPl, every new rank's shard is written, shards of
 // retired ranks are pruned, and the epoch is re-committed under the new
 // generation. After it returns, LatestCommitted under the new plan
-// resumes from exactly this epoch.
+// resumes from exactly this epoch (after a failure, see the file comment).
 //
 //grist:bitwise
-//grist:durable
 func (st *ShardStore) Redistribute(epoch, step int, newPl *DistPlan) error {
 	old := st.pl
 	s := dycore.NewState(old.Mesh, old.NLev)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -180,18 +181,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 
 	for _, nparts := range []int{2, 4, 7} {
 		dist := RunDistributedDynamics(m, nlev, nparts, precision.DP, init, steps, dt)
-		cmp := func(name string, a, b []float64, scale float64) {
-			for i := range a {
-				if d := math.Abs(a[i] - b[i]); d > 1e-9*scale {
-					t.Fatalf("nparts=%d: %s[%d] differs: %g vs %g", nparts, name, i, a[i], b[i])
-				}
-			}
-		}
-		cmp("DryMass", dist.DryMass, serial.DryMass, 1e4)
-		cmp("ThetaM", dist.ThetaM, serial.ThetaM, 1e6)
-		cmp("U", dist.U, serial.U, 10)
-		cmp("W", dist.W, serial.W, 1)
-		cmp("Phi", dist.Phi, serial.Phi, 1e5)
+		assertBitwise(t, dist, serial, fmt.Sprintf("nparts=%d", nparts))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -67,7 +68,7 @@ func assertTracersBitwise(t *testing.T, got, want *tracer.Field, label string) {
 
 // The coupled distributed state comes back whole: all five prognostic
 // fields and every tracer array of the merged result match the serial
-// sub-cycle, where the coupled model's former gather returned U, W and
+// sub-cycle bit for bit, where the coupled model's former gather returned U, W and
 // Phi as zeros.
 func TestCoupledRunReturnsWholeStateMatchingSerial(t *testing.T) {
 	m := sharedMesh3
@@ -90,29 +91,11 @@ func TestCoupledRunReturnsWholeStateMatchingSerial(t *testing.T) {
 	}
 	serial := eng.State()
 
-	within := func(nparts int, name string, got, want []float64) {
-		t.Helper()
-		scale := 1.0
-		for _, v := range want {
-			scale = math.Max(scale, math.Abs(v))
-		}
-		for i := range want {
-			if d := math.Abs(got[i] - want[i]); !(d <= 1e-9*scale) {
-				t.Fatalf("nparts=%d: %s[%d] = %v, want %v", nparts, name, i, got[i], want[i])
-			}
-		}
-	}
 	for _, nparts := range []int{2, 5} {
 		got, rep := MustRun(coupledSpec(m, nlev, nparts, precision.DP, coupledInit, nTrac, nDyn, dt))
-		within(nparts, "DryMass", got.DryMass, serial.DryMass)
-		within(nparts, "ThetaM", got.ThetaM, serial.ThetaM)
-		within(nparts, "W", got.W, serial.W)
-		within(nparts, "Phi", got.Phi, serial.Phi)
-		within(nparts, "U", got.U, serial.U)
-		want := tracerFields(fieldS)
-		for name, a := range tracerFields(rep.Tracers) {
-			within(nparts, "tracer "+name, a, want[name])
-		}
+		label := fmt.Sprintf("nparts=%d", nparts)
+		assertBitwise(t, got, serial, label)
+		assertTracersBitwise(t, rep.Tracers, fieldS, label)
 	}
 }
 

@@ -106,8 +106,6 @@ func (mod *Model) ReadRestart(r io.Reader) error {
 
 // WriteRestartFile writes the restart record to path atomically, so a
 // crash mid-write never leaves a truncated file under the restart name.
-//
-//grist:durable
 func (mod *Model) WriteRestartFile(path string) error {
 	return durable.Replace(vfs.OS, path, mod.WriteRestart)
 }

@@ -122,8 +122,6 @@ func Decode(raw []byte, k Kind) ([]byte, error) {
 // error the temp file is removed and path is untouched. The temp name
 // keeps the "."+base+".tmp-" shape: fault.FS strips everything after
 // ".tmp-" so a file's verdict stream survives the random suffix.
-//
-//grist:durable
 func Replace(fsys vfs.FS, path string, write func(io.Writer) error) error {
 	f, err := fsys.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
 	if err != nil {
@@ -159,8 +157,6 @@ func Replace(fsys vfs.FS, path string, write func(io.Writer) error) error {
 }
 
 // WriteFile replaces path with one record of kind k.
-//
-//grist:durable
 func WriteFile(fsys vfs.FS, path string, k Kind, write func(io.Writer) error) error {
 	return Replace(fsys, path, func(w io.Writer) error { return Encode(w, k, write) })
 }

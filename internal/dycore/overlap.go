@@ -178,22 +178,3 @@ func buildSplit(m *mesh.Mesh, o *OwnedSets) splitSets {
 		}),
 	}
 }
-
-// stencilRegistry is the audit trail tying every adjacency-walking
-// function of this package to the taint class it was classified against
-// in buildSplit (or the reason it is exempt from the interior/boundary
-// partition). gristlint's stencilsafety analyzer fails the build when a
-// function touches mesh adjacency without an entry here — the guard that
-// keeps new stencils from silently reading stale halo data during an
-// overlapped Start → interior → Finish → boundary round.
-var stencilRegistry = map[string]string{
-	"engine.primalNormalFluxEdge": "split:flux — one-ring cell reads, boundary = edges of tainted cells",
-	"engine.computeKineticEnergy": "split:diag — cell-of-edges sums (kinetic energy, divergence), boundary = cells with tainted edges",
-	"engine.computeVorticity":     "split:vert — vertex-of-edges curl, boundary = vertices with tainted edges",
-	"tangentialVelocityLevels":    "split:vtan — TRiSK neighborhood, boundary = edges with tainted TRiSK stencil",
-	"engine.continuityAndThermo":  "split:tend — flux divergence, boundary = cells with tainted fluxes",
-	"engine.momentum":             "split:u — widest stencil, boundary = edges with any tainted input",
-	"engine.VorticityAtLevel":     "exempt: serial diagnostic over the full mesh, no overlap window",
-	"State.TotalEnergy":           "exempt: serial diagnostic over the full mesh, no overlap window",
-	"buildSplit":                  "exempt: the taint machinery itself, runs once at SetOwned",
-}

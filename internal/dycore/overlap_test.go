@@ -1,6 +1,7 @@
 package dycore
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -109,6 +110,101 @@ func TestSetOwnedRebuildsSplitSets(t *testing.T) {
 	rebound.hookFinish()
 	if calls != 0 {
 		t.Fatalf("SetOwned(nil) left the old ownership's hooks live (%d calls)", calls)
+	}
+}
+
+// windowHooks binds o's Start and Finish to a stand-in exchange over the
+// five fields a real round ships: Start saves every entry the rank does
+// not own and, when poison is set, overwrites them with NaN; Finish
+// restores them. It returns the Start count.
+func windowHooks(s *State, o *OwnedSets, poison bool) *int {
+	ownedCell := make([]bool, s.M.NCells)
+	for _, c := range o.TendCells {
+		ownedCell[c] = true
+	}
+	ownedEdge := make([]bool, s.M.NEdges)
+	for _, ed := range o.UEdges {
+		ownedEdge[ed] = true
+	}
+	nlev := s.NLev
+	fields := []struct {
+		data  []float64
+		width int
+		owned []bool
+	}{
+		{s.DryMass, nlev, ownedCell}, {s.ThetaM, nlev, ownedCell},
+		{s.W, nlev + 1, ownedCell}, {s.Phi, nlev + 1, ownedCell}, {s.U, nlev, ownedEdge},
+	}
+	saved := make([][]float64, len(fields))
+	starts := 0
+	o.Start = func() {
+		starts++
+		for i, f := range fields {
+			saved[i] = append(saved[i][:0], f.data...)
+			for id, own := range f.owned {
+				if poison && !own {
+					for j := id * f.width; j < (id+1)*f.width; j++ {
+						f.data[j] = math.NaN()
+					}
+				}
+			}
+		}
+	}
+	o.Finish = func() {
+		for i, f := range fields {
+			for id, own := range f.owned {
+				if !own {
+					copy(f.data[id*f.width:(id+1)*f.width], saved[i][id*f.width:])
+				}
+			}
+		}
+	}
+	return &starts
+}
+
+// Nothing between Start and Finish may read a value the exchange is about
+// to replace: with every entry a rank does not own turned to NaN for the
+// whole window, each rank of a 2-rank split ends three steps bitwise where
+// the unpoisoned run does, NaN-free. The window covers every kernel of the
+// interior pass and, in the last window of a step, the mass-flux
+// accumulation and the implicit vertical solve.
+func TestPoisonedOverlapWindow(t *testing.T) {
+	m := testMesh(t, 3)
+	const nlev, steps = 8, 3
+	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+		for rank := int32(0); rank < 2; rank++ {
+			run := func(poison bool) *State {
+				e := New(m, nlev, mode)
+				s := e.State()
+				s.InitIdealized(CaseBaroclinicWave)
+				s.AddThermalBubble(0.4, 1.0, 0.3, 4)
+				o := halfOwned(m, rank)
+				starts := windowHooks(s, o, poison)
+				e.SetOwned(o)
+				for i := 0; i < steps; i++ {
+					e.Step(90)
+				}
+				if *starts != 4*steps {
+					t.Fatalf("%s rank %d: %d windows opened, want %d", mode, rank, *starts, 4*steps)
+				}
+				return s
+			}
+			clean, poisoned := run(false), run(true)
+			for _, f := range []struct {
+				name      string
+				got, want []float64
+			}{
+				{"DryMass", poisoned.DryMass, clean.DryMass}, {"ThetaM", poisoned.ThetaM, clean.ThetaM},
+				{"U", poisoned.U, clean.U}, {"W", poisoned.W, clean.W}, {"Phi", poisoned.Phi, clean.Phi},
+			} {
+				for i, v := range f.got {
+					if math.IsNaN(v) || math.Float64bits(v) != math.Float64bits(f.want[i]) {
+						t.Fatalf("%s rank %d: %s[%d] = %v after a poisoned window, %v without",
+							mode, rank, f.name, i, v, f.want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -79,7 +79,6 @@ func (mp *Microphysics) Compute(in *Input, out *Output, dt float64) {
 	nlev := in.NLev
 	for c := 0; c < in.NCol; c++ {
 		base := c * nlev
-		var rain float64
 		for k := 0; k < nlev; k++ {
 			qsat := mp.RhSat * SatMixingRatio(in.T[base+k], in.P[base+k])
 			if in.Qv[base+k] <= qsat {
@@ -96,9 +95,7 @@ func (mp *Microphysics) Compute(in *Input, out *Output, dt float64) {
 			// tracer; rain forms later by autoconversion in the cloud
 			// chain (core.applyPhysicsOutput), not instantly.
 			out.Cond[base+k] += cond
-			rain += cond * in.Dpi[base+k]
 		}
-		_ = rain
 	}
 }
 

@@ -66,7 +66,7 @@ func (r *Radiation) Compute(in *Input, out *Output) {
 
 		// --- Shortwave: banded beam absorption top-down. ---
 		mu := in.CosZ[c]
-		var gsw, swHeat float64
+		var gsw float64
 		if mu > 1e-4 {
 			for b := 0; b < NumBands; b++ {
 				flux := Solar * mu * r.swWeight[b]
@@ -77,7 +77,6 @@ func (r *Radiation) Compute(in *Input, out *Output) {
 					// Heating rate: dT/dt = g*F_abs/(cp*dpi).
 					out.Q1[base+k] += 9.80616 * absorbed / (Cp * in.Dpi[base+k])
 					flux *= trans
-					_ = swHeat
 				}
 				gsw += flux
 			}

@@ -1,16 +1,15 @@
-// Package vfs is the injectable filesystem seam under every durable
-// path: checkpoint shards, epoch manifests, restart files and grouped
-// parallel-IO streams all go through an FS value instead of calling
-// the os package directly, so the chaos layer (internal/fault.FS) can
-// decorate one interface with torn writes, read bit-flips, ENOSPC,
-// EIO, latency and rename reordering — and the production default
-// (vfs.OS) stays a zero-cost passthrough.
+// Package vfs is the filesystem seam under every durable path: each
+// writes through durable.Replace over an FS value instead of calling the
+// os package directly. Checkpoint shards and epoch manifests take the FS
+// from their ShardStore, so the chaos layer (internal/fault.FS) can
+// decorate one interface with torn writes, read bit-flips, ENOSPC, EIO,
+// latency and rename reordering; restart and history files are written
+// on vfs.OS, the zero-cost passthrough production runs on.
 //
 // The interface is deliberately the small set the durable paths use:
 // create/temp, whole-file read, rename/remove, directory creation and
-// globbing. Anything not needed by a //grist:durable
-// call site stays off the interface so a fault decorator cannot fall
-// out of sync with a path it never sees.
+// globbing. Anything no durable path calls stays off the interface so a
+// fault decorator cannot fall out of sync with a path it never sees.
 package vfs
 
 import (
