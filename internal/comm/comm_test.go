@@ -136,6 +136,7 @@ func TestHaloExchangeRepeatedRounds(t *testing.T) {
 		f := dom.NewField("x", 1)
 		h := NewHaloExchanger(dom, r)
 		h.Register(f)
+		stale := false // report once, but keep every rank in step so none waits forever
 		for round := 0; round < 10; round++ {
 			for i := range dom.Owned {
 				f.Set(0, int32(i), float64(round))
@@ -143,8 +144,9 @@ func TestHaloExchangeRepeatedRounds(t *testing.T) {
 			h.Exchange()
 			for i := range dom.Halo {
 				li := int32(len(dom.Owned) + i)
-				if f.At(0, li) != float64(round) {
-					t.Fatalf("round %d: halo stale", round)
+				if f.At(0, li) != float64(round) && !stale {
+					stale = true
+					t.Errorf("rank %d round %d: halo stale", r.ID(), round)
 				}
 			}
 		}
@@ -211,86 +213,124 @@ func TestSendCopiesData(t *testing.T) {
 	})
 }
 
-// TestStartSealsPayload: the outbound payload of a round is snapshotted
-// at Start, so overlapped compute overwriting the registered arrays
-// before Finish cannot change what peers receive — the property that
-// makes Start/interior/Finish bit-identical to a blocking Exchange.
+// TestStartSealsPayload holds the transport's copy contract: the
+// outbound payload of a round is snapshotted at Start, so overlapped
+// compute overwriting the registered arrays before Finish cannot change
+// what peers receive — the property that makes Start/interior/Finish
+// bit-identical to a blocking Exchange. Between Start and Finish every
+// rank also NaN-fills its posted send and receive buffers, and every
+// rank passes a barrier before any rank finishes: a transport that
+// delivered the posted send buffer itself (zero-copy), or a Finish that
+// unpacked before its receives completed, hands the poison to the halo.
+// It runs in DP and in Mixed, where a second, insensitive field travels
+// the FP32 wire.
 func TestStartSealsPayload(t *testing.T) {
 	m := mesh.New(3)
 	nparts := 4
 	d := partition.MustDecompose(m, nparts, 3)
-	Run(nparts, func(r *Rank) {
-		dom := NewDomain(m, d, r.ID())
-		f := dom.NewField("q", 2)
-		h := NewHaloExchanger(dom, r)
-		h.Register(f)
-		for round := 0; round < 5; round++ {
-			for i, c := range dom.Owned {
-				for lev := 0; lev < 2; lev++ {
-					f.Set(lev, int32(i), float64(c)*100+float64(round)*10+float64(lev))
+	poison := func(bufs [][]byte) {
+		for _, b := range bufs {
+			for i := range b {
+				b[i] = 0xff // a NaN in every FP64 and FP32 word
+			}
+		}
+	}
+	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+		Run(nparts, func(r *Rank) {
+			dom := NewDomain(m, d, r.ID())
+			fields := []*Field{dom.NewField("q", 2), dom.NewField("s", 2)}
+			h := NewHaloExchanger(dom, r)
+			h.Register(fields[0])
+			h.RegisterInsensitive(fields[1])
+			h.SetMode(mode)
+			// Every value is an integer plus a half, exact on the FP32 wire.
+			value := func(fi int, c int32, round, lev int) float64 {
+				return float64(c)*100 + float64(round)*10 + float64(lev) + 0.5*float64(fi)
+			}
+			failed := false // report once, but keep every rank in step so none waits forever
+			for round := 0; round < 5; round++ {
+				for fi, f := range fields {
+					for i, c := range dom.Owned {
+						for lev := 0; lev < 2; lev++ {
+							f.Set(lev, int32(i), value(fi, c, round, lev))
+						}
+					}
 				}
-			}
-			h.Start()
-			// Overlapped "compute": scribble over every owned value while
-			// the round is in flight.
-			for i := range dom.Owned {
-				f.Set(0, int32(i), -1)
-				f.Set(1, int32(i), -1)
-			}
-			h.Finish()
-			for i, c := range dom.Halo {
-				li := int32(len(dom.Owned) + i)
-				for lev := 0; lev < 2; lev++ {
-					want := float64(c)*100 + float64(round)*10 + float64(lev)
-					if got := f.At(lev, li); got != want {
-						t.Fatalf("rank %d round %d: halo cell %d lev %d = %v, want %v",
-							r.ID(), round, c, lev, got, want)
+				h.Start()
+				// Overlapped "compute": scribble over every owned value
+				// and every posted buffer while the round is in flight.
+				for _, f := range fields {
+					for i := range dom.Owned {
+						f.Set(0, int32(i), -1)
+						f.Set(1, int32(i), -1)
+					}
+				}
+				poison(h.sendBuf)
+				poison(h.recvBuf)
+				r.Barrier()
+				h.Finish()
+				for fi, f := range fields {
+					for i, c := range dom.Halo {
+						li := int32(len(dom.Owned) + i)
+						for lev := 0; lev < 2; lev++ {
+							want := value(fi, c, round, lev)
+							if got := f.At(lev, li); got != want && !failed {
+								failed = true
+								t.Errorf("%s rank %d round %d: field %s halo cell %d lev %d = %v, want %v",
+									mode, r.ID(), round, f.Name, c, lev, got, want)
+							}
+						}
 					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestHaloExchangeSteadyStateAllocFree: after warmup, a full exchange
 // round performs zero heap allocations on every rank (AllocsPerRun
 // counts mallocs process-wide, so the peer rank's round is measured
-// too).
+// too) — in DP, and in Mixed with a second, insensitive field on the
+// FP32 wire.
 func TestHaloExchangeSteadyStateAllocFree(t *testing.T) {
 	m := mesh.New(3)
 	d := partition.MustDecompose(m, 2, 1)
-	w := NewWorld(2)
-	start := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		r := &Rank{id: 1, w: w}
-		dom := NewDomain(m, d, 1)
-		f := dom.NewField("x", 3)
-		h := NewHaloExchanger(dom, r)
-		h.Register(f)
-		for range start {
-			h.Exchange()
-			done <- struct{}{}
+	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+		w := NewWorld(2)
+		exchanger := func(id int) *HaloExchanger {
+			dom := NewDomain(m, d, id)
+			h := NewHaloExchanger(dom, &Rank{id: id, w: w})
+			h.Register(dom.NewField("x", 3))
+			if mode == precision.Mixed {
+				h.RegisterInsensitive(dom.NewField("y", 2))
+			}
+			h.SetMode(mode)
+			return h
 		}
-	}()
-	r := &Rank{id: 0, w: w}
-	dom := NewDomain(m, d, 0)
-	f := dom.NewField("x", 3)
-	h := NewHaloExchanger(dom, r)
-	h.Register(f)
-	round := func() {
-		start <- struct{}{}
-		h.Exchange()
-		<-done
-	}
-	// Warm up: build layouts and populate the transport free lists.
-	for i := 0; i < 3; i++ {
-		round()
-	}
-	avg := testing.AllocsPerRun(20, round)
-	close(start)
-	if avg != 0 {
-		t.Errorf("steady-state exchange allocates %.1f objects/round, want 0", avg)
+		start := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			h := exchanger(1)
+			for range start {
+				h.Exchange()
+				done <- struct{}{}
+			}
+		}()
+		h := exchanger(0)
+		round := func() {
+			start <- struct{}{}
+			h.Exchange()
+			<-done
+		}
+		// Warm up: build layouts and populate the transport free lists.
+		for i := 0; i < 3; i++ {
+			round()
+		}
+		avg := testing.AllocsPerRun(20, round)
+		close(start)
+		if avg != 0 {
+			t.Errorf("%s: steady-state exchange allocates %.1f objects/round, want 0", mode, avg)
+		}
 	}
 }
 

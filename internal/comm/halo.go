@@ -263,8 +263,6 @@ func (h *HaloExchanger) SetTelemetryStep(step int64) { h.telStep = step }
 
 // span opens a round-phase span on the stamped per-rank step when one
 // is set, else on the recorder's shared step.
-//
-//grist:hotpath
 func (h *HaloExchanger) span(name string) telemetry.Span {
 	if h.telStep > 0 {
 		return h.rec.BeginAt(name, h.telRank, h.telStep)
@@ -352,8 +350,6 @@ func (h *HaloExchanger) build() {
 
 // pack serializes every registered variable's send entities for peer pi
 // into the persistent send buffer.
-//
-//grist:hotpath
 func (h *HaloExchanger) pack(pi int) []byte {
 	buf := h.sendBuf[pi]
 	off := 0
@@ -386,8 +382,6 @@ func (h *HaloExchanger) pack(pi int) []byte {
 
 // unpack deserializes peer pi's message into the registered variables'
 // receive entities.
-//
-//grist:hotpath
 func (h *HaloExchanger) unpack(pi int) {
 	buf := h.recvBuf[pi]
 	off := 0
@@ -448,8 +442,6 @@ func (h *HaloExchanger) Start() {
 
 // Finish completes the round begun by Start: waits for every peer's
 // message and unpacks the halo entities.
-//
-//grist:hotpath
 func (h *HaloExchanger) Finish() {
 	if !h.inFlight {
 		panic("comm: HaloExchanger.Finish without Start")

@@ -114,8 +114,6 @@ const shardMetaLen = 5 * 4
 
 // WriteShard atomically writes rank's region of the state after `step`
 // completed steps as epoch's shard.
-//
-//grist:bitwise
 func (st *ShardStore) WriteShard(epoch, rank, step int, s *dycore.State) error {
 	cells, edges := st.pl.DiagCells[rank], st.shardEdges[rank]
 	return durable.WriteFile(st.fs, st.shardPath(epoch, rank), durable.Shard, func(w io.Writer) error {
@@ -202,8 +200,6 @@ type epochManifest struct {
 }
 
 // Commit atomically writes epoch's manifest, marking it recoverable.
-//
-//grist:bitwise
 func (st *ShardStore) Commit(epoch, step int) error {
 	m := epochManifest{Epoch: epoch, Step: step, NParts: st.pl.NParts, Gen: st.planGen()}
 	return durable.Replace(st.fs, st.manifestPath(epoch), func(w io.Writer) error {
@@ -219,8 +215,6 @@ func (st *ShardStore) Commit(epoch, step int) error {
 // retired ranks are pruned, and the epoch is re-committed under the new
 // generation. After it returns, LatestCommitted under the new plan
 // resumes from exactly this epoch (after a failure, see the file comment).
-//
-//grist:bitwise
 func (st *ShardStore) Redistribute(epoch, step int, newPl *DistPlan) error {
 	old := st.pl
 	s := dycore.NewState(old.Mesh, old.NLev)

@@ -3,9 +3,8 @@
 // the derivations built on it. Every subsystem that needs a seeded,
 // coordinate-addressable random draw — the fault injector's per-message
 // verdicts, the partitioner's per-epoch seeds — goes through this
-// package, so the determinism analyzer can whitelist exactly one
-// randomness source and flag everything else (global math/rand,
-// wall-clock entropy) in bitwise-critical code.
+// package, never through global math/rand or wall-clock entropy;
+// core's TestBitwiseRootsReproduce fails a root that reads either.
 //
 // Determinism here is load-bearing, not stylistic: the 34M-core scaling
 // argument requires every rank to derive identical decisions from

@@ -225,8 +225,6 @@ func (e *engine[T]) SetTelemetryStep(step int64) { e.telStep = step }
 
 // span opens a phase span: with an explicit per-rank step when one was
 // stamped (distributed runs), else on the recorder's shared step.
-//
-//grist:hotpath
 func (e *engine[T]) span(name string) telemetry.Span {
 	if e.telStep > 0 {
 		return e.rec.BeginAt(name, e.telRank, e.telStep)
@@ -266,8 +264,6 @@ func (e *engine[T]) hookFinish() {
 // payload before the overlapped compute begins. The vertical solve is
 // column-local over owned cells and the mass-flux accumulation reads
 // only work arrays, so both also overlap with an in-flight exchange.
-//
-//grist:hotpath
 func (e *engine[T]) Step(dt float64) {
 	stepSpan := e.span("dyn_step")
 	s := e.s
@@ -375,8 +371,6 @@ func (e *engine[T]) computeTendencies(reg region) {
 // arrays and carries the transcendental and division work, and its rrr
 // output is precision-insensitive while the pressure-gradient inputs
 // stay FP64.
-//
-//grist:hotpath
 func (e *engine[T]) computeRRR(ids []int32) {
 	s := e.s
 	nlev := s.NLev
@@ -409,8 +403,6 @@ func row[E any](a []E, id int32, n int) []E { return a[int(id)*n:][:n] }
 // positivity-friendly harmonic mean with an upwind value weighted by the
 // local Courant ratio — the division-heavy structure that makes this
 // kernel profit from single precision on CPEs (Fig. 9).
-//
-//grist:hotpath
 func (e *engine[T]) primalNormalFluxEdge(ids []int32) {
 	s := e.s
 	m := s.M
@@ -455,8 +447,6 @@ func (e *engine[T]) primalNormalFluxEdge(ids []int32) {
 // velocity divergence div_c = (1/A_c) sum_e sign_e u_e Dv_e that the
 // diffusion term differences, in float64. Both are valid over the same
 // cells: they read the same winds.
-//
-//grist:hotpath
 func (e *engine[T]) computeKineticEnergy(ids []int32) {
 	s := e.s
 	m := s.M
@@ -504,8 +494,6 @@ func (e *engine[T]) computeKineticEnergy(ids []int32) {
 }
 
 // computeVorticity evaluates relative vorticity at dual vertices.
-//
-//grist:hotpath
 func (e *engine[T]) computeVorticity(ids []int32) {
 	s := e.s
 	m := s.M
@@ -531,8 +519,6 @@ func (e *engine[T]) computeVorticity(ids []int32) {
 
 // continuityAndThermo forms the divergence tendencies of dry mass and
 // mass-weighted potential temperature from the edge fluxes.
-//
-//grist:hotpath
 func (e *engine[T]) continuityAndThermo(ids []int32) {
 	s := e.s
 	m := s.M
@@ -576,8 +562,6 @@ func (e *engine[T]) continuityAndThermo(ids []int32) {
 // Coriolis + vorticity flux (insensitive, T), kinetic-energy gradient
 // (insensitive, T), pressure-gradient force (sensitive, float64), and
 // scale-selective diffusion.
-//
-//grist:hotpath
 func (e *engine[T]) momentum(ids []int32) {
 	s := e.s
 	m := s.M

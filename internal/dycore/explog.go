@@ -30,8 +30,6 @@ const (
 // tabExp returns e^x. The table path covers 2^-1022 <= |x| < 512;
 // everything else (NaN, ±Inf, zero, subnormals, |x| >= 512) is
 // math.Exp(x).
-//
-//grist:hotpath
 func tabExp(x float64) float64 {
 	if a := math.Abs(x); !(a >= 0x1p-1022 && a < 512) {
 		return math.Exp(x)
@@ -53,8 +51,6 @@ func tabExp(x float64) float64 {
 
 // tabLog returns ln x. The table path covers every normal x > 0;
 // everything else (x <= 0, NaN, +Inf, subnormals) is math.Log(x).
-//
-//grist:hotpath
 func tabLog(x float64) float64 {
 	ix := math.Float64bits(x)
 	if ix-0x0010000000000000 >= 0x7ff0000000000000-0x0010000000000000 {

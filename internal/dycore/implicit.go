@@ -12,8 +12,6 @@ import (
 // three a pass while three are left, then one; level inner over
 // contiguous runs. Per (edge, level) the sum still runs over the stencil
 // in order: d + a + b + c is ((d + a) + b) + c.
-//
-//grist:hotpath
 func tangentialVelocityLevels[T precision.Real](m *mesh.Mesh, dst []T, u []float64, nlev int, ids []int32) {
 	for _, e := range ids {
 		d := row(dst, e, nlev)
@@ -38,8 +36,6 @@ func tangentialVelocityLevels[T precision.Real](m *mesh.Mesh, dst []T, u []float
 // tangentialWinds evaluates the TRiSK reconstruction over the given
 // edges. m is read outside the closure as in every kernel: with e.s.M
 // read inside it the G5 x 30 call measured 8.4 ms against 5.7.
-//
-//grist:hotpath
 func (e *engine[T]) tangentialWinds(ids []int32) {
 	m := e.s.M
 	e.parallelFor(ids, func(ids []int32) {
@@ -81,8 +77,6 @@ func newImplicitScratch(nlev int) func() any {
 //
 // with rigid boundaries w_0 = w_K = 0. Substituting p' into the momentum
 // update yields a symmetric tridiagonal system in the interior w'.
-//
-//grist:hotpath
 func (e *engine[T]) implicitVertical(dt float64) {
 	s := e.s
 	nlev := s.NLev

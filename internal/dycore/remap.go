@@ -50,8 +50,6 @@ func VerticalRemap(s *State, tracers *tracer.Field) {
 
 // Run remaps every column of s (and tracers, when non-nil) onto
 // uniform-sigma target layers. See VerticalRemap for the scheme.
-//
-//grist:hotpath
 func (r *Remapper) Run(s *State, tracers *tracer.Field) {
 	nlev := s.NLev
 	nc := s.M.NCells

@@ -204,8 +204,9 @@ func TestRemapperRunAllocFree(t *testing.T) {
 var raceEnabled bool
 
 // TestStepAllocBudget keeps the benchmark's dycore.step_allocs rung under
-// tier-1: what is left per serial step is one closure per loop handed to
-// parallelFor, 43 of them, so a kernel whose closure starts allocating
+// tier-1, in both precision modes: what is left per serial step is one
+// closure per loop handed to parallelFor, 43 of them, so a kernel that
+// starts allocating — in the closure or in the kernel Step reaches —
 // fails here. Under -race the budget is the 55 of before the loops were
 // flattened: the race detector drops sync.Pool items at random, so the
 // implicit solver's scratch (9 allocations) is rebuilt on some steps.
@@ -214,12 +215,14 @@ func TestStepAllocBudget(t *testing.T) {
 	if raceEnabled {
 		budget = 55
 	}
-	eng := New(testMesh(t, 2), 6, precision.DP)
-	eng.State().InitIdealized(CaseBaroclinicWave)
-	eng.Step(90) // warm up: the implicit scratch pool fills on first use
-	allocs := testing.AllocsPerRun(10, func() { eng.Step(90) })
-	t.Logf("Step allocates %.0f times per call", allocs)
-	if allocs > budget {
-		t.Errorf("Step allocates %.0f times per call; the budget is %.0f", allocs, budget)
+	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+		eng := New(testMesh(t, 2), 6, mode)
+		eng.State().InitIdealized(CaseBaroclinicWave)
+		eng.Step(90) // warm up: the implicit scratch pool fills on first use
+		allocs := testing.AllocsPerRun(10, func() { eng.Step(90) })
+		t.Logf("%s Step allocates %.0f times per call", mode, allocs)
+		if allocs > budget {
+			t.Errorf("%s Step allocates %.0f times per call; the budget is %.0f", mode, allocs, budget)
+		}
 	}
 }

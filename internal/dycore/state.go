@@ -126,8 +126,6 @@ func (s *State) Theta(c, k int) float64 {
 // x^Gamma = x * x^(Rd/Cv), so one log and one exp give both, and
 // p = rho*Rd*theta*exner is the ideal-gas law. Always float64: both
 // outputs feed precision-sensitive terms (§3.4.2).
-//
-//grist:hotpath
 func eos(rho, theta float64) (p, exner float64) {
 	x := Rd * rho * theta / P0
 	exner = tabExp(Rd / Cv * tabLog(x))

@@ -172,8 +172,6 @@ const (
 // delay verdicts for one delivery attempt and applies payload
 // corruption in place. Negative tags (control-plane collectives) pass
 // untouched.
-//
-//grist:bitwise
 func (p *Plan) OnSend(from, to, tag, attempt int, data []byte) (drop bool, delay time.Duration) {
 	if tag < 0 {
 		return false, 0

@@ -191,8 +191,6 @@ func (e *Engine[T]) Forward(dst, src []float64, ncol int) {
 }
 
 // runChunk streams columns [lo, hi) through the plan in blocks.
-//
-//grist:hotpath
 func (e *Engine[T]) runChunk(ar *arena[T], dst, src []float64, lo, hi int) {
 	for b0 := lo; b0 < hi; b0 += blockCols {
 		b1 := b0 + blockCols

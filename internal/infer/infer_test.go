@@ -247,6 +247,44 @@ func TestConcurrentForwardRaceClean(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
+// arenaSink keeps checkForwardAllocFree's measured arena on the heap.
+var arenaSink any
+
+// checkForwardAllocFree fails t when a warm single-worker Forward of
+// ncol columns through p allocates. Under -race the budget is one arena:
+// the race detector drops sync.Pool items at random, so a call may
+// rebuild it.
+func checkForwardAllocFree[T precision.Real](t *testing.T, name string, p *Plan[T], ncol int) {
+	t.Helper()
+	eng := NewEngine(p, 1)
+	src := make([]float64, ncol*p.InDim)
+	for i := range src {
+		src[i] = float64(i%7) - 3
+	}
+	dst := make([]float64, ncol*p.OutDim)
+	eng.Forward(dst, src, ncol) // warm up: the arena pool fills on first use
+	budget := 0.0
+	if raceEnabled {
+		budget = testing.AllocsPerRun(1, func() { arenaSink = newArena(p) })
+	}
+	if allocs := testing.AllocsPerRun(20, func() { eng.Forward(dst, src, ncol) }); allocs > budget {
+		t.Errorf("%s Forward allocates %.1f times per call; the budget is %.0f", name, allocs, budget)
+	}
+}
+
+// TestForwardAllocFree: a warm Forward runs out of its pooled arena, on
+// the FP64 and on the FP32 plan.
+func TestForwardAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := nn.NewResUnitCNN(3, 8, 2, 12, 2, 3, rng)
+	opt := Options{In: randSpec(36, rng), InClip: 5, Out: randSpec(24, rng), OutClamp: 6}
+	checkForwardAllocFree(t, "FP64", MustCompile[float64](m, opt), 40)
+	checkForwardAllocFree(t, "FP32", MustCompile[float32](m, opt), 40)
+}
+
 // TestCompileRejectsUnsupported covers the compile-time error paths.
 func TestCompileRejectsUnsupported(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

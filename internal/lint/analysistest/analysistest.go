@@ -4,7 +4,7 @@
 //
 // Expectations are written on the line the diagnostic is reported at:
 //
-//	tmp := make([]float64, n) // want `make in hot path`
+//	r.ch <- v // want `channel send while r\.mu is held`
 //
 // Each backquoted string after "want" is a regular expression that must
 // match the message of exactly one diagnostic on that line. The test
@@ -25,41 +25,16 @@ import (
 // backquoted extracts the expectation patterns from a want comment.
 var backquoted = regexp.MustCompile("`([^`]+)`")
 
-// Dep names an auxiliary fixture package loaded (and analyzed) before
-// the package under test, so the fixture can exercise cross-package
-// fact propagation: the main fixture imports a dep by its synthetic
-// Path and the analyzer sees the dep's exported function summaries.
-// Want comments in dep fixtures are honored too.
-type Dep struct {
-	Dir  string
-	Path string
-}
-
 // Run loads dir as a single package under the synthetic import path
 // asPath (fixtures live in testdata, invisible to the go tool, so the
 // path is free to impersonate exempt or mandatory package paths) and
 // requires a's diagnostics to match the fixture's want comments exactly.
 func Run(t *testing.T, a *lint.Analyzer, dir, asPath string) {
 	t.Helper()
-	RunWithDeps(t, a, dir, asPath)
-}
-
-// RunWithDeps is Run with auxiliary fixture packages loaded first (in
-// the given order) from the same loader, analyzed in the same lint.Run,
-// so facts exported while analyzing a dep are visible when the main
-// fixture is analyzed.
-func RunWithDeps(t *testing.T, a *lint.Analyzer, dir, asPath string, deps ...Dep) {
-	t.Helper()
-	diags, pkgs := loadAll(t, a, dir, asPath, deps)
-	wants := make(map[string][]*regexp.Regexp)
-	for _, pkg := range pkgs {
-		for k, v := range collectWants(t, pkg) {
-			wants[k] = append(wants[k], v...)
-		}
-	}
-	fset := pkgs[0].Fset
+	diags, pkg := load(t, a, dir, asPath)
+	wants := collectWants(t, pkg)
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+		pos := pkg.Fset.Position(d.Pos)
 		key := posKey(pos)
 		matched := false
 		for i, w := range wants[key] {
@@ -90,47 +65,27 @@ func RunExpectNone(t *testing.T, a *lint.Analyzer, dir, asPath string) {
 	t.Helper()
 	diags, pkg := load(t, a, dir, asPath)
 	for _, d := range diags {
-		if d.Analyzer != a.Name {
-			continue // e.g. "lint" malformed-ignore findings
-		}
 		t.Errorf("%s: expected no %s diagnostics under %s, got: %s",
 			pkg.Fset.Position(d.Pos), a.Name, asPath, d.Message)
 	}
 }
 
+// load type-checks the fixture and runs a over it.
 func load(t *testing.T, a *lint.Analyzer, dir, asPath string) ([]lint.Diagnostic, *lint.Package) {
-	t.Helper()
-	diags, pkgs := loadAll(t, a, dir, asPath, nil)
-	return diags, pkgs[len(pkgs)-1]
-}
-
-// loadAll loads the dep fixtures then the main fixture from one loader
-// and analyzes them together. The returned slice lists deps first, the
-// package under test last.
-func loadAll(t *testing.T, a *lint.Analyzer, dir, asPath string, deps []Dep) ([]lint.Diagnostic, []*lint.Package) {
 	t.Helper()
 	loader, err := lint.NewLoader(dir)
 	if err != nil {
 		t.Fatalf("NewLoader(%s): %v", dir, err)
 	}
-	var pkgs []*lint.Package
-	for _, dep := range deps {
-		pkg, err := loader.LoadDir(dep.Dir, dep.Path)
-		if err != nil {
-			t.Fatalf("LoadDir(%s as %s): %v", dep.Dir, dep.Path, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
 	pkg, err := loader.LoadDir(dir, asPath)
 	if err != nil {
 		t.Fatalf("LoadDir(%s as %s): %v", dir, asPath, err)
 	}
-	pkgs = append(pkgs, pkg)
-	diags, err := lint.Run(pkgs, []*lint.Analyzer{a})
+	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}
-	return diags, pkgs
+	return diags, pkg
 }
 
 // collectWants indexes the fixture's expectation regexps by file:line.

@@ -7,8 +7,8 @@
 // stall. The fix is always the same — copy what you need under the
 // lock, release, then block.
 //
-// The analysis is function-local and block-scoped, in the family of
-// sendownership: a call to mu.Lock()/mu.RLock() on a sync.Mutex or
+// The analysis is function-local and block-scoped, on the window walk
+// (lint.StmtLists): a call to mu.Lock()/mu.RLock() on a sync.Mutex or
 // sync.RWMutex opens a held window that closes at the matching
 // mu.Unlock()/mu.RUnlock() (anywhere in a later statement) or, for
 // defer mu.Unlock(), at the end of the block. Inside the window these

@@ -47,9 +47,8 @@ func kernel[T Real](s *state, u []T) {
 	ok := T(dphi)
 	_ = ok
 
-	// Suppression: a well-formed //lint:ignore with a reason silences
-	// the finding (and documents why it is safe).
-	//lint:ignore precisioncheck wire format is declared float32, demotion is the contract
-	wire := float32(s.Phi[2])
+	// A declared-float32 wire format is a finding like any other: nothing
+	// suppresses one.
+	wire := float32(s.Phi[2]) // want `FP64-pinned field "Phi" flows into a float32 conversion`
 	_ = wire
 }

@@ -48,8 +48,6 @@ type PathSpan struct {
 // one step and its total work (nanoseconds of non-wait span time on the
 // path). Ties are broken toward the earliest (rank, ring-position)
 // span, so replays over the same timeline return identical paths.
-//
-//grist:bitwise
 func CriticalPath(st *StepTimeline) ([]PathSpan, int64) {
 	type node struct {
 		rank int // index into st.Ranks

@@ -14,7 +14,8 @@
 // model — but the analysis itself is bitwise-deterministic: two replays
 // over the same rings produce byte-identical postmortems, because the
 // rebalance planner consumes the attributed costs and every rank must
-// agree on the plan (see //grist:bitwise on Merge, CriticalPath, Build).
+// agree on the plan (core's TestBitwiseRootsReproduce holds Merge,
+// CriticalPath, Build and ComputeWeights to it).
 //
 // Alignment model: spans from different rings come from different
 // recorder epochs, so raw Start values are not comparable across rings.
@@ -132,8 +133,6 @@ type Timeline struct {
 // result is a pure function of (rings, dropped): grouping uses
 // collect-and-sort, never map order, so every rank replaying the same
 // rings reconstructs the identical timeline.
-//
-//grist:bitwise
 func Merge(rings [][]telemetry.Event, dropped uint64) *Timeline {
 	type key struct {
 		step int64

@@ -65,8 +65,6 @@ type Postmortem struct {
 // topK stragglers per step (only ranks above the mean wall qualify).
 // Deterministic: a pure function of the timeline, so replays over the
 // same rings encode byte-identically.
-//
-//grist:bitwise
 func Build(t *Timeline, topK int) *Postmortem {
 	pm := &Postmortem{Ranks: len(t.Ranks), Dropped: t.Dropped}
 	prevImb := 0.0
@@ -176,8 +174,6 @@ func Build(t *Timeline, topK int) *Postmortem {
 // synchronization every rank's wall converges to the straggler's, so
 // walls say "all equal" while compute time localizes the actual load.
 // Returns nil when the timeline has no complete attributed step.
-//
-//grist:bitwise
 func (p *Postmortem) ComputeWeights(t *Timeline) []float64 {
 	if len(t.Ranks) == 0 {
 		return nil

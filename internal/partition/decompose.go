@@ -82,8 +82,6 @@ func DecomposeWeighted(m *mesh.Mesh, nparts int, seed int64, cellW []int32) (*De
 // the run's base seed — a splitmix64 step (detrand.SeedAt), so
 // successive epochs explore independent cut refinements while staying
 // reproducible from (seed, epoch) alone.
-//
-//grist:bitwise
 func EpochSeed(seed int64, epoch int) int64 {
 	return detrand.SeedAt(seed, epoch)
 }

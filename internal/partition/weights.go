@@ -11,8 +11,6 @@ package partition
 // agreed inputs computes the identical weight vector, which keeps the
 // weighted repartition agreement-free — the property the elastic
 // membership protocol relies on.
-//
-//grist:bitwise
 func CostWeights(part []int32, nparts int, cost []float64) []int32 {
 	ncells := make([]int, nparts)
 	for _, p := range part {

@@ -36,8 +36,6 @@ func NewTile(k TileKey, snap *Snapshot, cells []int32) *Tile {
 }
 
 // Value returns the tile value at local cell index i.
-//
-//grist:hotpath
 func (t *Tile) Value(i int32) float64 { return t.vals[i] }
 
 // Len returns the tile's cell count.
@@ -75,8 +73,6 @@ func NewTileCache(capTiles int) *TileCache {
 
 // Get returns the cached tile under k, or nil on a miss, promoting a
 // hit to most-recently-used.
-//
-//grist:hotpath
 func (c *TileCache) Get(k TileKey) *Tile {
 	c.mu.Lock()
 	t := c.entries[k]
@@ -114,8 +110,6 @@ func (c *TileCache) Add(t *Tile) {
 }
 
 // unlink removes t from the LRU list. Caller holds mu.
-//
-//grist:hotpath
 func (c *TileCache) unlink(t *Tile) {
 	if t.prev != nil {
 		t.prev.next = t.next
@@ -131,8 +125,6 @@ func (c *TileCache) unlink(t *Tile) {
 }
 
 // pushFront makes t the most-recently-used entry. Caller holds mu.
-//
-//grist:hotpath
 func (c *TileCache) pushFront(t *Tile) {
 	t.next = c.head
 	if c.head != nil {

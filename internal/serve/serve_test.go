@@ -195,26 +195,37 @@ func TestTileCacheLRUAndStats(t *testing.T) {
 	}
 }
 
-// The tile-cache hit path is annotated //grist:hotpath — prove it is
+// The point-query lookups — locate, tile of cell, index within the
+// tile, snapshot and tile values — and the tile-cache hit path are
 // allocation-free.
 func TestTileCacheGetAllocFree(t *testing.T) {
 	snap := testSnapshot(1)
 	tl := NewTiler(testMesh, 8, 12345)
 	cache := NewTileCache(4)
 	k := TileKey{Epoch: 1, Tile: 0, Field: FieldPS}
-	cache.Add(NewTile(k, snap, tl.TileCells(0)))
-	missed := false
-	allocs := testing.AllocsPerRun(1000, func() {
-		if cache.Get(k) == nil {
-			missed = true
+	tile := NewTile(k, snap, tl.TileCells(0))
+	cache.Add(tile)
+	var sink float64
+	for _, row := range []struct {
+		name string
+		op   func()
+	}{
+		{"TileCache.Get", func() {
+			if cache.Get(k) == nil {
+				t.Fatal("resident tile missed")
+			}
+		}},
+		{"Tiler.Locate", func() { sink += float64(tl.Locate(0.3, 1.2)) }},
+		{"Tiler.TileOfCell", func() { sink += float64(tl.TileOfCell(7)) }},
+		{"Tiler.LocalIndex", func() { sink += float64(tl.LocalIndex(7)) }},
+		{"Snapshot.Value", func() { sink += snap.Value(FieldPS, 7) }},
+		{"Tile.Value", func() { sink += tile.Value(0) }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, row.op); allocs != 0 {
+			t.Errorf("%s allocates %.1f per call, want 0", row.name, allocs)
 		}
-	})
-	if missed {
-		t.Fatal("resident tile missed")
 	}
-	if allocs != 0 {
-		t.Fatalf("TileCache.Get allocates %.1f per call, want 0", allocs)
-	}
+	_ = sink
 }
 
 func TestTileValuesMatchSnapshot(t *testing.T) {

@@ -71,8 +71,6 @@ type Snapshot struct {
 }
 
 // Value returns field f at cell c.
-//
-//grist:hotpath
 func (s *Snapshot) Value(f int, c int32) float64 { return s.data[f][c] }
 
 // NCells returns the cell count the snapshot spans.

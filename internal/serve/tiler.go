@@ -139,8 +139,6 @@ func (t *Tiler) buildSeedGrid() {
 }
 
 // binOf maps a lat/lon to its seed-grid bin.
-//
-//grist:hotpath
 func (t *Tiler) binOf(lat, lon float64) int {
 	i := int((lat + math.Pi/2) / math.Pi * float64(t.nLat))
 	if i < 0 {
@@ -165,8 +163,6 @@ func (t *Tiler) binOf(lat, lon float64) int {
 // improves. Cell centers with their adjacency form the Delaunay dual
 // of the Voronoi-like mesh, so the walk terminates at the global
 // nearest cell, in O(1) hops from a seed.
-//
-//grist:hotpath
 func (t *Tiler) Locate(lat, lon float64) int32 {
 	q := mesh.FromLatLon(lat, lon)
 	c := t.seeds[t.binOf(lat, lon)]
@@ -186,13 +182,9 @@ func (t *Tiler) Locate(lat, lon float64) int32 {
 }
 
 // TileOfCell returns the tile owning cell c.
-//
-//grist:hotpath
 func (t *Tiler) TileOfCell(c int32) int32 { return t.tileOf[c] }
 
 // LocalIndex returns c's position within its tile's cell list.
-//
-//grist:hotpath
 func (t *Tiler) LocalIndex(c int32) int32 { return t.local[c] }
 
 // TileCells returns the cells of one tile, ascending. The slice is the

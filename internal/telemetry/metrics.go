@@ -13,13 +13,9 @@ import (
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
-//
-//grist:hotpath
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
-//
-//grist:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
@@ -29,8 +25,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-//
-//grist:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the stored value (zero until first Set).
@@ -72,15 +66,11 @@ type Histogram struct {
 const ewmaAlpha = 0.1
 
 // Observe records one value.
-//
-//grist:hotpath
 func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
 
 // ObserveExemplar records one value and attaches an exemplar label (a
 // trace id) to the bucket it lands in, replacing the bucket's previous
 // exemplar. Allocation-free apart from the caller's label.
-//
-//grist:hotpath
 func (h *Histogram) ObserveExemplar(v float64, exemplar string) {
 	h.mu.Lock()
 	if h.alpha == 0 {
@@ -141,8 +131,6 @@ func (h *Histogram) ExemplarNear(q float64) string {
 }
 
 // bucketOf maps a value to its log2 bucket index.
-//
-//grist:hotpath
 func bucketOf(v float64) int {
 	if v <= 0 || math.IsNaN(v) {
 		return 0

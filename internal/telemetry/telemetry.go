@@ -112,8 +112,6 @@ type Span struct {
 
 // Begin starts a span attributed to rank. The span is recorded when End
 // is called; Begin itself only reads the clock. Allocation-free.
-//
-//grist:hotpath
 func (r *Recorder) Begin(name string, rank int32) Span {
 	if r == nil {
 		return Span{}
@@ -125,8 +123,6 @@ func (r *Recorder) Begin(name string, rank int32) Span {
 // overriding the recorder-wide SetStep value. Distributed runners use
 // it because concurrently advancing ranks have no shared "current"
 // step. Allocation-free.
-//
-//grist:hotpath
 func (r *Recorder) BeginAt(name string, rank int32, step int64) Span {
 	if r == nil {
 		return Span{}
@@ -136,8 +132,6 @@ func (r *Recorder) BeginAt(name string, rank int32, step int64) Span {
 
 // End completes the span and writes it into the ring, overwriting the
 // oldest event when full. Allocation-free.
-//
-//grist:hotpath
 func (s Span) End() {
 	r := s.rec
 	if r == nil {

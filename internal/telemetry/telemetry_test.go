@@ -60,13 +60,15 @@ func TestNilRecorderIsDisabled(t *testing.T) {
 	}
 }
 
-// TestSpanAllocFree: the hot-path contract — span begin/end performs
-// zero heap allocations (the flight recorder writes into the
-// preallocated ring).
+// TestSpanAllocFree: the hot-path contract — span begin/end, on the
+// shared or on a stamped step, performs zero heap allocations (the
+// flight recorder writes into the preallocated ring).
 func TestSpanAllocFree(t *testing.T) {
 	r := NewRecorder(1024)
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := r.Begin("dyn_interior", 1)
+		sp.End()
+		sp = r.BeginAt("halo_wait", 1, 7)
 		sp.End()
 	})
 	if allocs != 0 {
@@ -75,7 +77,8 @@ func TestSpanAllocFree(t *testing.T) {
 }
 
 // TestMetricOpsAllocFree: counter/gauge/histogram operations through
-// pre-resolved handles are allocation-free too.
+// pre-resolved handles, an exemplar-carrying observation included, are
+// allocation-free too.
 func TestMetricOpsAllocFree(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("grist_test_total")
@@ -83,8 +86,10 @@ func TestMetricOpsAllocFree(t *testing.T) {
 	h := reg.Histogram("grist_test_seconds")
 	allocs := testing.AllocsPerRun(200, func() {
 		c.Inc()
+		c.Add(3)
 		g.Set(1.5)
 		h.Observe(0.25)
+		h.ObserveExemplar(0.5, "trace-id")
 	})
 	if allocs != 0 {
 		t.Errorf("metric ops allocate %.1f times per op, want 0", allocs)

@@ -176,8 +176,6 @@ func (tr *transport[T]) SetTelemetryStep(step int64) { tr.telStep = step }
 
 // Step advances every species: first the tracer-step dry mass with the
 // divergence of the mass flux, then each species with FCT-limited fluxes.
-//
-//grist:hotpath
 func (tr *transport[T]) Step(f *Field, massFlux []float64, dt float64) {
 	var sp telemetry.Span
 	if tr.telStep > 0 {
@@ -215,8 +213,6 @@ func (tr *transport[T]) Step(f *Field, massFlux []float64, dt float64) {
 }
 
 // advectSpecies performs one FCT-limited advection step of a species.
-//
-//grist:hotpath
 func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, dt float64) {
 	m := tr.m
 	nlev := tr.nlev

@@ -242,3 +242,19 @@ func TestBlobAdvectsDownstream(t *testing.T) {
 		t.Errorf("blob did not advect east: lon moved %g rad", lon-lon0)
 	}
 }
+
+// TestTransportStepAllocFree: after the first step, a transport step of
+// all six species runs out of the work arrays newTransport sized, in
+// both precision modes.
+func TestTransportStepAllocFree(t *testing.T) {
+	m, dpi, flux := setup(3, 8)
+	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+		f := NewField(m, 8, dpi)
+		gaussianBlob(f, 0.2, 1.0)
+		tr := New(m, 8, mode)
+		tr.Step(f, flux, 300)
+		if allocs := testing.AllocsPerRun(5, func() { tr.Step(f, flux, 300) }); allocs != 0 {
+			t.Errorf("%s transport Step allocates %.1f times per call, want 0", mode, allocs)
+		}
+	}
+}
