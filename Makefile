@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test pin pin-update profile-step race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
+.PHONY: check build vet lint test pin pin-update profile-step profile-infer race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -44,6 +44,19 @@ profile-step:
 		$(GO) test -run '^$$' -bench "SerialStepG5L30/$$mode" -benchtime 8x -o profile/dycore.test \
 			-cpuprofile profile/step_$$mode.prof ./internal/dycore/ && \
 		$(GO) tool pprof -top -nodecount=15 profile/dycore.test profile/step_$$mode.prof; \
+	done
+
+# CPU profile of the batched inference engine at the benchmark's
+# architecture (ResUnitCNN 5 -> 16 x 5 units, K = 3, L = 30, plus the
+# ResMLP 62 -> 48 x 7) over 2,048 columns, FP64 then FP32: the per-stage
+# table (im2col GEMM, Winograd, dense, the elementwise stages) an
+# inference optimisation starts from. Binary and profiles land in profile/.
+profile-infer:
+	@mkdir -p profile
+	@for mode in FP64 FP32; do \
+		$(GO) test -run '^$$' -bench "ForwardG5L30/$$mode" -benchtime 5x -o profile/infer.test \
+			-cpuprofile profile/infer_$$mode.prof ./internal/infer/ && \
+		$(GO) tool pprof -top -nodecount=12 profile/infer.test profile/infer_$$mode.prof; \
 	done
 
 # -short skips the minutes-long model-integration tests, which the

@@ -393,18 +393,19 @@ func (mod *Model) RunHours(h, season float64) {
 func CellWinds(m *mesh.Mesh, u []float64, nlev int) (uc, vc []float64) {
 	uc = make([]float64, m.NCells*nlev)
 	vc = make([]float64, m.NCells*nlev)
+	type proj struct{ ne, nn float64 }
+	var projs []proj // one cell's edge-normal projections, reused
 	for c := int32(0); c < int32(m.NCells); c++ {
 		east, north := mesh.TangentBasis(m.CellPos[c])
 		// Normal matrix of the 2x2 least-squares system.
 		var a11, a12, a22 float64
-		type proj struct{ ne, nn float64 }
 		deg := m.CellDegree(c)
-		projs := make([]proj, deg)
+		projs = projs[:0]
 		for j := 0; j < deg; j++ {
 			ed := m.CellEdge[m.CellOff[c]+int32(j)]
 			n := m.EdgeNormal[ed]
 			pe, pn := n.Dot(east), n.Dot(north)
-			projs[j] = proj{pe, pn}
+			projs = append(projs, proj{pe, pn})
 			a11 += pe * pe
 			a12 += pe * pn
 			a22 += pn * pn

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -27,13 +28,15 @@ type Stats struct {
 }
 
 // arena holds one worker's preallocated scratch: ping-pong activation
-// buffers, the im2col patch matrix, and one save buffer per residual
-// nesting level. Arenas are recycled through a pool, so steady-state
-// inference is allocation-free.
+// buffers, the im2col patch matrix, the Winograd input-transform and
+// product tiles, and one save buffer per residual nesting level. Arenas
+// are recycled through a pool, so steady-state inference is
+// allocation-free.
 type arena[T precision.Real] struct {
-	a, b []T
-	col  []T
-	res  [][]T
+	a, b   []T
+	col    []T
+	wv, wm []T
+	res    [][]T
 }
 
 func newArena[T precision.Real](p *Plan[T]) *arena[T] {
@@ -41,6 +44,8 @@ func newArena[T precision.Real](p *Plan[T]) *arena[T] {
 		a:   make([]T, blockCols*p.maxDim),
 		b:   make([]T, blockCols*p.maxDim),
 		col: make([]T, blockCols*p.maxColSz),
+		wv:  make([]T, blockCols*p.maxWino),
+		wm:  make([]T, blockCols*p.maxWino),
 	}
 	for d := 0; d < p.resDepth; d++ {
 		ar.res = append(ar.res, make([]T, blockCols*p.maxDim))
@@ -215,21 +220,17 @@ func (e *Engine[T]) runBlock(ar *arena[T], dst, src []float64, lo, hi int) {
 		case opInput:
 			inputStage(st, cur, src, lo, nb)
 		case opConv:
-			convStage(st, ar.col, cur, nxt, nb)
+			if st.wino != nil {
+				winoStage(st, ar.wv, ar.wm, cur, nxt, nb)
+			} else {
+				convStage(st, ar.col, cur, nxt, nb)
+			}
 			cur, nxt = nxt, cur
 		case opDense:
 			denseStage(st, cur, nxt, nb)
 			cur, nxt = nxt, cur
 		case opReLU:
-			n := nb * st.inDim
-			x := cur[:n]
-			// Mirror nn.ReLU exactly: anything not strictly positive
-			// (including -0.0) becomes +0.0.
-			for i, v := range x {
-				if !(v > 0) {
-					x[i] = 0
-				}
-			}
+			relu(cur[:nb*st.inDim])
 		case opResPush:
 			copy(ar.res[depth][:nb*st.inDim], cur[:nb*st.inDim])
 			depth++
@@ -244,6 +245,30 @@ func (e *Engine[T]) runBlock(ar *arena[T], dst, src []float64, lo, hi int) {
 			}
 		case opOutput:
 			outputStage(st, dst, cur, lo, nb)
+		}
+	}
+}
+
+// relu mirrors nn.ReLU exactly: anything not strictly positive (-0.0
+// and NaN included) becomes +0.0. It selects on the bits, since a branch
+// on the sign mispredicts: v > 0 exactly when bits(v)-1 < bits(+Inf).
+func relu[T precision.Real](x []T) {
+	switch x := any(x).(type) {
+	case []float32:
+		for i, v := range x {
+			b := math.Float32bits(v)
+			if b-1 >= 0x7f800000 {
+				b = 0
+			}
+			x[i] = math.Float32frombits(b)
+		}
+	case []float64:
+		for i, v := range x {
+			b := math.Float64bits(v)
+			if b-1 >= 0x7ff0000000000000 {
+				b = 0
+			}
+			x[i] = math.Float64frombits(b)
 		}
 	}
 }
@@ -372,6 +397,97 @@ func convStage[T precision.Real](st *stage[T], col, x, y []T, nb int) {
 					s += cv * wo[j]
 				}
 				yb[o*l+p] = s
+			}
+		}
+	}
+}
+
+// winoStage runs a K = 3 same-padded convolution over a block as
+// Winograd F(4,3): a channel's column is cut into 4-output tiles, a
+// tile's six inputs d (one halo value each side, zero outside) become
+// V = Bᵀd, six GEMMs M_ξ = U_ξ·V_ξ contract the input channels against
+// the filter transform, and y = Aᵀm + bias. It reassociates the sums, so
+// only FP32 plans, bound by deviation rather than bitwise, compile to it.
+func winoStage[T precision.Real](st *stage[T], v, m, x, y []T, nb int) {
+	l, inCh, outCh := st.l, st.inCh, st.outCh
+	nt := (l + 3) / 4
+	nv := nb * nt * inCh
+	v0, v1, v2, v3, v4, v5 := v[:nv], v[nv:2*nv], v[2*nv:3*nv], v[3*nv:4*nv], v[4*nv:5*nv], v[5*nv:6*nv]
+	// Input transform: V_ξ[(b*nt+t)*inCh + i] = (Bᵀd)_ξ.
+	for b := 0; b < nb; b++ {
+		xb := x[b*st.inDim : (b+1)*st.inDim]
+		for i := 0; i < inCh; i++ {
+			xi := xb[i*l : (i+1)*l]
+			for t := 0; t < nt; t++ {
+				var d [6]T
+				if p := 4*t - 1; p >= 0 && p+6 <= l {
+					copy(d[:], xi[p:p+6])
+				} else {
+					for j := range d {
+						if q := p + j; q >= 0 && q < l {
+							d[j] = xi[q]
+						}
+					}
+				}
+				k := (b*nt+t)*inCh + i
+				v0[k] = 4*d[0] - 5*d[2] + d[4]
+				v1[k] = d[3] + d[4] - 4*(d[1]+d[2])
+				v2[k] = 4*(d[1]-d[2]) + d[4] - d[3]
+				v3[k] = 2*(d[3]-d[1]) + d[4] - d[2]
+				v4[k] = 2*(d[1]-d[3]) + d[4] - d[2]
+				v5[k] = 4*d[1] - 5*d[3] + d[5]
+			}
+		}
+	}
+	// Six GEMMs, output channels register-blocked four wide as in
+	// convStage: m[(n*outCh+o)*6 + ξ] for tile n.
+	for pt := 0; pt < 6; pt++ {
+		vx := v[pt*nv : (pt+1)*nv]
+		ux := st.wino[pt*outCh*inCh : (pt+1)*outCh*inCh]
+		mx := m[pt:]
+		o := 0
+		for ; o+4 <= outCh; o += 4 {
+			u0 := ux[o*inCh : (o+1)*inCh]
+			u1 := ux[(o+1)*inCh : (o+2)*inCh]
+			u2 := ux[(o+2)*inCh : (o+3)*inCh]
+			u3 := ux[(o+3)*inCh : (o+4)*inCh]
+			for n := 0; n < nb*nt; n++ {
+				row := vx[n*inCh : (n+1)*inCh]
+				var s0, s1, s2, s3 T
+				for j, cv := range row {
+					s0 += cv * u0[j]
+					s1 += cv * u1[j]
+					s2 += cv * u2[j]
+					s3 += cv * u3[j]
+				}
+				mo := mx[(n*outCh+o)*6:]
+				mo[0], mo[6], mo[12], mo[18] = s0, s1, s2, s3
+			}
+		}
+		for ; o < outCh; o++ {
+			uo := ux[o*inCh : (o+1)*inCh]
+			for n := 0; n < nb*nt; n++ {
+				var s T
+				for j, cv := range vx[n*inCh : (n+1)*inCh] {
+					s += cv * uo[j]
+				}
+				mx[(n*outCh+o)*6] = s
+			}
+		}
+	}
+	// Output transform plus bias; the last tile of a column may be partial.
+	for b := 0; b < nb; b++ {
+		yb := y[b*st.outDim : (b+1)*st.outDim]
+		for o := 0; o < outCh; o++ {
+			yo, bias := yb[o*l:(o+1)*l], st.b[o]
+			for t := 0; t < nt; t++ {
+				mt := m[((b*nt+t)*outCh+o)*6:][:6]
+				sp, sm := mt[1]+mt[2], mt[1]-mt[2]
+				dp, dm := mt[3]+mt[4], mt[3]-mt[4]
+				out := [4]T{mt[0] + sp + dp, sm + 2*dm, sp + 4*dp, sm + 8*dm + mt[5]}
+				for r, p := 0, 4*t; r < 4 && p < l; r, p = r+1, p+1 {
+					yo[p] = bias + out[r]
+				}
 			}
 		}
 	}

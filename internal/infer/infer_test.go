@@ -201,6 +201,95 @@ func TestFP32PlanCloseToFP64(t *testing.T) {
 	}
 }
 
+// TestFP32WinogradPlanCloseToFP64: property-based check of the FP32
+// plan's Winograd convolutions on random ResUnit-CNN configs — channel
+// counts off multiples of four, columns shorter than one tile or ending
+// in a partial tile, kernel sizes mixing Winograd and im2col stages,
+// partial blocks and several workers. Every K = 3 stage of the FP32 plan
+// must carry the filter transform (no stage of the FP64 plan may), and
+// the FP32 outputs must stay within 1e-4 relative L2 of the FP64 plan's,
+// which a wrong transform coefficient breaks by orders of magnitude.
+func TestFP32WinogradPlanCloseToFP64(t *testing.T) {
+	worst := 0.0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		inCh := 1 + rng.Intn(4)
+		hidden := 1 + rng.Intn(9)
+		outCh := 1 + rng.Intn(3)
+		levels := 1 + rng.Intn(14)
+		kernel := 1 + 2*rng.Intn(3)
+		m := nn.NewResUnitCNN(inCh, hidden, outCh, levels, rng.Intn(3), kernel, rng)
+		for _, p := range m.Params() {
+			for i := range p.W {
+				if p.W[i] == 0 {
+					p.W[i] = 0.1 * rng.NormFloat64()
+				}
+			}
+		}
+		opt := Options{In: randSpec(inCh*levels, rng), InClip: 5}
+		p64, p32 := MustCompile[float64](m, opt), MustCompile[float32](m, opt)
+		for si, st := range p32.stages {
+			if st.kind == opConv && (st.k == 3) != (st.wino != nil) {
+				t.Errorf("FP32 stage %d (K = %d): Winograd transform present = %v", si, st.k, st.wino != nil)
+				return false
+			}
+			if p64.stages[si].wino != nil {
+				t.Errorf("FP64 stage %d carries a Winograd transform", si)
+				return false
+			}
+		}
+		ncol := 1 + rng.Intn(40)
+		src := make([]float64, ncol*p64.InDim)
+		for i := range src {
+			src[i] = 3 * rng.NormFloat64()
+		}
+		d64 := make([]float64, ncol*p64.OutDim)
+		d32 := make([]float64, ncol*p64.OutDim)
+		NewEngine(p64, 1+rng.Intn(4)).Forward(d64, src, ncol)
+		NewEngine(p32, 1+rng.Intn(4)).Forward(d32, src, ncol)
+		dev := precision.RelL2(d32, d64)
+		worst = math.Max(worst, dev)
+		if !(dev <= 1e-4) {
+			t.Errorf("seed %d: FP32 plan deviates %g relative L2 (inCh %d, hidden %d, out %d, L %d, K %d, %d columns)",
+				seed, dev, inCh, hidden, outCh, levels, kernel, ncol)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("largest relative L2: %.3g", worst)
+}
+
+// TestReLUMatchesBranch: the bit-select ReLU gives +0 for everything
+// that is not strictly positive — both zeros, NaNs of either sign, -Inf,
+// negative subnormals — and keeps every positive value, +Inf and the
+// smallest subnormal included, in both precisions.
+func TestReLUMatchesBranch(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 1.5e-45, -1.5e-45, math.MaxFloat64, -math.MaxFloat64, 1, -1, 3.25, -0.5}
+	want := func(v float64) float64 {
+		if !(v > 0) {
+			return 0
+		}
+		return v
+	}
+	x64 := append([]float64(nil), xs...)
+	relu(x64)
+	x32 := toT[float32](xs)
+	relu(x32)
+	for i, v := range xs {
+		if math.Float64bits(x64[i]) != math.Float64bits(want(v)) {
+			t.Errorf("float64 relu(%v) = %v, want %v", v, x64[i], want(v))
+		}
+		v32 := float32(v)
+		if w := float32(want(float64(v32))); math.Float32bits(x32[i]) != math.Float32bits(w) {
+			t.Errorf("float32 relu(%v) = %v, want %v", v32, x32[i], w)
+		}
+	}
+}
+
 // TestConcurrentForwardRaceClean drives one engine from many goroutines
 // with internal worker sharding enabled; run under -race this validates
 // the arena pool and stats locking.

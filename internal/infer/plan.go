@@ -14,12 +14,16 @@
 //   - Engine executes a plan over many columns at once: im2col +
 //     register-blocked GEMM for the convolutions, arena-style
 //     preallocated activation buffers reused across steps, and a worker
-//     pool that shards the column batch across host goroutines.
+//     pool that shards the column batch across host goroutines;
+//   - an FP32 plan runs every K = 3 convolution as Winograd F(4,3)
+//     instead: 6 multiplies per 4 outputs and channel pair where the
+//     im2col GEMM takes 12, and no patch matrix.
 //
 // The FP64 plan is bit-identical to the scalar nn.Module.Forward path
 // (same accumulation order everywhere), so the scalar path remains the
-// parity oracle; the FP32 plan is validated like the mixed-precision
-// dycore, by relative-L2 deviation under the 5% threshold.
+// parity oracle; the FP32 plan, which reassociates its K = 3 sums, is
+// validated like the mixed-precision dycore, by relative-L2 deviation
+// from the FP64 plan.
 package infer
 
 import (
@@ -42,7 +46,7 @@ type opKind uint8
 
 const (
 	opInput   opKind = iota // convert float64 rows to T, optional normalize+clip
-	opConv                  // 1-D same-padded convolution (im2col + GEMM)
+	opConv                  // 1-D same-padded convolution (im2col + GEMM, or Winograd)
 	opDense                 // fully-connected GEMM
 	opReLU                  // elementwise, in place
 	opResPush               // save activations for a pending skip connection
@@ -57,6 +61,7 @@ type stage[T precision.Real] struct {
 	inCh, outCh   int // opConv
 	k, l          int // opConv kernel width / column length
 	w, b          []T // opConv / opDense parameters (quantized at compile)
+	wino          []T // FP32 opConv with K = 3: Winograd filter transform U[ξ][o][i]
 	mean, std     []T // opInput / opOutput normalization
 	dead          []bool
 	clip, clamp   T // opInput z-clip; opOutput raw clamp (0 disables)
@@ -74,6 +79,7 @@ type Plan[T precision.Real] struct {
 
 	maxDim   int // widest activation vector across stages
 	maxColSz int // largest per-column im2col buffer (L*inCh*K) of any conv
+	maxWino  int // largest per-column Winograd buffer (6 * tiles * channels)
 	resDepth int // deepest residual nesting
 }
 
@@ -153,14 +159,20 @@ func Compile[T precision.Real](m nn.Module, opt Options) (*Plan[T], error) {
 			if cur >= 0 && cur != in {
 				return fmt.Errorf("infer: Conv1D expects width %d, plan carries %d", in, cur)
 			}
-			if sz := v.L * v.InCh * v.K; sz > p.maxColSz {
-				p.maxColSz = sz
-			}
-			p.stages = append(p.stages, stage[T]{
+			st := stage[T]{
 				kind: opConv, inDim: in, outDim: out,
 				inCh: v.InCh, outCh: v.OutCh, k: v.K, l: v.L,
 				w: toT[T](v.Weight.W), b: toT[T](v.Bias.W),
-			})
+			}
+			if _, fp32 := any(T(0)).(float32); fp32 && v.K == 3 {
+				st.wino = toT[T](winoFilter(v.Weight.W, v.InCh, v.OutCh))
+				if sz := 6 * ((v.L + 3) / 4) * max(v.InCh, v.OutCh); sz > p.maxWino {
+					p.maxWino = sz
+				}
+			} else if sz := v.L * v.InCh * v.K; sz > p.maxColSz {
+				p.maxColSz = sz
+			}
+			p.stages = append(p.stages, st)
 			cur = out
 		case *nn.Dense:
 			if cur >= 0 && cur != v.In {
@@ -228,3 +240,32 @@ func MustCompile[T precision.Real](m nn.Module, opt Options) *Plan[T] {
 
 // NumStages reports the length of the flat plan (for tests/diagnostics).
 func (p *Plan[T]) NumStages() int { return len(p.stages) }
+
+// winoG is the filter transform G of Winograd's minimal filtering
+// algorithm F(4,3) (Lavin & Gray, arXiv 1509.09308): six points 0, ±1,
+// ±2 and ∞, so a 3-tap filter and a 6-value input tile give 4 outputs in
+// 6 multiplies where the direct form takes 12.
+var winoG = [6][3]float64{
+	{1.0 / 4, 0, 0},
+	{-1.0 / 6, -1.0 / 6, -1.0 / 6},
+	{-1.0 / 6, 1.0 / 6, -1.0 / 6},
+	{1.0 / 24, 1.0 / 12, 1.0 / 6},
+	{1.0 / 24, -1.0 / 12, 1.0 / 6},
+	{0, 0, 1},
+}
+
+// winoFilter applies G to every (output, input) channel filter of a K = 3
+// Conv1D weight matrix w[o][i][k], in float64, laid out U[ξ][o][i] for
+// the six per-point GEMMs of winoStage.
+func winoFilter(w []float64, inCh, outCh int) []float64 {
+	u := make([]float64, 6*outCh*inCh)
+	for o := 0; o < outCh; o++ {
+		for i := 0; i < inCh; i++ {
+			g := w[(o*inCh+i)*3 : (o*inCh+i+1)*3]
+			for x, row := range winoG {
+				u[(x*outCh+o)*inCh+i] = row[0]*g[0] + row[1]*g[1] + row[2]*g[2]
+			}
+		}
+	}
+	return u
+}

@@ -220,6 +220,7 @@ func FromTriangulation(tri *Triangulation, radius float64) *Mesh {
 	m.CellLon = make([]float64, nc)
 	m.CellArea = make([]float64, nc)
 
+	var eAngle, vAngle []float64
 	for c := int32(0); c < int32(nc); c++ {
 		center := m.CellPos[c]
 		m.CellLat[c], m.CellLon[c] = center.LatLon()
@@ -229,19 +230,23 @@ func FromTriangulation(tri *Triangulation, radius float64) *Mesh {
 			return math.Atan2(d.Dot(north), d.Dot(east))
 		}
 		edges := incident[c]
-		sort.Slice(edges, func(i, j int) bool {
-			return angleOf(m.EdgePos[edges[i]]) < angleOf(m.EdgePos[edges[j]])
-		})
+		eAngle = eAngle[:0]
+		for _, e := range edges {
+			eAngle = append(eAngle, angleOf(m.EdgePos[e]))
+		}
+		sort.Sort(byAngle{edges, eAngle})
 		verts := vincident[c]
-		sort.Slice(verts, func(i, j int) bool {
-			return angleOf(m.VertPos[verts[i]]) < angleOf(m.VertPos[verts[j]])
-		})
+		vAngle = vAngle[:0]
+		for _, v := range verts {
+			vAngle = append(vAngle, angleOf(m.VertPos[v]))
+		}
+		sort.Sort(byAngle{verts, vAngle})
 		// Rotate the vertex list so vertex k sits between edges k and k+1:
 		// vertex 0 is the first vertex CCW after edge 0.
-		ref := angleOf(m.EdgePos[edges[0]])
+		ref := eAngle[0]
 		rot, best := 0, math.MaxFloat64
-		for i, v := range verts {
-			a := angleOf(m.VertPos[v]) - ref
+		for i := range verts {
+			a := vAngle[i] - ref
 			for a < 0 {
 				a += 2 * math.Pi
 			}
@@ -395,4 +400,18 @@ func (m *Mesh) TangentialVelocity(dst, u []float64) {
 		}
 		dst[e] = s
 	}
+}
+
+// byAngle sorts ids by ascending angle, each angle computed once and
+// moved with its id.
+type byAngle struct {
+	ids    []int32
+	angles []float64
+}
+
+func (s byAngle) Len() int           { return len(s.ids) }
+func (s byAngle) Less(i, j int) bool { return s.angles[i] < s.angles[j] }
+func (s byAngle) Swap(i, j int) {
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+	s.angles[i], s.angles[j] = s.angles[j], s.angles[i]
 }

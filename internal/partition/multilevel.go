@@ -17,13 +17,18 @@ func KWay(g *Graph, nparts int, seed int64) []int32 {
 		return part
 	}
 	rng := rand.New(rand.NewSource(seed))
-	recursiveBisect(g, mesh.IdentityIDs(g.NumVertices()), 0, nparts, part, rng)
+	local := make([]int32, g.NumVertices())
+	for i := range local {
+		local[i] = -1
+	}
+	recursiveBisect(g, mesh.IdentityIDs(g.NumVertices()), 0, nparts, part, local, rng)
 	return part
 }
 
 // recursiveBisect splits the induced subgraph over verts into parts
-// [base, base+nparts), writing assignments into part.
-func recursiveBisect(g *Graph, verts []int32, base int32, nparts int, part []int32, rng *rand.Rand) {
+// [base, base+nparts), writing assignments into part. local is induced's
+// renumbering array: one entry per vertex of g, all -1 between calls.
+func recursiveBisect(g *Graph, verts []int32, base int32, nparts int, part, local []int32, rng *rand.Rand) {
 	if nparts == 1 {
 		for _, v := range verts {
 			part[v] = base
@@ -33,7 +38,7 @@ func recursiveBisect(g *Graph, verts []int32, base int32, nparts int, part []int
 	leftParts := nparts / 2
 	rightParts := nparts - leftParts
 	// Split vertex weight proportionally to the part counts.
-	sub := induced(g, verts)
+	sub := induced(g, verts, local)
 	side := bisect(sub, float64(leftParts)/float64(nparts), rng)
 	var left, right []int32
 	for i, v := range verts {
@@ -43,14 +48,14 @@ func recursiveBisect(g *Graph, verts []int32, base int32, nparts int, part []int
 			right = append(right, v)
 		}
 	}
-	recursiveBisect(g, left, base, leftParts, part, rng)
-	recursiveBisect(g, right, base+int32(leftParts), rightParts, part, rng)
+	recursiveBisect(g, left, base, leftParts, part, local, rng)
+	recursiveBisect(g, right, base+int32(leftParts), rightParts, part, local, rng)
 }
 
 // induced extracts the subgraph over verts (renumbered 0..len-1),
-// dropping edges that leave the subset.
-func induced(g *Graph, verts []int32) *Graph {
-	local := make(map[int32]int32, len(verts))
+// dropping edges that leave the subset. local maps a vertex of g to its
+// new number (-1 outside verts); induced fills it and clears it again.
+func induced(g *Graph, verts, local []int32) *Graph {
 	for i, v := range verts {
 		local[v] = int32(i)
 	}
@@ -60,12 +65,15 @@ func induced(g *Graph, verts []int32) *Graph {
 	for i, v := range verts {
 		vertw[i] = g.vertWeight(v)
 		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
-			if lu, ok := local[g.Adjncy[k]]; ok {
+			if lu := local[g.Adjncy[k]]; lu >= 0 {
 				adjncy = append(adjncy, lu)
 				edgew = append(edgew, g.edgeWeight(k))
 			}
 		}
 		xadj[i+1] = int32(len(adjncy))
+	}
+	for _, v := range verts {
+		local[v] = -1
 	}
 	return &Graph{Xadj: xadj, Adjncy: adjncy, EdgeW: edgew, VertW: vertw}
 }
@@ -119,6 +127,7 @@ func coarsen(g *Graph, rng *rand.Rand) *coarse {
 	order := rng.Perm(n)
 	var nc int32
 	cmap := make([]int32, n)
+	members := make([][2]int32, 0, n) // per coarse vertex: its fine vertices, ascending (-1: none)
 	for _, vi := range order {
 		v := int32(vi)
 		if match[v] >= 0 {
@@ -136,46 +145,49 @@ func coarsen(g *Graph, rng *rand.Rand) *coarse {
 			match[v], match[best] = best, v
 			cmap[v] = nc
 			cmap[best] = nc
+			members = append(members, [2]int32{min(v, best), max(v, best)})
 		} else {
 			match[v] = v
 			cmap[v] = nc
+			members = append(members, [2]int32{v, -1})
 		}
 		nc++
 	}
 
-	// Build the contracted graph with summed weights.
+	// Build the contracted graph with summed weights, one CSR row per
+	// coarse vertex: its fine vertices in ascending order, their coarse
+	// neighbors in first-seen order. pos marks where a neighbor already
+	// sits in the current row.
 	vertw := make([]int32, nc)
-	type edge struct{ u, w int32 }
-	adj := make([][]edge, nc)
-	for v := int32(0); v < int32(n); v++ {
-		cv := cmap[v]
-		vertw[cv] += g.vertWeight(v)
-		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
-			cu := cmap[g.Adjncy[k]]
-			if cu == cv {
+	xadj := make([]int32, nc+1)
+	adjncy := make([]int32, 0, len(g.Adjncy))
+	edgew := make([]int32, 0, len(g.Adjncy))
+	pos := make([]int32, nc)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for cv := int32(0); cv < nc; cv++ {
+		start := int32(len(adjncy))
+		for _, v := range members[cv] {
+			if v < 0 {
 				continue
 			}
-			merged := false
-			for i := range adj[cv] {
-				if adj[cv][i].u == cu {
-					adj[cv][i].w += g.edgeWeight(k)
-					merged = true
-					break
+			vertw[cv] += g.vertWeight(v)
+			for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
+				cu := cmap[g.Adjncy[k]]
+				if cu == cv {
+					continue
 				}
-			}
-			if !merged {
-				adj[cv] = append(adj[cv], edge{cu, g.edgeWeight(k)})
+				if pos[cu] >= start {
+					edgew[pos[cu]] += g.edgeWeight(k)
+					continue
+				}
+				pos[cu] = int32(len(adjncy))
+				adjncy = append(adjncy, cu)
+				edgew = append(edgew, g.edgeWeight(k))
 			}
 		}
-	}
-	xadj := make([]int32, nc+1)
-	var adjncy, edgew []int32
-	for v := int32(0); v < nc; v++ {
-		for _, e := range adj[v] {
-			adjncy = append(adjncy, e.u)
-			edgew = append(edgew, e.w)
-		}
-		xadj[v+1] = int32(len(adjncy))
+		xadj[cv+1] = int32(len(adjncy))
 	}
 	return &coarse{
 		g:    &Graph{Xadj: xadj, Adjncy: adjncy, EdgeW: edgew, VertW: vertw},
@@ -328,6 +340,7 @@ func refineFM(g *Graph, side []int8, frac float64, maxPasses int) {
 		side[best] = 1 - side[best]
 	}
 
+	var gains []int64
 	for pass := 0; pass < maxPasses; pass++ {
 		// Collect boundary vertices sorted by gain.
 		var boundary []int32
@@ -342,9 +355,11 @@ func refineFM(g *Graph, side []int8, frac float64, maxPasses int) {
 		if len(boundary) == 0 {
 			return
 		}
-		sort.Slice(boundary, func(i, j int) bool {
-			return gain(boundary[i]) > gain(boundary[j])
-		})
+		gains = gains[:0]
+		for _, v := range boundary {
+			gains = append(gains, gain(v))
+		}
+		sort.Sort(byGainDesc{boundary, gains})
 		improved := false
 		for _, v := range boundary {
 			gv := gain(v)
@@ -369,4 +384,20 @@ func refineFM(g *Graph, side []int8, frac float64, maxPasses int) {
 			return
 		}
 	}
+}
+
+// byGainDesc sorts vertex ids by descending gain, each gain computed once
+// and moved with its id. Gains tie often and pdqsort is not stable, so
+// the part maps TestDecomposePinned holds depend on sort.Sort's pdqsort
+// (the one sort.Slice also runs) ordering the ties.
+type byGainDesc struct {
+	ids   []int32
+	gains []int64
+}
+
+func (s byGainDesc) Len() int           { return len(s.ids) }
+func (s byGainDesc) Less(i, j int) bool { return s.gains[i] > s.gains[j] }
+func (s byGainDesc) Swap(i, j int) {
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+	s.gains[i], s.gains[j] = s.gains[j], s.gains[i]
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"gristgo/internal/core"
 	"gristgo/internal/dycore"
 	"gristgo/internal/mesh"
 )
@@ -65,6 +66,26 @@ func TestSnapshotFieldsPhysical(t *testing.T) {
 	}
 	if maxU < 1 {
 		t.Fatalf("solid-body wind missing from u_sfc (max |u| = %v)", maxU)
+	}
+}
+
+// TestSnapshotSurfaceWindsBitwise: the served surface winds, rebuilt
+// from the surface edge winds alone, are bit for bit the lowest level of
+// the all-level reconstruction, on a state with level-varying winds.
+func TestSnapshotSurfaceWindsBitwise(t *testing.T) {
+	const nlev = 4
+	s := testState(nlev)
+	for i := range s.U {
+		s.U[i] += 3 * math.Sin(0.37*float64(i))
+	}
+	snap := SnapshotFromState(1, 10, s)
+	uc, vc := core.CellWinds(testMesh, s.U, nlev)
+	for c := int32(0); c < int32(testMesh.NCells); c++ {
+		k := int(c)*nlev + nlev - 1
+		if u, v := snap.Value(FieldUSfc, c), snap.Value(FieldVSfc, c); math.Float64bits(u) != math.Float64bits(uc[k]) ||
+			math.Float64bits(v) != math.Float64bits(vc[k]) {
+			t.Fatalf("cell %d: served (%v, %v), all-level reconstruction (%v, %v)", c, u, v, uc[k], vc[k])
+		}
 	}
 }
 

@@ -99,8 +99,14 @@ func SnapshotFromState(epoch, step int, s *dycore.State) *Snapshot {
 	for f := 0; f < NumFields; f++ {
 		snap.data[f] = make([]float64, m.NCells)
 	}
-	uc, vc := core.CellWinds(m, s.U, nlev)
+	// Only the surface winds are served: reconstruct them from the
+	// surface edge winds as a one-level field.
 	kSfc := nlev - 1
+	uSfc := make([]float64, m.NEdges)
+	for e := range uSfc {
+		uSfc[e] = s.U[e*nlev+kSfc]
+	}
+	uc, vc := core.CellWinds(m, uSfc, 1)
 	for c := 0; c < m.NCells; c++ {
 		base := c * nlev
 		var colMass float64
@@ -113,8 +119,8 @@ func SnapshotFromState(epoch, step int, s *dycore.State) *Snapshot {
 		p := ps - 0.5*dpi
 		theta := s.ThetaM[base+kSfc] / dpi
 		snap.data[FieldTSfc][c] = theta * math.Pow(p/dycore.P0, dycore.Rd/dycore.Cp)
-		snap.data[FieldUSfc][c] = uc[base+kSfc]
-		snap.data[FieldVSfc][c] = vc[base+kSfc]
+		snap.data[FieldUSfc][c] = uc[c]
+		snap.data[FieldVSfc][c] = vc[c]
 		var wmax float64
 		ibase := c * (nlev + 1)
 		for k := 0; k <= nlev; k++ {
