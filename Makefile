@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test pin pin-update profile-step profile-infer race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
+.PHONY: check build vet lint test pin pin-update profile-step profile-infer profile-tracer race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -57,6 +57,18 @@ profile-infer:
 		$(GO) test -run '^$$' -bench "ForwardG5L30/$$mode" -benchtime 5x -o profile/infer.test \
 			-cpuprofile profile/infer_$$mode.prof ./internal/infer/ && \
 		$(GO) tool pprof -top -nodecount=12 profile/infer.test profile/infer_$$mode.prof; \
+	done
+
+# CPU profile of one tracer transport step of all six species at the
+# coupled benchmark's size (G4 x 20), serial, DP then MIX: the per-pass
+# table (mass, ratio, edge, low-order, limiter, apply) a tracer
+# optimisation starts from. Binary and profiles land in profile/.
+profile-tracer:
+	@mkdir -p profile
+	@for mode in DP MIX; do \
+		$(GO) test -run '^$$' -bench "TransportStepG4L20/$$mode/w1" -benchtime 50x -o profile/tracer.test \
+			-cpuprofile profile/tracer_$$mode.prof ./internal/tracer/ && \
+		$(GO) tool pprof -top -nodecount=12 profile/tracer.test profile/tracer_$$mode.prof; \
 	done
 
 # -short skips the minutes-long model-integration tests, which the

@@ -41,7 +41,7 @@ func main() {
 	restartIn := flag.String("restart", "", "resume from a restart file")
 	restartOut := flag.String("restart-out", "", "write a restart file at the end (atomic, CRC-framed)")
 	remapEvery := flag.Int("remap", 0, "vertical remap every N physics steps (0 off)")
-	workers := flag.Int("workers", -1, "host threads for the dycore loops (-1 = all CPUs)")
+	workers := flag.Int("workers", -1, "host threads for the dycore and tracer loops (mesh.ParallelFor) and the ML inference pool (-1 = all CPUs)")
 	output := flag.String("output", "", "write a GDF history file at the end (atomic, CRC-framed; read it with gdfdump)")
 	telAddr := flag.String("telemetry.addr", "", "serve the observability plane on this address (e.g. :9090; :0 picks a free port): /metrics and /metrics.json for scrapes, /trace for a live Chrome trace_event dump of the flight-recorder ring, /debug/pprof for profiles")
 	telHold := flag.Duration("telemetry.hold", 0, "keep the telemetry server (including /trace and /debug/pprof) up this long after the run finishes, so the final ring can still be scraped")

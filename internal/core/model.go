@@ -28,8 +28,10 @@ type Config struct {
 	NLev      int
 	Mode      precision.Mode
 	Steps     mesh.TimestepConfig
-	// HostWorkers runs the dycore loops across this many host threads
-	// (the shared-memory OpenMP analog; 0/1 serial, negative = all CPUs).
+	// HostWorkers runs the dycore and tracer loops across this many host
+	// threads through mesh.ParallelFor, and sizes the ML inference worker
+	// pool (the shared-memory OpenMP analog; 0/1 serial, negative = all
+	// CPUs).
 	HostWorkers int
 }
 
@@ -110,8 +112,10 @@ func NewModelOnMesh(cfg Config, scheme physics.Scheme, m *mesh.Mesh) *Model {
 		cfg.Steps = scaledSteps(cfg.GridLevel)
 	}
 	eng := dycore.New(m, cfg.NLev, cfg.Mode)
+	trans := tracer.New(m, cfg.NLev, cfg.Mode)
 	if cfg.HostWorkers != 0 {
 		eng.SetHostParallelism(cfg.HostWorkers)
+		trans.SetHostParallelism(cfg.HostWorkers)
 		// Physics suites with their own worker pools (the ML inference
 		// engine) share the host-parallelism knob.
 		if ws, ok := scheme.(interface{ SetWorkers(int) }); ok {
@@ -124,7 +128,7 @@ func NewModelOnMesh(cfg Config, scheme physics.Scheme, m *mesh.Mesh) *Model {
 		Engine: eng,
 
 		Tracers:   tracer.NewField(m, cfg.NLev, eng.State().DryMass),
-		Transport: tracer.New(m, cfg.NLev, cfg.Mode),
+		Transport: trans,
 		avgFlux:   make([]float64, m.NEdges*cfg.NLev),
 
 		Physics: scheme,
@@ -340,10 +344,10 @@ func (mod *Model) applyPhysicsOutput(dt float64) {
 					continue
 				}
 				i := c*nlev + k
-				qTarget := rhClim * physics.SatMixingRatio(mod.In.T[i], mod.In.P[i])
 				if mod.In.T[i] == 0 {
 					continue // physics input not yet populated
 				}
+				qTarget := rhClim * physics.SatMixingRatio(mod.In.T[i], mod.In.P[i])
 				q := mod.Tracers.MixingRatio(tracer.QV, c, k)
 				if qTarget > q {
 					mod.Tracers.SetMixingRatio(tracer.QV, c, k, q+w*(qTarget-q))

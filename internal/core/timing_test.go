@@ -1,15 +1,18 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gristgo/internal/mesh"
 	"gristgo/internal/physics"
 	"gristgo/internal/precision"
 	"gristgo/internal/synthclim"
 	"gristgo/internal/telemetry"
+	"gristgo/internal/tracer"
 )
 
 // timedScheme is a stub physics scheme with its own component timers, as
@@ -127,5 +130,44 @@ func TestTimingsRegistryView(t *testing.T) {
 	}
 	if v := reg.Counter("grist_component_calls_total", "component", "dynamics").Value(); v != 1 {
 		t.Errorf("calls counter = %d, want 1", v)
+	}
+}
+
+// TestModelHostWorkersBitwise: HostWorkers only schedules the dycore and
+// tracer loops, so a coupled model with conventional physics over terrain
+// ends two physics steps bitwise equal at 1 and 2 workers — every State
+// array and every tracer array, in both precision modes.
+func TestModelHostWorkersBitwise(t *testing.T) {
+	const nlev = 6
+	cl := synthclim.ForPeriod(synthclim.Table1()[1], 0)
+	m := mesh.New(2).ReorderBFS()
+	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+		run := func(workers int) *Model {
+			mod := NewModelOnMesh(Config{GridLevel: 2, NLev: nlev, Mode: mode, HostWorkers: workers},
+				physics.NewConventional(nlev), m)
+			mod.InitializeClimate(cl)
+			mod.SetTerrain(synthclim.Terrain)
+			for range 2 {
+				mod.StepPhysics(cl.Season)
+			}
+			return mod
+		}
+		serial, parallel := run(1), run(2)
+		a, b := serial.Engine.State(), parallel.Engine.State()
+		fields := map[string][2][]float64{
+			"DryMass": {a.DryMass, b.DryMass}, "ThetaM": {a.ThetaM, b.ThetaM}, "U": {a.U, b.U},
+			"W": {a.W, b.W}, "Phi": {a.Phi, b.Phi}, "PhiSurf": {a.PhiSurf, b.PhiSurf},
+			"TracMass": {serial.Tracers.Mass, parallel.Tracers.Mass},
+		}
+		for sp := tracer.QV; sp < tracer.NumSpecies; sp++ {
+			fields[sp.String()] = [2][]float64{serial.Tracers.Q[sp], parallel.Tracers.Q[sp]}
+		}
+		for name, f := range fields {
+			for i := range f[0] {
+				if math.Float64bits(f[0][i]) != math.Float64bits(f[1][i]) {
+					t.Fatalf("%s: %s[%d]: %v at 1 worker, %v at 2", mode, name, i, f[0][i], f[1][i])
+				}
+			}
+		}
 	}
 }

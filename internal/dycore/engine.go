@@ -276,20 +276,20 @@ func (e *engine[T]) Step(dt float64) {
 	e.computeTendencies(regionAll)
 	for si := 0; si < 3; si++ {
 		frac := fracs[si]
-		e.parallelFor(e.sets.tend.ids, func(ids []int32) {
+		mesh.ParallelFor(e.workers, e.sets.tend.ids, func(ids []int32) {
 			for _, c := range ids {
-				dm, th := row(s.DryMass, c, nlev), row(s.ThetaM, c, nlev)
-				dm0, th0 := row(e.saveMass, c, nlev), row(e.saveTheta, c, nlev)
-				dmT, thT := row(e.dMass, c, nlev), row(e.dTheta, c, nlev)
+				dm, th := mesh.Row(s.DryMass, c, nlev), mesh.Row(s.ThetaM, c, nlev)
+				dm0, th0 := mesh.Row(e.saveMass, c, nlev), mesh.Row(e.saveTheta, c, nlev)
+				dmT, thT := mesh.Row(e.dMass, c, nlev), mesh.Row(e.dTheta, c, nlev)
 				for k := range dm {
 					dm[k] = dm0[k] + frac*dmT[k]
 					th[k] = th0[k] + frac*thT[k]
 				}
 			}
 		})
-		e.parallelFor(e.sets.u.ids, func(ids []int32) {
+		mesh.ParallelFor(e.workers, e.sets.u.ids, func(ids []int32) {
 			for _, ed := range ids {
-				u, u0, uT := row(s.U, ed, nlev), row(e.saveU, ed, nlev), row(e.dU, ed, nlev)
+				u, u0, uT := mesh.Row(s.U, ed, nlev), mesh.Row(e.saveU, ed, nlev), mesh.Row(e.dU, ed, nlev)
 				for k := range u {
 					u[k] = u0[k] + frac*uT[k]
 				}
@@ -316,10 +316,10 @@ func (e *engine[T]) Step(dt float64) {
 	sp.End()
 	// Accumulate the final-stage mass flux in double precision for the
 	// tracer sub-cycling (§3.4.2: delta-pi*V must stay FP64).
-	e.parallelFor(e.sets.flux.ids, func(ids []int32) {
+	mesh.ParallelFor(e.workers, e.sets.flux.ids, func(ids []int32) {
 		for _, ed := range ids {
-			acc := row(e.massFluxAcc, ed, nlev)
-			for k, f := range row(e.flux, ed, nlev) {
+			acc := mesh.Row(e.massFluxAcc, ed, nlev)
+			for k, f := range mesh.Row(e.flux, ed, nlev) {
 				acc[k] += float64(f)
 			}
 		}
@@ -374,13 +374,13 @@ func (e *engine[T]) computeTendencies(reg region) {
 func (e *engine[T]) computeRRR(ids []int32) {
 	s := e.s
 	nlev := s.NLev
-	e.parallelFor(ids, func(ids []int32) {
+	mesh.ParallelFor(e.workers, ids, func(ids []int32) {
 		for _, c := range ids {
-			phi := row(s.Phi, c, nlev+1)
-			thm := row(s.ThetaM, c, nlev)
-			rrr, phm, pnh := row(e.rrr, c, nlev), row(e.phm, c, nlev), row(e.pnh, c, nlev)
+			phi := mesh.Row(s.Phi, c, nlev+1)
+			thm := mesh.Row(s.ThetaM, c, nlev)
+			rrr, phm, pnh := mesh.Row(e.rrr, c, nlev), mesh.Row(e.phm, c, nlev), mesh.Row(e.pnh, c, nlev)
 			pIface := PTop
-			for k, dpi := range row(s.DryMass, c, nlev) {
+			for k, dpi := range mesh.Row(s.DryMass, c, nlev) {
 				dphi := phi[k] - phi[k+1]
 				rrr[k] = T(dphi / dpi)
 				p, _ := eos(dpi/dphi, thm[k]/dpi)
@@ -393,11 +393,6 @@ func (e *engine[T]) computeRRR(ids []int32) {
 	})
 }
 
-// row is entity id's level run of a field laid out [id*n+k]. Every kernel
-// takes the runs it reads once per entity, so the level loop indexes
-// slices of one known length and carries no bounds checks.
-func row[E any](a []E, id int32, n int) []E { return a[int(id)*n:][:n] }
-
 // primalNormalFluxEdge reconstructs delta-pi and theta at edges and forms
 // the horizontal mass flux delta-pi*u. The reconstruction blends a
 // positivity-friendly harmonic mean with an upwind value weighted by the
@@ -407,14 +402,14 @@ func (e *engine[T]) primalNormalFluxEdge(ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.parallelFor(ids, func(ids []int32) {
+	mesh.ParallelFor(e.workers, ids, func(ids []int32) {
 		for _, ed := range ids {
 			c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
-			dm0, dm1 := row(s.DryMass, c0, nlev), row(s.DryMass, c1, nlev)
-			thm0, thm1 := row(s.ThetaM, c0, nlev), row(s.ThetaM, c1, nlev)
-			te, fl := row(e.thetaEdge, ed, nlev), row(e.flux, ed, nlev)
+			dm0, dm1 := mesh.Row(s.DryMass, c0, nlev), mesh.Row(s.DryMass, c1, nlev)
+			thm0, thm1 := mesh.Row(s.ThetaM, c0, nlev), mesh.Row(s.ThetaM, c1, nlev)
+			te, fl := mesh.Row(e.thetaEdge, ed, nlev), mesh.Row(e.flux, ed, nlev)
 			uStar := T(10.0) // blending velocity scale, m/s
-			for k, u64 := range row(s.U, ed, nlev) {
+			for k, u64 := range mesh.Row(s.U, ed, nlev) {
 				m0, m1 := T(dm0[k]), T(dm1[k])
 				t0 := T(thm0[k]) / m0
 				t1 := T(thm1[k]) / m1
@@ -451,10 +446,10 @@ func (e *engine[T]) computeKineticEnergy(ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.parallelFor(ids, func(ids []int32) {
+	mesh.ParallelFor(e.workers, ids, func(ids []int32) {
 		for _, c := range ids {
 			inv := T(1.0 / m.CellArea[c])
-			ke, div := row(e.ke, c, nlev), row(e.div, c, nlev)
+			ke, div := mesh.Row(e.ke, c, nlev), mesh.Row(e.div, c, nlev)
 			clear(ke)
 			clear(div)
 			// Three edges a pass while three are left, then one: each
@@ -470,7 +465,7 @@ func (e *engine[T]) computeKineticEnergy(ids []int32) {
 				d0 := float64(m.CellEdgeSign[kk]) * m.DvEdge[e0]
 				d1 := float64(m.CellEdgeSign[kk+1]) * m.DvEdge[e1]
 				d2 := float64(m.CellEdgeSign[kk+2]) * m.DvEdge[e2]
-				u0, u1, u2 := row(s.U, e0, nlev), row(s.U, e1, nlev), row(s.U, e2, nlev)
+				u0, u1, u2 := mesh.Row(s.U, e0, nlev), mesh.Row(s.U, e1, nlev), mesh.Row(s.U, e2, nlev)
 				for k := range ke {
 					a0, a1, a2 := T(u0[k]), T(u1[k]), T(u2[k])
 					ke[k] = ke[k] + w0*a0*a0*inv + w1*a1*a1*inv + w2*a2*a2*inv
@@ -480,7 +475,7 @@ func (e *engine[T]) computeKineticEnergy(ids []int32) {
 			for ; kk < end; kk++ {
 				ed := m.CellEdge[kk]
 				w, d := T(0.25*m.DvEdge[ed]*m.DcEdge[ed]), float64(m.CellEdgeSign[kk])*m.DvEdge[ed]
-				for k, u64 := range row(s.U, ed, nlev) {
+				for k, u64 := range mesh.Row(s.U, ed, nlev) {
 					u := T(u64)
 					ke[k] += w * u * u * inv
 					div[k] += u64 * d
@@ -498,7 +493,7 @@ func (e *engine[T]) computeVorticity(ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.parallelFor(ids, func(ids []int32) {
+	mesh.ParallelFor(e.workers, ids, func(ids []int32) {
 		for _, v := range ids {
 			inv := T(1.0 / m.VertArea[v])
 			ve, vs := m.VertEdge[v], m.VertEdgeSign[v]
@@ -506,8 +501,8 @@ func (e *engine[T]) computeVorticity(ids []int32) {
 			w0 := T(vs[0]) * T(m.DcEdge[ve[0]])
 			w1 := T(vs[1]) * T(m.DcEdge[ve[1]])
 			w2 := T(vs[2]) * T(m.DcEdge[ve[2]])
-			u0, u1, u2 := row(s.U, ve[0], nlev), row(s.U, ve[1], nlev), row(s.U, ve[2], nlev)
-			z := row(e.zeta, v, nlev)
+			u0, u1, u2 := mesh.Row(s.U, ve[0], nlev), mesh.Row(s.U, ve[1], nlev), mesh.Row(s.U, ve[2], nlev)
+			z := mesh.Row(e.zeta, v, nlev)
 			for k := range z {
 				// The sum starts from zero, as a zeroed accumulator does:
 				// 0 + x turns a -0 term into +0.
@@ -523,10 +518,10 @@ func (e *engine[T]) continuityAndThermo(ids []int32) {
 	s := e.s
 	m := s.M
 	nlev := s.NLev
-	e.parallelFor(ids, func(ids []int32) {
+	mesh.ParallelFor(e.workers, ids, func(ids []int32) {
 		for _, c := range ids {
 			inv := 1.0 / m.CellArea[c]
-			dm, dth := row(e.dMass, c, nlev), row(e.dTheta, c, nlev)
+			dm, dth := mesh.Row(e.dMass, c, nlev), mesh.Row(e.dTheta, c, nlev)
 			clear(dm)
 			clear(dth)
 			// Three edges a pass, then one, in CellEdge order.
@@ -536,8 +531,8 @@ func (e *engine[T]) continuityAndThermo(ids []int32) {
 				s0 := float64(m.CellEdgeSign[kk]) * m.DvEdge[e0] * inv
 				s1 := float64(m.CellEdgeSign[kk+1]) * m.DvEdge[e1] * inv
 				s2 := float64(m.CellEdgeSign[kk+2]) * m.DvEdge[e2] * inv
-				f0, f1, f2 := row(e.flux, e0, nlev), row(e.flux, e1, nlev), row(e.flux, e2, nlev)
-				t0, t1, t2 := row(e.thetaEdge, e0, nlev), row(e.thetaEdge, e1, nlev), row(e.thetaEdge, e2, nlev)
+				f0, f1, f2 := mesh.Row(e.flux, e0, nlev), mesh.Row(e.flux, e1, nlev), mesh.Row(e.flux, e2, nlev)
+				t0, t1, t2 := mesh.Row(e.thetaEdge, e0, nlev), mesh.Row(e.thetaEdge, e1, nlev), mesh.Row(e.thetaEdge, e2, nlev)
 				for k := range dm {
 					a0, a1, a2 := s0*float64(f0[k]), s1*float64(f1[k]), s2*float64(f2[k])
 					dm[k] = dm[k] - a0 - a1 - a2
@@ -547,8 +542,8 @@ func (e *engine[T]) continuityAndThermo(ids []int32) {
 			for ; kk < end; kk++ {
 				ed := m.CellEdge[kk]
 				sign := float64(m.CellEdgeSign[kk]) * m.DvEdge[ed] * inv
-				te := row(e.thetaEdge, ed, nlev)
-				for k, f := range row(e.flux, ed, nlev) {
+				te := mesh.Row(e.thetaEdge, ed, nlev)
+				for k, f := range mesh.Row(e.flux, ed, nlev) {
 					a := sign * float64(f)
 					dm[k] -= a
 					dth[k] -= a * float64(te[k])
@@ -568,21 +563,21 @@ func (e *engine[T]) momentum(ids []int32) {
 	nlev := s.NLev
 	nu := e.nu
 
-	e.parallelFor(ids, func(ids []int32) {
+	mesh.ParallelFor(e.workers, ids, func(ids []int32) {
 		for _, ed := range ids {
 			c0, c1 := m.EdgeCell[ed][0], m.EdgeCell[ed][1]
 			v0, v1 := m.EdgeVert[ed][0], m.EdgeVert[ed][1]
 			invDc := 1.0 / m.DcEdge[ed]
 			invDv := 1.0 / m.DvEdge[ed]
 			f := 2 * Omega * math.Sin(m.EdgeLat[ed])
-			z0, z1 := row(e.zeta, v0, nlev), row(e.zeta, v1, nlev)
-			ke0, ke1 := row(e.ke, c0, nlev), row(e.ke, c1, nlev)
-			rrr0, rrr1 := row(e.rrr, c0, nlev), row(e.rrr, c1, nlev)
-			phm0, phm1 := row(e.phm, c0, nlev), row(e.phm, c1, nlev)
-			pnh0, pnh1 := row(e.pnh, c0, nlev), row(e.pnh, c1, nlev)
-			div0, div1 := row(e.div, c0, nlev), row(e.div, c1, nlev)
-			vt, u := row(e.vtan, ed, nlev), row(s.U, ed, nlev)
-			du := row(e.dU, ed, nlev)
+			z0, z1 := mesh.Row(e.zeta, v0, nlev), mesh.Row(e.zeta, v1, nlev)
+			ke0, ke1 := mesh.Row(e.ke, c0, nlev), mesh.Row(e.ke, c1, nlev)
+			rrr0, rrr1 := mesh.Row(e.rrr, c0, nlev), mesh.Row(e.rrr, c1, nlev)
+			phm0, phm1 := mesh.Row(e.phm, c0, nlev), mesh.Row(e.phm, c1, nlev)
+			pnh0, pnh1 := mesh.Row(e.pnh, c0, nlev), mesh.Row(e.pnh, c1, nlev)
+			div0, div1 := mesh.Row(e.div, c0, nlev), mesh.Row(e.div, c1, nlev)
+			vt, u := mesh.Row(e.vtan, ed, nlev), mesh.Row(s.U, ed, nlev)
+			du := mesh.Row(e.dU, ed, nlev)
 			for k := range du {
 				// CalcCoriolisTerm: (f + zeta_e) * v_tangential.
 				zetaE := 0.5 * (float64(z0[k]) + float64(z1[k]))
@@ -663,7 +658,7 @@ func (e *engine[T]) VorticityAtLevel(k int) []float64 {
 func (e *engine[T]) ApplyHeating(q1 []float64, dt float64) {
 	s := e.s
 	nlev := s.NLev
-	e.parallelFor(e.sets.tend.ids, func(ids []int32) {
+	mesh.ParallelFor(e.workers, e.sets.tend.ids, func(ids []int32) {
 		for _, c := range ids {
 			for k := 0; k < nlev; k++ {
 				i := int(c)*nlev + k

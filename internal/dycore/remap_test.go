@@ -205,7 +205,7 @@ var raceEnabled bool
 
 // TestStepAllocBudget keeps the benchmark's dycore.step_allocs rung under
 // tier-1, in both precision modes: what is left per serial step is one
-// closure per loop handed to parallelFor, 43 of them, so a kernel that
+// closure per loop handed to mesh.ParallelFor, 43 of them, so a kernel that
 // starts allocating — in the closure or in the kernel Step reaches —
 // fails here. Under -race the budget is the 55 of before the loops were
 // flattened: the race detector drops sync.Pool items at random, so the

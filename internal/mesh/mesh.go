@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // EarthRadius is the mean Earth radius in meters ("rearth" in GRIST).
@@ -95,6 +96,37 @@ func IdentityIDs(n int) []int32 {
 		ids[i] = int32(i)
 	}
 	return ids
+}
+
+// Row is entity id's level run of a field laid out [id*n+k]. Every kernel
+// takes the runs it reads once per entity, so the level loop indexes
+// slices of one known length and carries no bounds checks.
+func Row[E any](a []E, id int32, n int) []E { return a[int(id)*n:][:n] }
+
+// ParallelFor is the one loop driver of the entity kernels (the dycore's
+// and the tracer transport's): it hands body the id list in static chunks
+// across workers goroutines, or whole and inline with workers <= 1 or a
+// list too short to share out. This is the host-side analog of the
+// paper's OpenMP parallelization inside each MPI rank: every loop is
+// conflict-free per entity (§3.3.4 — "most of loops are conflict-free"),
+// so the static chunking matches the "!$omp do" schedule.
+func ParallelFor(workers int, ids []int32, body func(ids []int32)) {
+	n := len(ids)
+	if workers <= 1 || n < 4*workers {
+		body(ids)
+		return
+	}
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		part := ids[lo:min(lo+chunk, n)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(part)
+		}()
+	}
+	wg.Wait()
 }
 
 // New builds the hexagonal C-grid at the given icosahedral level on a

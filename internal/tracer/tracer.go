@@ -6,10 +6,14 @@
 //
 // Per §3.4.2, this equation runs almost entirely in lowered precision;
 // the sole double-precision input is the accumulated mass flux delta-pi*V
-// taken from the dry-mass equation.
+// taken from the dry-mass equation. Its loops, like the dycore's, run
+// through the one loop driver, mesh.ParallelFor (§3.3.4).
 package tracer
 
 import (
+	"runtime"
+	"slices"
+
 	"gristgo/internal/mesh"
 	"gristgo/internal/precision"
 	"gristgo/internal/telemetry"
@@ -90,6 +94,10 @@ type Transport interface {
 	// rings), Commit the cells whose updated values are kept (owned),
 	// Edges the edges of the compute region.
 	SetOwned(o *OwnedSets)
+	// SetHostParallelism chunks every loop of Step across n host workers
+	// through mesh.ParallelFor, as the dycore's does (0/1 = serial,
+	// negative = all CPUs); the output is bitwise the serial one.
+	SetHostParallelism(n int)
 	// SetTelemetry attaches a flight recorder: each Step emits a
 	// tracer_step span attributed to rank (nil recorder detaches).
 	SetTelemetry(rec *telemetry.Recorder, rank int32)
@@ -113,24 +121,38 @@ func New(m *mesh.Mesh, nlev int, mode precision.Mode) Transport {
 }
 
 type transport[T precision.Real] struct {
-	m    *mesh.Mesh
-	nlev int
-	mode precision.Mode
+	m       *mesh.Mesh
+	nlev    int
+	mode    precision.Mode
+	workers int // host workers of every loop (<= 1: serial)
 
 	// sets is the iteration space of the kernels: identity lists (the
-	// whole mesh) until SetOwned narrows it to one rank's share.
+	// whole mesh) until SetOwned narrows it to one rank's share. read is
+	// every cell whose old mixing ratio a step reads: Cells, their
+	// neighbours and the endpoints of Edges.
 	sets OwnedSets
+	read []int32
 
 	// Work arrays in working precision T (§3.4.2: the tracer equation is
 	// computed almost entirely in lowered precision).
 	fluxLo  []T // low-order (upwind) tracer flux per edge
 	fluxA   []T // antidiffusive flux per edge
+	ratio   []T // old mixing ratio T(q)/T(Mass)
 	qtd     []T // transported-diffused provisional ratio
-	qmin    []T
+	qmin    []T // Zalesak bounds
 	qmax    []T
-	rPlus   []T
-	rMinus  []T
+	rPlus   []T       // P+ then R+ (limiter inflow coefficient)
+	rMinus  []T       // P- then R-
+	massT   []T       // T(newMass)
 	newMass []float64 // updated delta-pi (double precision)
+
+	// The step in flight, read by the loop bodies; each body is bound once
+	// so that handing it to the loop driver allocates nothing.
+	f           *Field
+	q, massFlux []float64
+	dt          float64
+
+	massFn, ratioFn, edgeFn, lowFn, limitFn, applyFn, commitFn func(ids []int32)
 
 	// Optional flight recorder for Step spans (nil: disabled).
 	rec     *telemetry.Recorder
@@ -145,13 +167,17 @@ func newTransport[T precision.Real](m *mesh.Mesh, nlev int, mode precision.Mode)
 		m: m, nlev: nlev, mode: mode,
 		fluxLo:  make([]T, ne),
 		fluxA:   make([]T, ne),
+		ratio:   make([]T, n),
 		qtd:     make([]T, n),
 		qmin:    make([]T, n),
 		qmax:    make([]T, n),
 		rPlus:   make([]T, n),
 		rMinus:  make([]T, n),
+		massT:   make([]T, n),
 		newMass: make([]float64, n),
 	}
+	tr.massFn, tr.ratioFn, tr.edgeFn, tr.lowFn = tr.massPass, tr.ratioPass, tr.edgePass, tr.lowPass
+	tr.limitFn, tr.applyFn, tr.commitFn = tr.limitPass, tr.applyPass, tr.commitPass
 	tr.SetOwned(nil)
 	return tr
 }
@@ -159,12 +185,29 @@ func newTransport[T precision.Real](m *mesh.Mesh, nlev int, mode precision.Mode)
 func (tr *transport[T]) Mode() precision.Mode { return tr.mode }
 
 func (tr *transport[T]) SetOwned(o *OwnedSets) {
-	if o == nil {
+	if o == nil { // the whole mesh, where every cell is read
 		ids := mesh.IdentityIDs(max(tr.m.NCells, tr.m.NEdges))
 		cells := ids[:tr.m.NCells]
-		o = &OwnedSets{Cells: cells, Commit: cells, Edges: ids[:tr.m.NEdges]}
+		tr.sets, tr.read = OwnedSets{Cells: cells, Commit: cells, Edges: ids[:tr.m.NEdges]}, cells
+		return
 	}
 	tr.sets = *o
+	read := slices.Clone(o.Cells)
+	for _, c := range o.Cells {
+		read = append(read, tr.m.CellCells(c)...)
+	}
+	for _, e := range o.Edges {
+		read = append(read, tr.m.EdgeCell[e][:]...)
+	}
+	slices.Sort(read)
+	tr.read = slices.Compact(read)
+}
+
+func (tr *transport[T]) SetHostParallelism(n int) {
+	if n < 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	tr.workers = n
 }
 
 func (tr *transport[T]) SetTelemetry(rec *telemetry.Recorder, rank int32) {
@@ -176,6 +219,9 @@ func (tr *transport[T]) SetTelemetryStep(step int64) { tr.telStep = step }
 
 // Step advances every species: first the tracer-step dry mass with the
 // divergence of the mass flux, then each species with FCT-limited fluxes.
+// Each phase is one loop over an entity list, so the loops are separated
+// by the driver's barriers and every (cell, level) or (edge, level) value
+// is computed as the serial loop computes it.
 func (tr *transport[T]) Step(f *Field, massFlux []float64, dt float64) {
 	var sp telemetry.Span
 	if tr.telStep > 0 {
@@ -183,178 +229,188 @@ func (tr *transport[T]) Step(f *Field, massFlux []float64, dt float64) {
 	} else {
 		sp = tr.rec.Begin("tracer_step", tr.telRank)
 	}
-	m := tr.m
-	nlev := tr.nlev
-
-	// New tracer-step mass (double precision like the flux itself).
-	for _, id := range tr.sets.Cells {
-		c := int(id)
-		inv := dt / m.CellArea[c]
-		for k := 0; k < nlev; k++ {
-			tr.newMass[c*nlev+k] = f.Mass[c*nlev+k]
-		}
-		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
-			ed := m.CellEdge[kk]
-			s := float64(m.CellEdgeSign[kk]) * m.DvEdge[ed] * inv
-			for k := 0; k < nlev; k++ {
-				tr.newMass[c*nlev+k] -= s * massFlux[int(ed)*nlev+k]
-			}
-		}
+	tr.f, tr.massFlux, tr.dt = f, massFlux, dt
+	w, cells := tr.workers, tr.sets.Cells
+	mesh.ParallelFor(w, cells, tr.massFn)
+	for _, q := range f.Q { // the HoriFluxLimiter kernel, one species at a time
+		tr.q = q
+		mesh.ParallelFor(w, tr.read, tr.ratioFn)
+		mesh.ParallelFor(w, tr.sets.Edges, tr.edgeFn)
+		mesh.ParallelFor(w, cells, tr.lowFn)
+		mesh.ParallelFor(w, cells, tr.limitFn)
+		mesh.ParallelFor(w, tr.sets.Commit, tr.applyFn)
 	}
-
-	for sp := range f.Q {
-		tr.advectSpecies(f, Species(sp), massFlux, dt)
-	}
-	for _, id := range tr.sets.Commit {
-		c := int(id)
-		copy(f.Mass[c*nlev:(c+1)*nlev], tr.newMass[c*nlev:(c+1)*nlev])
-	}
+	mesh.ParallelFor(w, tr.sets.Commit, tr.commitFn)
+	tr.f, tr.q, tr.massFlux = nil, nil, nil
 	sp.End()
 }
 
-// advectSpecies performs one FCT-limited advection step of a species.
-func (tr *transport[T]) advectSpecies(f *Field, sp Species, massFlux []float64, dt float64) {
-	m := tr.m
-	nlev := tr.nlev
-	q := f.Q[sp]
-
-	// --- Low-order (upwind) and antidiffusive (centered minus upwind)
-	// tracer fluxes: the HoriFluxLimiter kernel's first phase. ---
-	for _, id := range tr.sets.Edges {
-		e := int(id)
-		c0, c1 := int(m.EdgeCell[e][0]), int(m.EdgeCell[e][1])
-		for k := 0; k < nlev; k++ {
-			i := e*nlev + k
-			mf := T(massFlux[i])
-			q0 := T(q[c0*nlev+k]) / T(f.Mass[c0*nlev+k])
-			q1 := T(q[c1*nlev+k]) / T(f.Mass[c1*nlev+k])
-			var qUp T
-			if mf >= 0 {
-				qUp = q0
-			} else {
-				qUp = q1
+// massPass computes the new tracer-step mass (double precision like the
+// flux itself) and its working-precision copy.
+func (tr *transport[T]) massPass(ids []int32) {
+	m, nlev := tr.m, tr.nlev
+	for _, c := range ids {
+		inv := tr.dt / m.CellArea[c]
+		nm, mt := mesh.Row(tr.newMass, c, nlev), mesh.Row(tr.massT, c, nlev)
+		copy(nm, mesh.Row(tr.f.Mass, c, nlev))
+		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
+			ed := m.CellEdge[kk]
+			s, mf := float64(m.CellEdgeSign[kk])*m.DvEdge[ed]*inv, mesh.Row(tr.massFlux, ed, nlev)
+			for k := range nm {
+				nm[k] -= s * mf[k]
 			}
-			lo := mf * qUp
-			hi := mf * (q0 + q1) / 2
-			tr.fluxLo[i] = lo
-			tr.fluxA[i] = hi - lo
+		}
+		for k, v := range nm {
+			mt[k] = T(v)
 		}
 	}
+}
 
-	// --- Provisional low-order update (monotone). ---
-	for _, id := range tr.sets.Cells {
-		c := int(id)
-		invA := T(dt / m.CellArea[c])
-		for k := 0; k < nlev; k++ {
-			tr.qtd[c*nlev+k] = T(q[c*nlev+k])
+// ratioPass computes each old mixing ratio once, for every cell a later
+// pass reads it at.
+func (tr *transport[T]) ratioPass(ids []int32) {
+	for _, c := range ids {
+		r, q, mass := mesh.Row(tr.ratio, c, tr.nlev), mesh.Row(tr.q, c, tr.nlev), mesh.Row(tr.f.Mass, c, tr.nlev)
+		for k := range r {
+			r[k] = T(q[k]) / T(mass[k])
+		}
+	}
+}
+
+// edgePass computes the low-order (upwind) and antidiffusive (centered
+// minus upwind) tracer fluxes.
+func (tr *transport[T]) edgePass(ids []int32) {
+	m, nlev := tr.m, tr.nlev
+	for _, e := range ids {
+		lo, fa, mf := mesh.Row(tr.fluxLo, e, nlev), mesh.Row(tr.fluxA, e, nlev), mesh.Row(tr.massFlux, e, nlev)
+		q0, q1 := mesh.Row(tr.ratio, m.EdgeCell[e][0], nlev), mesh.Row(tr.ratio, m.EdgeCell[e][1], nlev)
+		for k := range lo {
+			f, up := T(mf[k]), q1[k]
+			if f >= 0 {
+				up = q0[k]
+			}
+			lo[k] = f * up
+			fa[k] = f*(q0[k]+q1[k])/2 - lo[k]
+		}
+	}
+}
+
+// lowPass is the provisional low-order update (monotone), as a mixing
+// ratio against the new mass.
+func (tr *transport[T]) lowPass(ids []int32) {
+	m, nlev := tr.m, tr.nlev
+	for _, c := range ids {
+		invA := T(tr.dt / m.CellArea[c])
+		qtd, q, mass := mesh.Row(tr.qtd, c, nlev), mesh.Row(tr.q, c, nlev), mesh.Row(tr.massT, c, nlev)
+		for k := range qtd {
+			qtd[k] = T(q[k])
 		}
 		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
-			ed := int(m.CellEdge[kk])
-			s := T(m.CellEdgeSign[kk]) * T(m.DvEdge[ed]) * invA
-			for k := 0; k < nlev; k++ {
-				tr.qtd[c*nlev+k] -= s * tr.fluxLo[ed*nlev+k]
+			ed := m.CellEdge[kk]
+			s, lo := T(m.CellEdgeSign[kk])*T(m.DvEdge[ed])*invA, mesh.Row(tr.fluxLo, ed, nlev)
+			for k := range qtd {
+				qtd[k] -= s * lo[k]
 			}
 		}
-		// To mixing ratio against the new mass.
-		for k := 0; k < nlev; k++ {
-			tr.qtd[c*nlev+k] /= T(tr.newMass[c*nlev+k])
-		}
-	}
-
-	// --- Zalesak bounds from the old ratios and neighbors. ---
-	for _, id := range tr.sets.Cells {
-		c := int(id)
-		for k := 0; k < nlev; k++ {
-			i := c*nlev + k
-			qc := T(q[i]) / T(f.Mass[i])
-			lo, hi := qc, qc
-			if tr.qtd[i] < lo {
-				lo = tr.qtd[i]
-			}
-			if tr.qtd[i] > hi {
-				hi = tr.qtd[i]
-			}
-			for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
-				nb := int(m.CellCell[kk])
-				j := nb*nlev + k
-				qn := T(q[j]) / T(f.Mass[j])
-				if qn < lo {
-					lo = qn
-				}
-				if qn > hi {
-					hi = qn
-				}
-				if tr.qtd[j] < lo {
-					lo = tr.qtd[j]
-				}
-				if tr.qtd[j] > hi {
-					hi = tr.qtd[j]
-				}
-			}
-			tr.qmin[i], tr.qmax[i] = lo, hi
+		for k := range qtd {
+			qtd[k] /= mass[k]
 		}
 	}
+}
 
-	// --- Limiter coefficients R+/R- per cell. ---
-	for _, id := range tr.sets.Cells {
-		c := int(id)
-		invA := T(dt / m.CellArea[c])
-		for k := 0; k < nlev; k++ {
-			i := c*nlev + k
-			var pPlus, pMinus T // total anti-diffusive in/outflow
-			for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
-				ed := int(m.CellEdge[kk])
-				a := T(m.CellEdgeSign[kk]) * T(m.DvEdge[ed]) * invA * tr.fluxA[ed*nlev+k]
-				if a < 0 {
-					pPlus -= a // inflow raises q
+// limitPass computes the Zalesak bounds from the old and provisional
+// ratios of the cell and its neighbours, then the limiter coefficients
+// R+/R- from the anti-diffusive in- and outflow P+/P-. Every loop is
+// level-inner; each (cell, level) compares and sums in neighbour order.
+func (tr *transport[T]) limitPass(ids []int32) {
+	m, nlev := tr.m, tr.nlev
+	for _, c := range ids {
+		lo, hi, qtd := mesh.Row(tr.qmin, c, nlev), mesh.Row(tr.qmax, c, nlev), mesh.Row(tr.qtd, c, nlev)
+		copy(lo, mesh.Row(tr.ratio, c, nlev))
+		copy(hi, lo)
+		for kk := m.CellOff[c] - 1; kk < m.CellOff[c+1]; kk++ { // the cell itself, then its neighbours
+			nb := c
+			if kk >= m.CellOff[c] {
+				nb = m.CellCell[kk]
+			}
+			rn, qn := mesh.Row(tr.ratio, nb, nlev), mesh.Row(tr.qtd, nb, nlev)
+			for k := range lo {
+				l, h := lo[k], hi[k]
+				if rn[k] < l {
+					l = rn[k]
+				}
+				if rn[k] > h {
+					h = rn[k]
+				}
+				if qn[k] < l {
+					l = qn[k]
+				}
+				if qn[k] > h {
+					h = qn[k]
+				}
+				lo[k], hi[k] = l, h
+			}
+		}
+
+		invA := T(tr.dt / m.CellArea[c])
+		pPlus, pMinus, mass := mesh.Row(tr.rPlus, c, nlev), mesh.Row(tr.rMinus, c, nlev), mesh.Row(tr.massT, c, nlev)
+		clear(pPlus)
+		clear(pMinus)
+		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
+			ed := m.CellEdge[kk]
+			s, fa := T(m.CellEdgeSign[kk])*T(m.DvEdge[ed])*invA, mesh.Row(tr.fluxA, ed, nlev)
+			for k := range pPlus {
+				if a := s * fa[k]; a < 0 {
+					pPlus[k] -= a // inflow raises q
 				} else {
-					pMinus += a
+					pMinus[k] += a
 				}
 			}
-			mass := T(tr.newMass[i])
-			qPlus := (tr.qmax[i] - tr.qtd[i]) // available headroom
-			qMinus := (tr.qtd[i] - tr.qmin[i])
-			tr.rPlus[i] = limiterRatio(qPlus*mass, pPlus*mass)
-			tr.rMinus[i] = limiterRatio(qMinus*mass, pMinus*mass)
+		}
+		for k := range pPlus { // capacity is the available headroom
+			pPlus[k] = limiterRatio((hi[k]-qtd[k])*mass[k], pPlus[k]*mass[k])
+			pMinus[k] = limiterRatio((qtd[k]-lo[k])*mass[k], pMinus[k]*mass[k])
 		}
 	}
+}
 
-	// --- Apply limited antidiffusive fluxes, to the commit cells only: the
-	// limited flux of an edge on the cut uses identical r coefficients on
-	// both owning ranks, so conservation holds across it. ---
-	for _, id := range tr.sets.Commit {
-		c := int(id)
-		invA := T(dt / m.CellArea[c])
+// applyPass applies the limited antidiffusive fluxes to the commit cells
+// only — the limited flux of an edge on the cut uses identical r
+// coefficients on both owning ranks, so conservation holds across it —
+// and stores the result back as mass-weighted double precision.
+func (tr *transport[T]) applyPass(ids []int32) {
+	m, nlev := tr.m, tr.nlev
+	for _, c := range ids {
+		invA := T(tr.dt / m.CellArea[c])
+		qtd, rp, rm, mass := mesh.Row(tr.qtd, c, nlev), mesh.Row(tr.rPlus, c, nlev), mesh.Row(tr.rMinus, c, nlev), mesh.Row(tr.massT, c, nlev)
 		for kk := m.CellOff[c]; kk < m.CellOff[c+1]; kk++ {
-			ed := int(m.CellEdge[kk])
-			nb := int(m.CellCell[kk])
+			ed, nb := m.CellEdge[kk], m.CellCell[kk]
 			sgn := T(m.CellEdgeSign[kk])
-			s := sgn * T(m.DvEdge[ed]) * invA
-			for k := 0; k < nlev; k++ {
-				i := c*nlev + k
-				a := tr.fluxA[ed*nlev+k] * sgn // outflow positive for this cell
+			s, fa := sgn*T(m.DvEdge[ed])*invA, mesh.Row(tr.fluxA, ed, nlev)
+			np, nm := mesh.Row(tr.rPlus, nb, nlev), mesh.Row(tr.rMinus, nb, nlev)
+			for k := range qtd {
 				var cLim T
-				if a >= 0 { // outflow from c into nb
-					cLim = minT(tr.rMinus[i], tr.rPlus[nb*nlev+k])
+				if fa[k]*sgn >= 0 { // outflow from c into nb
+					cLim = minT(rm[k], np[k])
 				} else { // inflow into c from nb
-					cLim = minT(tr.rPlus[i], tr.rMinus[nb*nlev+k])
+					cLim = minT(rp[k], nm[k])
 				}
-				tr.qtd[i] -= s * cLim * tr.fluxA[ed*nlev+k] / T(tr.newMass[i])
+				qtd[k] -= s * cLim * fa[k] / mass[k]
+			}
+		}
+		q, nm := mesh.Row(tr.q, c, nlev), mesh.Row(tr.newMass, c, nlev)
+		for k := range q {
+			if q[k] = float64(qtd[k]) * nm[k]; q[k] < 0 { // guard rounding
+				q[k] = 0
 			}
 		}
 	}
+}
 
-	// --- Commit: back to mass-weighted double-precision storage. ---
-	for _, id := range tr.sets.Commit {
-		c := int(id)
-		for k := 0; k < nlev; k++ {
-			i := c*nlev + k
-			v := float64(tr.qtd[i]) * tr.newMass[i]
-			if v < 0 { // guard rounding
-				v = 0
-			}
-			q[i] = v
-		}
+// commitPass keeps the new tracer-step mass of the commit cells.
+func (tr *transport[T]) commitPass(ids []int32) {
+	for _, c := range ids {
+		copy(mesh.Row(tr.f.Mass, c, tr.nlev), mesh.Row(tr.newMass, c, tr.nlev))
 	}
 }
 

@@ -1,18 +1,25 @@
 package tracer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gristgo/internal/mesh"
+	"gristgo/internal/partition"
 	"gristgo/internal/precision"
 )
 
 // setup builds a mesh, a uniform mass field and a solid-body mass flux.
 func setup(level, nlev int) (*mesh.Mesh, []float64, []float64) {
-	m := mesh.New(level)
+	return setupOn(mesh.New(level), nlev)
+}
+
+// setupOn is setup on a given mesh.
+func setupOn(m *mesh.Mesh, nlev int) (*mesh.Mesh, []float64, []float64) {
 	dpi := make([]float64, m.NCells*nlev)
 	for i := range dpi {
 		dpi[i] = 1000.0 // Pa per layer
@@ -31,13 +38,16 @@ func setup(level, nlev int) (*mesh.Mesh, []float64, []float64) {
 }
 
 // gaussianBlob initializes qv with a smooth blob.
-func gaussianBlob(f *Field, lat0, lon0 float64) {
+func gaussianBlob(f *Field, lat0, lon0 float64) { blob(f, QV, lat0, lon0) }
+
+// blob initializes a species with a smooth blob.
+func blob(f *Field, sp Species, lat0, lon0 float64) {
 	center := mesh.FromLatLon(lat0, lon0)
 	for c := 0; c < f.M.NCells; c++ {
 		d := mesh.ArcLength(f.M.CellPos[c], center)
 		q := 0.01 * math.Exp(-d*d/(0.3*0.3))
 		for k := 0; k < f.NLev; k++ {
-			f.SetMixingRatio(QV, c, k, q)
+			f.SetMixingRatio(sp, c, k, q)
 		}
 	}
 }
@@ -243,18 +253,92 @@ func TestBlobAdvectsDownstream(t *testing.T) {
 	}
 }
 
-// TestTransportStepAllocFree: after the first step, a transport step of
-// all six species runs out of the work arrays newTransport sized, in
-// both precision modes.
+// TestTransportHostParallelismMatchesSerial: the transport on 8 host
+// workers reproduces the serial step bitwise (every loop is conflict-free
+// per entity, so only scheduling changes) — over the whole mesh and for
+// each rank of a 2-rank split, computing owned + two rings and committing
+// the owned cells, in both precision modes.
+func TestTransportHostParallelismMatchesSerial(t *testing.T) {
+	const nlev = 8
+	m := mesh.New(3).ReorderBFS()
+	_, dpi, flux := setupOn(m, nlev)
+	rng := rand.New(rand.NewSource(9))
+	for i := range flux {
+		flux[i] += 800 * (rng.Float64()*4 - 2) // divergent, so the mass moves too
+	}
+	dec := partition.MustDecompose(m, 2, 1)
+	owned := map[string]*OwnedSets{"full mesh": nil}
+	for p := range 2 {
+		cells := append(slices.Clone(dec.Owned[p]), dec.HaloRings(m, p, 2)...)
+		var edges []int32
+		for _, c := range cells {
+			edges = append(edges, m.CellEdges(c)...)
+		}
+		slices.Sort(edges)
+		owned[fmt.Sprintf("rank %d of 2", p)] = &OwnedSets{Cells: cells, Commit: dec.Owned[p], Edges: slices.Compact(edges)}
+	}
+	for name, o := range owned {
+		for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+			run := func(workers int) *Field {
+				f := NewField(m, nlev, dpi)
+				for sp := range f.Q {
+					blob(f, Species(sp), 0.3*float64(sp)-0.6, float64(sp))
+				}
+				tr := New(m, nlev, mode)
+				tr.SetOwned(o)
+				tr.SetHostParallelism(workers)
+				for range 4 {
+					tr.Step(f, flux, 300)
+				}
+				return f
+			}
+			serial, parallel := run(1), run(8)
+			for sp := range serial.Q {
+				if i := firstDiff(serial.Q[sp], parallel.Q[sp]); i >= 0 {
+					t.Fatalf("%s, %s: %s[%d]: %v != %v", name, mode, Species(sp), i, serial.Q[sp][i], parallel.Q[sp][i])
+				}
+			}
+			if i := firstDiff(serial.Mass, parallel.Mass); i >= 0 {
+				t.Fatalf("%s, %s: Mass[%d]: %v != %v", name, mode, i, serial.Mass[i], parallel.Mass[i])
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index where a and b differ in bits, or -1.
+func firstDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestTransportStepAllocFree: after the first step, a serial transport
+// step of all six species runs out of the work arrays newTransport sized,
+// in both precision modes; every loop body is bound once, so handing it to
+// mesh.ParallelFor allocates nothing. On 2 workers, what is left per step
+// is the driver's fan-out: per loop its WaitGroup and one goroutine
+// closure per chunk, 3 allocations over 2 + 5 x 6 loops.
 func TestTransportStepAllocFree(t *testing.T) {
 	m, dpi, flux := setup(3, 8)
-	for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
-		f := NewField(m, 8, dpi)
-		gaussianBlob(f, 0.2, 1.0)
-		tr := New(m, 8, mode)
-		tr.Step(f, flux, 300)
-		if allocs := testing.AllocsPerRun(5, func() { tr.Step(f, flux, 300) }); allocs != 0 {
-			t.Errorf("%s transport Step allocates %.1f times per call, want 0", mode, allocs)
+	for _, row := range []struct {
+		workers int
+		budget  float64
+	}{{1, 0}, {2, 3 * (2 + 5*float64(NumSpecies))}} {
+		workers, budget := row.workers, row.budget
+		for _, mode := range []precision.Mode{precision.DP, precision.Mixed} {
+			f := NewField(m, 8, dpi)
+			gaussianBlob(f, 0.2, 1.0)
+			tr := New(m, 8, mode)
+			tr.SetHostParallelism(workers)
+			tr.Step(f, flux, 300)
+			allocs := testing.AllocsPerRun(5, func() { tr.Step(f, flux, 300) })
+			t.Logf("%s transport Step on %d workers allocates %.0f times per call", mode, workers, allocs)
+			if allocs > budget {
+				t.Errorf("%s transport Step on %d workers allocates %.0f times per call; the budget is %.0f", mode, workers, allocs, budget)
+			}
 		}
 	}
 }
