@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test pin pin-update profile-step profile-infer profile-tracer race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
+.PHONY: check build vet lint test pin pin-update profile-step profile-infer profile-tracer profile-ckpt race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
 
 check: build vet lint test race
 
@@ -70,6 +70,19 @@ profile-tracer:
 			-cpuprofile profile/tracer_$$mode.prof ./internal/tracer/ && \
 		$(GO) tool pprof -top -nodecount=12 profile/tracer.test profile/tracer_$$mode.prof; \
 	done
+
+# CPU profile of one checkpoint epoch from producer to first answer at
+# the ckpt_pipeline_g6l20_r4 workload's size (G6 x 20, 4 parts): four
+# WriteShard, Commit, Poll and the first point query, on the real
+# filesystem (BenchmarkEpochRoundTripG6L20 in internal/serve). The table
+# is focused on the epoch, leaving out the mesh and plan set-up. A CPU
+# profile does not show the time fsync waits with the CPU idle; the
+# benchmark's ns/op does. Binary and profile land in profile/.
+profile-ckpt:
+	@mkdir -p profile
+	@$(GO) test -run '^$$' -bench EpochRoundTripG6L20 -benchtime 10x -o profile/serve.test \
+		-cpuprofile profile/ckpt.prof ./internal/serve/ && \
+	$(GO) tool pprof -top -nodecount=15 -focus 'EpochRoundTripG6L20.func1' profile/serve.test profile/ckpt.prof
 
 # -short skips the minutes-long model-integration tests, which the
 # race detector's ~15x slowdown would push past the test timeout; the

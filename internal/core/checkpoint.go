@@ -172,15 +172,30 @@ func (st *ShardStore) loadShard(epoch, rank int) (step int, region []byte, err e
 // ReadShard restores rank's region of epoch's shard into s and returns
 // the step count the shard was taken at.
 func (st *ShardStore) ReadShard(epoch, rank int, s *dycore.State) (int, error) {
+	return st.readShard(epoch, rank, s, false)
+}
+
+// readShard is the one decode walk. With surface set it restores only
+// what LoadEpochSurface serves, chosen by run position in the Region
+// walk: per cell DryMass and W whole, ThetaM's lowest layer and no Phi;
+// per edge U's lowest layer.
+func (st *ShardStore) readShard(epoch, rank int, s *dycore.State, surface bool) (int, error) {
 	step, region, err := st.loadShard(epoch, rank)
 	if err != nil {
 		return 0, err
 	}
+	cellRuns, kSfc, i := 4*len(st.pl.DiagCells[rank]), st.pl.NLev-1, 0
 	s.Region(st.pl.DiagCells[rank], st.shardEdges[rank], func(run []float64) {
-		for k := range run {
+		lo, hi := 0, len(run)
+		if surface && (i >= cellRuns || i%4 == 1) { // U, ThetaM
+			lo, hi = kSfc, kSfc+1
+		} else if surface && i%4 == 3 { // Phi
+			hi = 0
+		}
+		for k := lo; k < hi; k++ {
 			run[k] = math.Float64frombits(binary.LittleEndian.Uint64(region[8*k:]))
 		}
-		region = region[8*len(run):]
+		region, i = region[8*len(run):], i+1
 	})
 	return step, nil
 }

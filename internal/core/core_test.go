@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gristgo/internal/dycore"
@@ -182,6 +183,38 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	for _, nparts := range []int{2, 4, 7} {
 		dist := RunDistributedDynamics(m, nlev, nparts, precision.DP, init, steps, dt)
 		assertBitwise(t, dist, serial, fmt.Sprintf("nparts=%d", nparts))
+	}
+}
+
+// The merged state of a distributed run carries the terrain Init set:
+// State.Region does not walk PhiSurf, so the gather copies rank 0's. A
+// terrain Init must come back with PhiSurf, and every other field,
+// bitwise equal to the serial run's.
+func TestDistributedKeepsTerrainBitwise(t *testing.T) {
+	m := sharedMesh3
+	nlev, steps, dt := 4, 3, 90.0
+	init := func(s *dycore.State) {
+		resilientInit(s)
+		for c := range s.PhiSurf {
+			s.PhiSurf[c] = dycore.Gravity * synthclim.Terrain(m.CellLat[c], m.CellLon[c])
+		}
+		dycore.HydrostaticRebalance(s)
+	}
+	eng := dycore.New(m, nlev, precision.DP)
+	init(eng.State())
+	for i := 0; i < steps; i++ {
+		eng.Step(dt)
+	}
+	serial := eng.State()
+	if slices.Max(serial.PhiSurf) <= 0 {
+		t.Fatal("the terrain Init set no surface geopotential")
+	}
+	dist := RunDistributedDynamics(m, nlev, 3, precision.DP, init, steps, dt)
+	assertBitwise(t, dist, serial, "terrain")
+	for c := range serial.PhiSurf {
+		if math.Float64bits(dist.PhiSurf[c]) != math.Float64bits(serial.PhiSurf[c]) {
+			t.Fatalf("PhiSurf[%d] = %v merged, %v serial", c, dist.PhiSurf[c], serial.PhiSurf[c])
+		}
 	}
 }
 

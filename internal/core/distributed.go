@@ -277,12 +277,14 @@ func MeasuredCommShare(tm *Timings) float64 {
 
 // gatherState collects every rank's owned region of the state, and of the
 // tracer field when src carries one, into dst on rank 0 via the Gather
-// collective (ranks other than 0 leave dst untouched).
+// collective (ranks other than 0 leave dst untouched). The region walk
+// skips PhiSurf: Init wrote the same one on every rank, so rank 0's is copied.
 func gatherState(r *comm.Rank, dst, src *dycore.State, dstT, srcT *tracer.Field, pl *DistPlan) {
 	parts := r.Gather(0, packOwnedState(src, srcT, pl, r.ID()))
 	if r.ID() != 0 {
 		return
 	}
+	copy(dst.PhiSurf, src.PhiSurf)
 	for q, buf := range parts {
 		unpackOwnedState(dst, dstT, pl, q, buf)
 	}

@@ -25,15 +25,26 @@ var ErrTornEpoch = errors.New("core: torn epoch")
 func (st *ShardStore) Plan() *DistPlan { return st.pl }
 
 // LoadEpochState assembles every rank's shard of a committed epoch into
-// s, which must span the plan's full mesh. Owned regions overlap halo
-// mirrors with identical values, so assembly order does not matter. It
-// returns the step count the epoch was taken at and fails if any shard
-// is missing, corrupt (the error wraps durable.ErrCorrupt), or disagrees
-// on the step (ErrTornEpoch).
+// s, which must span the plan's full mesh. Shards are applied in rank
+// order, so where a halo mirror and its owner's value differ the last
+// rank's copy stands. It returns the step count the epoch was taken at
+// and fails if any shard is missing, corrupt (the error wraps
+// durable.ErrCorrupt), or disagrees on the step (ErrTornEpoch).
 func (st *ShardStore) LoadEpochState(epoch int, s *dycore.State) (int, error) {
+	return st.loadEpoch(epoch, s, false)
+}
+
+// LoadEpochSurface is LoadEpochState restoring only what a served
+// snapshot reads: DryMass and W whole, the lowest layer of ThetaM and U.
+// The rest of s is left as it was; every shard is verified in full.
+func (st *ShardStore) LoadEpochSurface(epoch int, s *dycore.State) (int, error) {
+	return st.loadEpoch(epoch, s, true)
+}
+
+func (st *ShardStore) loadEpoch(epoch int, s *dycore.State, surface bool) (int, error) {
 	step := -1
 	for p := 0; p < st.pl.NParts; p++ {
-		sp, err := st.ReadShard(epoch, p, s)
+		sp, err := st.readShard(epoch, p, s, surface)
 		if err != nil {
 			return 0, fmt.Errorf("core: assembling epoch %d: %w", epoch, err)
 		}

@@ -202,7 +202,7 @@ const (
 	FailIO      = "io"      // the read itself errored (EIO, permissions)
 )
 
-// classifyLoadError maps a LoadEpochState failure onto a quarantine
+// classifyLoadError maps a LoadEpochSurface failure onto a quarantine
 // reason by the sentinel it wraps.
 func classifyLoadError(err error) string {
 	switch {
@@ -237,7 +237,7 @@ type quarantineEntry struct {
 type ShardPoller struct {
 	src     *core.ShardStore
 	dst     *SnapshotStore
-	scratch *dycore.State
+	scratch *dycore.State // only what LoadEpochSurface restores is current
 	seed    int64
 
 	mu         sync.Mutex
@@ -347,7 +347,7 @@ func (p *ShardPoller) Poll() (int, error) {
 		if q != nil && p.polls < q.RetryAt {
 			continue // quarantined, retry not due yet
 		}
-		step, err := p.src.LoadEpochState(e, p.scratch)
+		step, err := p.src.LoadEpochSurface(e, p.scratch)
 		if err != nil {
 			reason := classifyLoadError(err)
 			first := q == nil

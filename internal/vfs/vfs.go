@@ -4,7 +4,11 @@
 // from their ShardStore, so the chaos layer (internal/fault.FS) can
 // decorate one interface with torn writes, read bit-flips, ENOSPC, EIO,
 // latency and rename reordering; restart and history files are written
-// on vfs.OS, the zero-cost passthrough production runs on.
+// on vfs.OS, the passthrough production runs on.
+//
+// On Linux a file vfs.OS creates starts writeback of each full MiB once
+// written (sync_file_range), so the disk works while the writer encodes.
+// The hint neither waits nor reports: Sync is still the durability point.
 //
 // The interface is deliberately the small set the durable paths use:
 // create/temp, whole-file read, rename/remove, directory creation and
@@ -58,9 +62,9 @@ type osFS struct{}
 // OS is the real filesystem: every method delegates to the os package.
 var OS FS = osFS{}
 
-func (osFS) Create(name string) (File, error) { return os.Create(name) }
+func (osFS) Create(name string) (File, error) { return newOSFile(os.Create(name)) }
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
-	return os.CreateTemp(dir, pattern)
+	return newOSFile(os.CreateTemp(dir, pattern))
 }
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
@@ -69,3 +73,34 @@ func (osFS) MkdirAll(path string, perm fs.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
 func (osFS) Glob(pattern string) ([]string, error) { return filepath.Glob(pattern) }
+
+// writebackWindow is how many bytes an OS file writes between hints.
+const writebackWindow = 1 << 20
+
+// osFile is a file OS created: writes go straight to the os.File, and
+// each window they complete is handed to startWriteback.
+type osFile struct {
+	f                *os.File
+	written, started int64 // bytes written; the prefix handed to startWriteback
+}
+
+func newOSFile(f *os.File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &osFile{f: f}, nil
+}
+
+func (o *osFile) Write(p []byte) (int, error) {
+	n, err := o.f.Write(p)
+	o.written += int64(n)
+	if full := o.written &^ (writebackWindow - 1); full > o.started {
+		startWriteback(o.f, o.started, full-o.started)
+		o.started = full
+	}
+	return n, err
+}
+
+func (o *osFile) Sync() error  { return o.f.Sync() }
+func (o *osFile) Close() error { return o.f.Close() }
+func (o *osFile) Name() string { return o.f.Name() }

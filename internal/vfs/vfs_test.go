@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,5 +57,62 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 	if info, err := os.Stat(sub); err != nil || !info.IsDir() {
 		t.Fatalf("MkdirAll result = (%v, %v), want directory", info, err)
+	}
+}
+
+// Files OS creates start writeback after every full MiB they have been
+// written. The hint must change no byte of what reads back, whatever the
+// size and however the writes are cut, through Create and CreateTemp.
+func TestOSRoundTripUnderWriteback(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name   string
+		size   int
+		chunks []int // write sizes, cycled
+	}{
+		{"empty", 0, []int{1}},
+		{"one-byte", 1, []int{1}},
+		{"one-window", writebackWindow, []int{writebackWindow}},
+		{"3.5MiB-odd-chunks", 7 * writebackWindow / 2, []int{4093, 65537, 1, 999331, 12289}},
+	} {
+		want := make([]byte, c.size)
+		for i := range want {
+			want[i] = byte(i*131 + i>>11)
+		}
+		for _, how := range []string{"Create", "CreateTemp"} {
+			var f File
+			var err error
+			if how == "Create" {
+				f, err = OS.Create(filepath.Join(dir, c.name))
+			} else {
+				f, err = OS.CreateTemp(dir, "."+c.name+".tmp-")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off, i := 0, 0; off < len(want); i++ {
+				n := min(c.chunks[i%len(c.chunks)], len(want)-off)
+				if w, err := f.Write(want[off : off+n]); err != nil || w != n {
+					t.Fatalf("%s %s: Write = (%d, %v), want %d", c.name, how, w, err, n)
+				}
+				off += n
+			}
+			if got, full := f.(*osFile).started, int64(c.size)&^(writebackWindow-1); got != full {
+				t.Errorf("%s %s: writeback started for %d bytes, want the %d of the full windows", c.name, how, got, full)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := OS.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s %s: read back %d bytes differing from the %d written", c.name, how, len(got), len(want))
+			}
+		}
 	}
 }
