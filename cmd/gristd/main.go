@@ -96,13 +96,10 @@ func main() {
 		fsys = fault.NewFS(vfs.OS, *faultSeed, prof)
 	}
 
-	pl := core.NewDistPlan(m, *layers, *parts, 12345)
-	src, err := core.NewShardStoreFS(*data, pl, fsys)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
+	// The plan's decomposition and the server's tiler are independent
+	// partitions of the mesh: build them side by side.
+	plan := make(chan *core.DistPlan, 1)
+	go func() { plan <- core.NewDistPlan(m, *layers, *parts, 12345) }()
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(1 << 14)
 	srv := serve.NewServer(m, serve.Config{
@@ -114,6 +111,11 @@ func main() {
 		QuotaBurst: *quotaBurst,
 		MaxStale:   *maxStale,
 	}, reg)
+	src, err := core.NewShardStoreFS(*data, <-plan, fsys)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	poller := serve.NewShardPoller(src, srv.Engine.Store())
 	poller.SetSeed(*faultSeed)
 	poller.SetLogger(slog.Default())

@@ -28,6 +28,7 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"gristgo/internal/durable"
 	"gristgo/internal/dycore"
@@ -42,9 +43,11 @@ type ShardStore struct {
 	pl  *DistPlan
 	fs  vfs.FS
 
-	// shardEdges[p]: the U columns rank p's kernels read — owned edges
-	// plus ghost (received) edges — sorted for a stable file layout.
-	shardEdges [][]int32
+	// bufs holds whole-shard read buffers (*[]byte) between loads, so a
+	// poll reuses the last one's; an idle store's go back to the GC with
+	// the pool's. A caller puts a buffer back once it is done with the
+	// region loadShard returned in it.
+	bufs sync.Pool
 }
 
 // NewShardStore creates (if needed) the checkpoint directory and
@@ -60,31 +63,15 @@ func NewShardStoreFS(dir string, pl *DistPlan, fsys vfs.FS) (*ShardStore, error)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
-	return &ShardStore{dir: dir, pl: pl, fs: fsys, shardEdges: shardEdgeLists(pl)}, nil
-}
-
-// shardEdgeLists computes each rank's shard edge layout under a plan:
-// owned plus ghost (received) edges, sorted for a stable file order.
-func shardEdgeLists(pl *DistPlan) [][]int32 {
-	lists := make([][]int32, pl.NParts)
-	for p := 0; p < pl.NParts; p++ {
-		edges := append([]int32(nil), pl.UEdges[p]...)
-		for _, ghost := range pl.edgeRecv[p] {
-			edges = append(edges, ghost...)
-		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-		lists[p] = edges
-	}
-	return lists
+	st := &ShardStore{dir: dir, pl: pl, fs: fsys}
+	st.bufs.New = func() any { return new([]byte) }
+	return st, nil
 }
 
 // SetPlan rebinds the store to a new distributed plan (an elastic
-// repartition) and recomputes the shard layouts. Call between legs only
+// repartition), and with it the shard layouts. Call between legs only
 // — never while ranks are writing shards.
-func (st *ShardStore) SetPlan(pl *DistPlan) {
-	st.pl = pl
-	st.shardEdges = shardEdgeLists(pl)
-}
+func (st *ShardStore) SetPlan(pl *DistPlan) { st.pl = pl }
 
 // planGen returns the decomposition epoch the store's plan derives from
 // (0 for static plans) — the generation stamp of committed manifests.
@@ -115,7 +102,7 @@ const shardMetaLen = 5 * 4
 // WriteShard atomically writes rank's region of the state after `step`
 // completed steps as epoch's shard.
 func (st *ShardStore) WriteShard(epoch, rank, step int, s *dycore.State) error {
-	cells, edges := st.pl.DiagCells[rank], st.shardEdges[rank]
+	cells, edges := st.pl.DiagCells[rank], st.pl.diagEdges[rank]
 	return durable.WriteFile(st.fs, st.shardPath(epoch, rank), durable.Shard, func(w io.Writer) error {
 		// Runs are batched so the container hashes and buffers a few KiB
 		// per call instead of one 20-word run.
@@ -144,20 +131,28 @@ func (st *ShardStore) WriteShard(epoch, rank, step int, s *dycore.State) error {
 	})
 }
 
-// loadShard reads and fully verifies one shard file — the container's
-// checks, then that the shard is the one the plan expects — returning the
-// step it was taken at and the region bytes.
-func (st *ShardStore) loadShard(epoch, rank int) (step int, region []byte, err error) {
+// loadShard reads one shard file into *buf (grown when it is too small)
+// and fully verifies it — the container's checks, then that the shard is
+// the one the plan expects — returning the step it was taken at and the
+// region bytes, which alias *buf.
+func (st *ShardStore) loadShard(epoch, rank int, buf *[]byte) (step int, region []byte, err error) {
 	path := st.shardPath(epoch, rank)
-	payload, err := durable.ReadFile(st.fs, path, durable.Shard)
+	raw, err := st.fs.ReadFile(path, *buf)
+	if cap(raw) > cap(*buf) {
+		*buf = raw[:0]
+	}
 	if err != nil {
 		return 0, nil, err
+	}
+	payload, err := durable.Decode(raw, durable.Shard)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
 	}
 	if len(payload) < shardMetaLen {
 		return 0, nil, fmt.Errorf("core: shard %s has no header: %w", filepath.Base(path), durable.ErrCorrupt)
 	}
 	meta := func(i int) int { return int(binary.LittleEndian.Uint32(payload[4*i:])) }
-	ncells, nedges := len(st.pl.DiagCells[rank]), len(st.shardEdges[rank])
+	ncells, nedges := len(st.pl.DiagCells[rank]), len(st.pl.diagEdges[rank])
 	if meta(0) != rank || meta(1) != epoch || meta(3) != ncells || meta(4) != nedges {
 		return 0, nil, fmt.Errorf("core: shard %s does not match the plan (rank %d epoch %d, %d cells, %d edges): %w",
 			filepath.Base(path), meta(0), meta(1), meta(3), meta(4), durable.ErrCorrupt)
@@ -172,20 +167,23 @@ func (st *ShardStore) loadShard(epoch, rank int) (step int, region []byte, err e
 // ReadShard restores rank's region of epoch's shard into s and returns
 // the step count the shard was taken at.
 func (st *ShardStore) ReadShard(epoch, rank int, s *dycore.State) (int, error) {
-	return st.readShard(epoch, rank, s, false)
-}
-
-// readShard is the one decode walk. With surface set it restores only
-// what LoadEpochSurface serves, chosen by run position in the Region
-// walk: per cell DryMass and W whole, ThetaM's lowest layer and no Phi;
-// per edge U's lowest layer.
-func (st *ShardStore) readShard(epoch, rank int, s *dycore.State, surface bool) (int, error) {
-	step, region, err := st.loadShard(epoch, rank)
+	buf := st.bufs.Get().(*[]byte)
+	defer st.bufs.Put(buf)
+	step, region, err := st.loadShard(epoch, rank, buf)
 	if err != nil {
 		return 0, err
 	}
+	st.decodeShard(rank, region, s, false)
+	return step, nil
+}
+
+// decodeShard is the one decode walk of a verified region of rank's
+// shard. With surface set it restores only what LoadEpochSurface serves,
+// chosen by run position in the Region walk: per cell DryMass and W
+// whole, ThetaM's lowest layer and no Phi; per edge U's lowest layer.
+func (st *ShardStore) decodeShard(rank int, region []byte, s *dycore.State, surface bool) {
 	cellRuns, kSfc, i := 4*len(st.pl.DiagCells[rank]), st.pl.NLev-1, 0
-	s.Region(st.pl.DiagCells[rank], st.shardEdges[rank], func(run []float64) {
+	s.Region(st.pl.DiagCells[rank], st.pl.diagEdges[rank], func(run []float64) {
 		lo, hi := 0, len(run)
 		if surface && (i >= cellRuns || i%4 == 1) { // U, ThetaM
 			lo, hi = kSfc, kSfc+1
@@ -197,7 +195,6 @@ func (st *ShardStore) readShard(epoch, rank int, s *dycore.State, surface bool) 
 		}
 		region, i = region[8*len(run):], i+1
 	})
-	return step, nil
 }
 
 // epochManifest is the commit record of a checkpoint epoch, written by
@@ -261,7 +258,7 @@ func (st *ShardStore) Redistribute(epoch, step int, newPl *DistPlan) error {
 // parse or was committed under another plan (part count and
 // decomposition generation must both match).
 func (st *ShardStore) readManifest(name string) (m epochManifest, ok bool, err error) {
-	raw, err := st.fs.ReadFile(name)
+	raw, err := st.fs.ReadFile(name, nil)
 	if err != nil {
 		return m, false, err
 	}
@@ -282,6 +279,8 @@ func (st *ShardStore) LatestCommitted() (epoch, step int, ok bool) {
 		return 0, 0, false
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	buf := st.bufs.Get().(*[]byte)
+	defer st.bufs.Put(buf)
 	for _, name := range names {
 		m, mine, err := st.readManifest(name)
 		if err != nil || !mine {
@@ -289,7 +288,7 @@ func (st *ShardStore) LatestCommitted() (epoch, step int, ok bool) {
 		}
 		usable := true
 		for p := 0; p < m.NParts && usable; p++ {
-			got, _, err := st.loadShard(m.Epoch, p)
+			got, _, err := st.loadShard(m.Epoch, p, buf)
 			usable = err == nil && got == m.Step
 		}
 		if usable {

@@ -26,6 +26,11 @@ type DistPlan struct {
 	UEdges    [][]int32 // per rank: owned edges (owner = part of EdgeCell[0])
 	FluxEdges [][]int32 // per rank: edges of owned cells
 
+	// diagEdges[p]: the edges of DiagCells[p], ascending — UEdges[p] plus
+	// the ghost edges p receives. They are the U columns rank p's kernels
+	// read, and the edge layout of its checkpoint shard.
+	diagEdges [][]int32
+
 	// Exchange lists: for rank p and peer q,
 	// cellSend[p][q] = owned cells of p that q mirrors;
 	// edgeSend[p][q] = owned edges of p that q mirrors.
@@ -55,6 +60,7 @@ func NewDistPlanFromDecomp(m *mesh.Mesh, nlev int, d *partition.Decomposition) *
 		DiagCells: make([][]int32, nparts),
 		UEdges:    make([][]int32, nparts),
 		FluxEdges: make([][]int32, nparts),
+		diagEdges: make([][]int32, nparts),
 		cellSend:  make([]map[int][]int32, nparts),
 		edgeSend:  make([]map[int][]int32, nparts),
 		cellRecv:  make([]map[int][]int32, nparts),
@@ -83,7 +89,8 @@ func NewDistPlanFromDecomp(m *mesh.Mesh, nlev int, d *partition.Decomposition) *
 	// boundary vertices). Ascending edge order is the wire order.
 	for p := 0; p < nparts; p++ {
 		pl.FluxEdges[p] = sortedEdges(m, d.Owned[p])
-		for _, e := range sortedEdges(m, pl.DiagCells[p]) {
+		pl.diagEdges[p] = sortedEdges(m, pl.DiagCells[p])
+		for _, e := range pl.diagEdges[p] {
 			if owner := pl.edgeOwner(e); owner == p {
 				pl.UEdges[p] = append(pl.UEdges[p], e)
 			} else {
@@ -147,14 +154,27 @@ const (
 	edgeSet = 1
 )
 
-// sortedEdges returns the ascending, deduplicated edges of the cells.
+// sortedEdges returns the ascending, deduplicated edges of the cells:
+// each cell edge is marked, then one scan over the mesh's edges lists
+// the marked ones in order.
 func sortedEdges(m *mesh.Mesh, cells []int32) []int32 {
-	var edges []int32
+	mark := make([]bool, m.NEdges)
+	n := 0
 	for _, c := range cells {
-		edges = append(edges, m.CellEdges(c)...)
+		for _, e := range m.CellEdges(c) {
+			if !mark[e] {
+				mark[e] = true
+				n++
+			}
+		}
 	}
-	slices.Sort(edges)
-	return slices.Compact(edges)
+	edges := make([]int32, 0, n)
+	for e, in := range mark {
+		if in {
+			edges = append(edges, int32(e))
+		}
+	}
+	return edges
 }
 
 // tracerLayout returns rank p's tracer-transport sets and their halo

@@ -11,6 +11,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"gristgo/internal/dycore"
 )
@@ -41,17 +43,48 @@ func (st *ShardStore) LoadEpochSurface(epoch int, s *dycore.State) (int, error) 
 	return st.loadEpoch(epoch, s, true)
 }
 
+// loadEpoch reads and verifies the epoch's shards into pooled buffers on
+// up to GOMAXPROCS goroutines (ParallelFor would run so short a list
+// inline), then checks and decodes them in rank order, so the error and
+// the halo mirrors that stand are a sequential walk's.
 func (st *ShardStore) loadEpoch(epoch int, s *dycore.State, surface bool) (int, error) {
+	type shard struct {
+		buf    *[]byte
+		step   int
+		region []byte
+		err    error
+	}
+	shards := make([]shard, st.pl.NParts)
+	workers := min(len(shards), runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := w; p < len(shards); p += workers {
+				sh := &shards[p]
+				sh.buf = st.bufs.Get().(*[]byte)
+				sh.step, sh.region, sh.err = st.loadShard(epoch, p, sh.buf)
+			}
+		}()
+	}
+	wg.Wait()
+	defer func() {
+		for _, sh := range shards {
+			st.bufs.Put(sh.buf)
+		}
+	}()
+
 	step := -1
-	for p := 0; p < st.pl.NParts; p++ {
-		sp, err := st.readShard(epoch, p, s, surface)
-		if err != nil {
-			return 0, fmt.Errorf("core: assembling epoch %d: %w", epoch, err)
+	for p, sh := range shards {
+		if sh.err != nil {
+			return 0, fmt.Errorf("core: assembling epoch %d: %w", epoch, sh.err)
 		}
-		if step >= 0 && sp != step {
-			return 0, fmt.Errorf("%w: epoch %d has rank %d at step %d, rank 0 at step %d", ErrTornEpoch, epoch, p, sp, step)
+		st.decodeShard(p, sh.region, s, surface)
+		if step >= 0 && sh.step != step {
+			return 0, fmt.Errorf("%w: epoch %d has rank %d at step %d, rank 0 at step %d", ErrTornEpoch, epoch, p, sh.step, step)
 		}
-		step = sp
+		step = sh.step
 	}
 	return step, nil
 }

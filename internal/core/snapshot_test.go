@@ -1,12 +1,18 @@
 package core
 
 import (
+	"errors"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 
+	"gristgo/internal/durable"
 	"gristgo/internal/dycore"
 	"gristgo/internal/physics"
+	"gristgo/internal/vfs"
 )
 
 // corruptFile flips one payload byte of the named file.
@@ -171,5 +177,114 @@ func TestExportSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := mod.ExportSnapshot(multi, 1); err == nil {
 		t.Fatal("ExportSnapshot accepted a multi-rank store")
+	}
+}
+
+// eioFS is vfs.OS failing every read of one file with EIO.
+type eioFS struct {
+	vfs.FS
+	name string
+}
+
+func (f eioFS) ReadFile(name string, buf []byte) ([]byte, error) {
+	if filepath.Base(name) == f.name {
+		return nil, &iofs.PathError{Op: "read", Path: name, Err: syscall.EIO}
+	}
+	return f.FS.ReadFile(name, buf)
+}
+
+// writeTestEpoch commits epoch 1 at step 7 over a 4-rank plan, with
+// rank r's shard taken at steps[r] when given, and returns the store
+// over fsys.
+func writeTestEpoch(t *testing.T, fsys vfs.FS, steps map[int]int) (*ShardStore, string) {
+	t.Helper()
+	pl := NewDistPlan(sharedMesh3, 3, 4, 12345)
+	dir := t.TempDir()
+	st, err := NewShardStoreFS(dir, pl, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := dycore.NewState(sharedMesh3, 3)
+	resilientInit(src)
+	for p := 0; p < 4; p++ {
+		step, ok := steps[p]
+		if !ok {
+			step = 7
+		}
+		if err := st.WriteShard(1, p, step, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Commit(1, 7); err != nil {
+		t.Fatal(err)
+	}
+	return st, dir
+}
+
+// A shard read into a pooled buffer that last held a longer copy of
+// itself must see only its own bytes: truncated, it fails as corrupt
+// (a stale tail would complete the old record and pass), and loads again
+// once rewritten.
+func TestPooledReadOfTruncatedShardFails(t *testing.T) {
+	st, dir := writeTestEpoch(t, vfs.OS, nil)
+	s := dycore.NewState(sharedMesh3, 3)
+	if _, err := st.LoadEpochState(1, s); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "shard-e000001-r0002.grist")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keep := range []int64{fi.Size() - 1, fi.Size() / 2, 3} {
+		if err := os.Truncate(path, keep); err != nil {
+			t.Fatal(err)
+		}
+		for _, load := range []func(int, *dycore.State) (int, error){st.LoadEpochState, st.LoadEpochSurface, func(e int, s *dycore.State) (int, error) { return st.ReadShard(e, 2, s) }} {
+			_, err := load(1, s)
+			if !errors.Is(err, durable.ErrCorrupt) || !strings.Contains(err.Error(), "r0002") {
+				t.Fatalf("shard cut to %d of %d bytes: load returned %v, want rank 2's ErrCorrupt", keep, fi.Size(), err)
+			}
+		}
+		if _, _, ok := st.LatestCommitted(); ok {
+			t.Fatalf("shard cut to %d bytes: LatestCommitted still offers the epoch", keep)
+		}
+	}
+	src := dycore.NewState(sharedMesh3, 3)
+	resilientInit(src)
+	if err := st.WriteShard(1, 2, 7, src); err != nil {
+		t.Fatal(err)
+	}
+	if step, err := st.LoadEpochState(1, s); err != nil || step != 7 {
+		t.Fatalf("after the rewrite LoadEpochState = (%d, %v), want (7, nil)", step, err)
+	}
+}
+
+// Shards are read in parallel but judged in rank order: the error a
+// load reports is the one a sequential walk would stop at, however the
+// later ranks fail.
+func TestParallelLoadReportsFirstFailingRank(t *testing.T) {
+	unreadable := eioFS{FS: vfs.OS, name: "shard-e000001-r0003.grist"}
+
+	st, dir := writeTestEpoch(t, unreadable, nil)
+	corruptFile(t, filepath.Join(dir, "shard-e000001-r0001.grist"))
+	for _, load := range []func(int, *dycore.State) (int, error){st.LoadEpochState, st.LoadEpochSurface} {
+		_, err := load(1, dycore.NewState(sharedMesh3, 3))
+		if !errors.Is(err, durable.ErrCorrupt) || errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "r0001") {
+			t.Errorf("rank 1 corrupt, rank 3 unreadable: load returned %v, want rank 1's ErrCorrupt", err)
+		}
+	}
+
+	st, _ = writeTestEpoch(t, unreadable, map[int]int{2: 9})
+	for _, load := range []func(int, *dycore.State) (int, error){st.LoadEpochState, st.LoadEpochSurface} {
+		_, err := load(1, dycore.NewState(sharedMesh3, 3))
+		if !errors.Is(err, ErrTornEpoch) || errors.Is(err, syscall.EIO) {
+			t.Errorf("rank 2 at another step, rank 3 unreadable: load returned %v, want ErrTornEpoch", err)
+		}
+	}
+
+	st, _ = writeTestEpoch(t, unreadable, nil)
+	if _, err := st.LoadEpochState(1, dycore.NewState(sharedMesh3, 3)); !errors.Is(err, syscall.EIO) {
+		t.Errorf("only rank 3 unreadable: load returned %v, want EIO", err)
 	}
 }

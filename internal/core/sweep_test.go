@@ -78,11 +78,11 @@ func (f *sweepFS) CreateTemp(dir, pattern string) (vfs.File, error) {
 	return f.file(vfs.OS.CreateTemp(dir, pattern))
 }
 
-func (f *sweepFS) ReadFile(name string) ([]byte, error) {
+func (f *sweepFS) ReadFile(name string, buf []byte) ([]byte, error) {
 	if err := f.op("ReadFile", name); err != nil {
 		return nil, err
 	}
-	return vfs.OS.ReadFile(name)
+	return vfs.OS.ReadFile(name, buf)
 }
 
 func (f *sweepFS) Rename(oldpath, newpath string) error {

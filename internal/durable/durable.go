@@ -163,7 +163,7 @@ func WriteFile(fsys vfs.FS, path string, k Kind, write func(io.Writer) error) er
 
 // ReadFile reads path and returns the verified payload of its record.
 func ReadFile(fsys vfs.FS, path string, k Kind) ([]byte, error) {
-	raw, err := fsys.ReadFile(path)
+	raw, err := fsys.ReadFile(path, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -158,6 +158,9 @@ type engine[T precision.Real] struct {
 	// nu is the del^2 background diffusion coefficient, scaled with mesh
 	// spacing at construction.
 	nu float64
+
+	// fEdge is the Coriolis parameter 2*Omega*sin(lat) at every edge.
+	fEdge []float64
 }
 
 func newEngine[T precision.Real](s *State, mode precision.Mode) *engine[T] {
@@ -193,6 +196,10 @@ func newEngine[T precision.Real](s *State, mode precision.Mode) *engine[T] {
 	// Scale-selective damping: nu ~ dx^2 / tau with tau ~ 2h.
 	meanDx := meanEdgeLength(m)
 	e.nu = meanDx * meanDx / 7200.0
+	e.fEdge = make([]float64, m.NEdges)
+	for ed, lat := range m.EdgeLat {
+		e.fEdge[ed] = 2 * Omega * math.Sin(lat)
+	}
 	return e
 }
 
@@ -569,7 +576,7 @@ func (e *engine[T]) momentum(ids []int32) {
 			v0, v1 := m.EdgeVert[ed][0], m.EdgeVert[ed][1]
 			invDc := 1.0 / m.DcEdge[ed]
 			invDv := 1.0 / m.DvEdge[ed]
-			f := 2 * Omega * math.Sin(m.EdgeLat[ed])
+			f := e.fEdge[ed]
 			z0, z1 := mesh.Row(e.zeta, v0, nlev), mesh.Row(e.zeta, v1, nlev)
 			ke0, ke1 := mesh.Row(e.ke, c0, nlev), mesh.Row(e.ke, c1, nlev)
 			rrr0, rrr1 := mesh.Row(e.rrr, c0, nlev), mesh.Row(e.rrr, c1, nlev)

@@ -233,8 +233,9 @@ func (f *FS) create(name string, mk func() (vfs.File, error)) (vfs.File, error) 
 	return &faultFile{FS: f, inner: inner, key: key}, nil
 }
 
-// ReadFile injects EIO and silent bit-flips on whole-file reads.
-func (f *FS) ReadFile(name string) ([]byte, error) {
+// ReadFile injects EIO and silent bit-flips on whole-file reads. The
+// flips land in the returned slice, which may be the caller's buf.
+func (f *FS) ReadFile(name string, buf []byte) ([]byte, error) {
 	key := fsKey(name)
 	op := f.nextOp(key)
 	if f.active.Load() {
@@ -244,7 +245,7 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 			return nil, fmt.Errorf("fault: injected reading %s: %w", key, syscall.EIO)
 		}
 	}
-	buf, err := f.inner.ReadFile(name)
+	buf, err := f.inner.ReadFile(name, buf)
 	if err != nil {
 		return buf, err
 	}
@@ -276,7 +277,7 @@ func (f *FS) Rename(oldpath, newpath string) error {
 // tearFile rewrites path holding only a deterministic prefix of its
 // current content (at least the first byte, never the whole file).
 func (f *FS) tearFile(path, key string, op int) error {
-	raw, err := f.inner.ReadFile(path)
+	raw, err := f.inner.ReadFile(path, nil)
 	if err != nil || len(raw) < 2 {
 		return err
 	}

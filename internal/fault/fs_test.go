@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -51,7 +52,7 @@ func TestFSDeterministicAcrossDirs(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			name := filepath.Join(dir, "record.bin")
 			writeThrough(ffs, name, strings.Repeat("x", 700))
-			ffs.ReadFile(name)
+			ffs.ReadFile(name, nil)
 		}
 		_, _, counts := ffs.FSEvents()
 		return counts
@@ -90,7 +91,7 @@ func TestFSTornWrite(t *testing.T) {
 	if n <= 0 || n >= len(payload) {
 		t.Fatalf("torn write persisted %d of %d bytes, want a strict prefix", n, len(payload))
 	}
-	raw, rerr := vfs.OS.ReadFile(name)
+	raw, rerr := vfs.OS.ReadFile(name, nil)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
@@ -110,7 +111,7 @@ func TestFSEnospcAndEIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	rfs := NewFS(vfs.OS, 2, FSProfile{ReadErrProb: 1})
-	if _, err := rfs.ReadFile(filepath.Join(dir, "ok.bin")); !errors.Is(err, syscall.EIO) {
+	if _, err := rfs.ReadFile(filepath.Join(dir, "ok.bin"), nil); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("ReadFile under ReadErrProb=1 = %v, want EIO", err)
 	}
 }
@@ -123,7 +124,7 @@ func TestFSReadBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := NewFS(vfs.OS, 3, FSProfile{ReadFlipProb: 1})
-	raw, err := ffs.ReadFile(name)
+	raw, err := ffs.ReadFile(name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +145,15 @@ func TestFSReadBitFlip(t *testing.T) {
 	if counts["fsreadflip"] == 0 {
 		t.Fatal("flip not recorded in event counts")
 	}
+
+	// Into a caller's buffer: the same verdict for the same (seed, file,
+	// ordinal), and the flips land in the buffer.
+	buf := make([]byte, 0, 4096)
+	again, err := NewFS(vfs.OS, 3, FSProfile{ReadFlipProb: 1}).ReadFile(name, buf)
+	inBuf := len(again) > 0 && &again[0] == &buf[:1][0]
+	if err != nil || !bytes.Equal(again, raw) || !inBuf {
+		t.Fatalf("read into a buffer: err %v, same bytes %v, in the buffer %v", err, bytes.Equal(again, raw), inBuf)
+	}
 }
 
 func TestFSRenameTorn(t *testing.T) {
@@ -158,7 +168,7 @@ func TestFSRenameTorn(t *testing.T) {
 	if err := ffs.Rename(src, dst); err != nil {
 		t.Fatalf("rename-torn Rename must still report success (the lie), got %v", err)
 	}
-	raw, err := vfs.OS.ReadFile(dst)
+	raw, err := vfs.OS.ReadFile(dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +198,7 @@ func TestFSSetActive(t *testing.T) {
 	if err := writeThrough(ffs, name, "calm"); err != nil {
 		t.Fatalf("inactive decorator injected: %v", err)
 	}
-	if raw, err := ffs.ReadFile(name); err != nil || string(raw) != "calm" {
+	if raw, err := ffs.ReadFile(name, nil); err != nil || string(raw) != "calm" {
 		t.Fatalf("inactive read = (%q, %v)", raw, err)
 	}
 	if _, _, counts := ffs.FSEvents(); len(counts) != 0 {

@@ -13,6 +13,8 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -143,10 +145,13 @@ func NewWithRadius(level int, radius float64) *Mesh {
 }
 
 // FromTriangulation constructs the C-grid dual of an icosahedral
-// triangulation.
+// triangulation. Every loop after the serial edge numbering runs through
+// ParallelFor and writes only its own entity, so the mesh is bitwise the
+// same at any GOMAXPROCS.
 func FromTriangulation(tri *Triangulation, radius float64) *Mesh {
 	nc := len(tri.Verts)
 	nv := len(tri.Tris)
+	workers := runtime.GOMAXPROCS(0)
 
 	m := &Mesh{
 		Level:   tri.Level,
@@ -158,36 +163,64 @@ func FromTriangulation(tri *Triangulation, radius float64) *Mesh {
 
 	// --- Dual vertices: triangle circumcenters. ---
 	m.VertPos = make([]Vec3, nv)
-	m.VertCell = make([][3]int32, nv)
-	for t, tr := range tri.Tris {
-		m.VertPos[t] = Circumcenter(tri.Verts[tr[0]], tri.Verts[tr[1]], tri.Verts[tr[2]])
-		m.VertCell[t] = tr
-	}
+	m.VertCell = slices.Clone(tri.Tris)
+	vertIDs := IdentityIDs(nv)
+	ParallelFor(workers, vertIDs, func(ids []int32) {
+		for _, t := range ids {
+			tr := tri.Tris[t]
+			m.VertPos[t] = Circumcenter(tri.Verts[tr[0]], tri.Verts[tr[1]], tri.Verts[tr[2]])
+		}
+	})
 
-	// --- Edges: unique vertex pairs of the triangulation. ---
-	type edgeKey struct{ a, b int32 }
-	edgeID := make(map[edgeKey]int32, 3*nv/2)
-	var edgeCell [][2]int32
-	var edgeTris [][2]int32
+	// --- Edges: unique vertex pairs, numbered in triangle order. A cell
+	// has as many edges as triangles, so CellOff spans both ascending
+	// incidence lists: CellEdge (an edge is found again in its lower
+	// cell's) and vertInc, the cells' dual vertices. ---
+	m.CellOff = make([]int32, nc+1)
+	for _, tr := range tri.Tris {
+		for _, c := range tr {
+			m.CellOff[c+1]++
+		}
+	}
+	for c := 0; c < nc; c++ {
+		m.CellOff[c+1] += m.CellOff[c]
+	}
+	total := int(m.CellOff[nc])
+	m.CellEdge = make([]int32, total)
+	vertInc := make([]int32, total)
+	edgeFill := slices.Clone(m.CellOff[:nc])
+	vertFill := slices.Clone(m.CellOff[:nc])
+	edgeCell := make([][2]int32, 0, total/2)
+	edgeTris := make([][2]int32, 0, total/2)
+	m.VertEdge = make([][3]int32, nv)
 	for t, tr := range tri.Tris {
 		for k := 0; k < 3; k++ {
 			a, b := tr[k], tr[(k+1)%3]
-			key := edgeKey{a, b}
 			if a > b {
-				key = edgeKey{b, a}
+				a, b = b, a
 			}
-			id, ok := edgeID[key]
-			if !ok {
+			id := int32(-1)
+			for _, e := range m.CellEdge[m.CellOff[a]:edgeFill[a]] {
+				if edgeCell[e] == [2]int32{a, b} {
+					id = e
+					break
+				}
+			}
+			if id < 0 {
 				id = int32(len(edgeCell))
-				edgeID[key] = id
-				edgeCell = append(edgeCell, [2]int32{key.a, key.b})
-				edgeTris = append(edgeTris, [2]int32{-1, -1})
-			}
-			if edgeTris[id][0] < 0 {
-				edgeTris[id][0] = int32(t)
+				edgeCell = append(edgeCell, [2]int32{a, b})
+				edgeTris = append(edgeTris, [2]int32{int32(t), -1})
+				m.CellEdge[edgeFill[a]], m.CellEdge[edgeFill[b]] = id, id
+				edgeFill[a]++
+				edgeFill[b]++
 			} else {
 				edgeTris[id][1] = int32(t)
 			}
+			m.VertEdge[t][k] = id
+		}
+		for _, c := range tr {
+			vertInc[vertFill[c]] = int32(t)
+			vertFill[c]++
 		}
 	}
 	ne := len(edgeCell)
@@ -202,138 +235,117 @@ func FromTriangulation(tri *Triangulation, radius float64) *Mesh {
 	m.EdgeTangent = make([]Vec3, ne)
 	m.DcEdge = make([]float64, ne)
 	m.DvEdge = make([]float64, ne)
-	for e := 0; e < ne; e++ {
-		c0 := m.CellPos[m.EdgeCell[e][0]]
-		c1 := m.CellPos[m.EdgeCell[e][1]]
-		pos := Midpoint(c0, c1)
-		m.EdgePos[e] = pos
-		m.EdgeLat[e], _ = pos.LatLon()
-		up := LocalVertical(pos)
-		n := c1.Sub(c0)
-		n = n.Sub(up.Scale(n.Dot(up))).Normalize()
-		m.EdgeNormal[e] = n
-		m.EdgeTangent[e] = up.Cross(n)
-		m.DcEdge[e] = radius * ArcLength(c0, c1)
+	edgeIDs := IdentityIDs(ne)
+	ParallelFor(workers, edgeIDs, func(ids []int32) {
+		for _, e := range ids {
+			c0 := m.CellPos[m.EdgeCell[e][0]]
+			c1 := m.CellPos[m.EdgeCell[e][1]]
+			pos := Midpoint(c0, c1)
+			m.EdgePos[e] = pos
+			m.EdgeLat[e], _ = pos.LatLon()
+			up := LocalVertical(pos)
+			n := c1.Sub(c0)
+			n = n.Sub(up.Scale(n.Dot(up))).Normalize()
+			m.EdgeNormal[e] = n
+			m.EdgeTangent[e] = up.Cross(n)
+			m.DcEdge[e] = radius * ArcLength(c0, c1)
 
-		v0, v1 := m.EdgeVert[e][0], m.EdgeVert[e][1]
-		if v1 < 0 {
-			panic(fmt.Sprintf("mesh: edge %d has a single adjacent triangle", e))
+			v0, v1 := m.EdgeVert[e][0], m.EdgeVert[e][1]
+			if v1 < 0 {
+				panic(fmt.Sprintf("mesh: edge %d has a single adjacent triangle", e))
+			}
+			// Order dual vertices along the tangent.
+			if m.VertPos[v1].Sub(m.VertPos[v0]).Dot(m.EdgeTangent[e]) < 0 {
+				m.EdgeVert[e][0], m.EdgeVert[e][1] = v1, v0
+			}
+			m.DvEdge[e] = radius * ArcLength(m.VertPos[m.EdgeVert[e][0]], m.VertPos[m.EdgeVert[e][1]])
 		}
-		// Order dual vertices along the tangent.
-		if m.VertPos[v1].Sub(m.VertPos[v0]).Dot(m.EdgeTangent[e]) < 0 {
-			m.EdgeVert[e][0], m.EdgeVert[e][1] = v1, v0
-		}
-		m.DvEdge[e] = radius * ArcLength(m.VertPos[m.EdgeVert[e][0]], m.VertPos[m.EdgeVert[e][1]])
-	}
+	})
 
-	// --- Cell connectivity: collect incident edges, sort CCW. ---
-	incident := make([][]int32, nc)
-	for e := 0; e < ne; e++ {
-		incident[m.EdgeCell[e][0]] = append(incident[m.EdgeCell[e][0]], int32(e))
-		incident[m.EdgeCell[e][1]] = append(incident[m.EdgeCell[e][1]], int32(e))
-	}
-	vincident := make([][]int32, nc)
-	for v := 0; v < nv; v++ {
-		for _, c := range m.VertCell[v] {
-			vincident[c] = append(vincident[c], int32(v))
-		}
-	}
-
-	m.CellOff = make([]int32, nc+1)
-	for c := 0; c < nc; c++ {
-		m.CellOff[c+1] = m.CellOff[c] + int32(len(incident[c]))
-	}
-	total := int(m.CellOff[nc])
-	m.CellEdge = make([]int32, total)
+	// --- Cell connectivity: sort each cell's incidence lists CCW. ---
 	m.CellCell = make([]int32, total)
 	m.CellVert = make([]int32, total)
 	m.CellEdgeSign = make([]int8, total)
 	m.CellLat = make([]float64, nc)
 	m.CellLon = make([]float64, nc)
 	m.CellArea = make([]float64, nc)
+	cellIDs := IdentityIDs(nc)
+	ParallelFor(workers, cellIDs, func(ids []int32) {
+		var eAngle, vAngle []float64
+		var poly []Vec3
+		for _, c := range ids {
+			center := m.CellPos[c]
+			m.CellLat[c], m.CellLon[c] = center.LatLon()
+			east, north := TangentBasis(center)
+			angleOf := func(p Vec3) float64 {
+				d := p.Sub(center)
+				return math.Atan2(d.Dot(north), d.Dot(east))
+			}
+			base, end := m.CellOff[c], m.CellOff[c+1]
+			edges := m.CellEdge[base:end]
+			eAngle = eAngle[:0]
+			for _, e := range edges {
+				eAngle = append(eAngle, angleOf(m.EdgePos[e]))
+			}
+			sort.Sort(byAngle{edges, eAngle})
+			verts := vertInc[base:end]
+			vAngle = vAngle[:0]
+			for _, v := range verts {
+				vAngle = append(vAngle, angleOf(m.VertPos[v]))
+			}
+			sort.Sort(byAngle{verts, vAngle})
+			// Rotate the vertex list so vertex k sits between edges k and
+			// k+1: vertex 0 is the first vertex CCW after edge 0.
+			ref := eAngle[0]
+			rot, best := 0, math.MaxFloat64
+			for i := range verts {
+				a := vAngle[i] - ref
+				for a < 0 {
+					a += 2 * math.Pi
+				}
+				if a < best {
+					best, rot = a, i
+				}
+			}
+			deg := len(edges)
+			poly = poly[:0]
+			for k, e := range edges {
+				if m.EdgeCell[e][0] == c {
+					m.CellCell[base+int32(k)] = m.EdgeCell[e][1]
+					m.CellEdgeSign[base+int32(k)] = 1
+				} else {
+					m.CellCell[base+int32(k)] = m.EdgeCell[e][0]
+					m.CellEdgeSign[base+int32(k)] = -1
+				}
+				v := verts[(rot+k)%deg]
+				m.CellVert[base+int32(k)] = v
+				poly = append(poly, m.VertPos[v])
+			}
+			// Cell area from the CCW dual-vertex polygon.
+			m.CellArea[c] = radius * radius * SphericalPolygonArea(poly)
+		}
+	})
 
-	var eAngle, vAngle []float64
-	for c := int32(0); c < int32(nc); c++ {
-		center := m.CellPos[c]
-		m.CellLat[c], m.CellLon[c] = center.LatLon()
-		east, north := TangentBasis(center)
-		angleOf := func(p Vec3) float64 {
-			d := p.Sub(center)
-			return math.Atan2(d.Dot(north), d.Dot(east))
-		}
-		edges := incident[c]
-		eAngle = eAngle[:0]
-		for _, e := range edges {
-			eAngle = append(eAngle, angleOf(m.EdgePos[e]))
-		}
-		sort.Sort(byAngle{edges, eAngle})
-		verts := vincident[c]
-		vAngle = vAngle[:0]
-		for _, v := range verts {
-			vAngle = append(vAngle, angleOf(m.VertPos[v]))
-		}
-		sort.Sort(byAngle{verts, vAngle})
-		// Rotate the vertex list so vertex k sits between edges k and k+1:
-		// vertex 0 is the first vertex CCW after edge 0.
-		ref := eAngle[0]
-		rot, best := 0, math.MaxFloat64
-		for i := range verts {
-			a := vAngle[i] - ref
-			for a < 0 {
-				a += 2 * math.Pi
-			}
-			if a < best {
-				best, rot = a, i
-			}
-		}
-		base := m.CellOff[c]
-		deg := len(edges)
-		for k := 0; k < deg; k++ {
-			e := edges[k]
-			m.CellEdge[base+int32(k)] = e
-			if m.EdgeCell[e][0] == c {
-				m.CellCell[base+int32(k)] = m.EdgeCell[e][1]
-				m.CellEdgeSign[base+int32(k)] = 1
-			} else {
-				m.CellCell[base+int32(k)] = m.EdgeCell[e][0]
-				m.CellEdgeSign[base+int32(k)] = -1
-			}
-			m.CellVert[base+int32(k)] = verts[(rot+k)%deg]
-		}
-		// Cell area from the CCW dual-vertex polygon.
-		poly := make([]Vec3, deg)
-		for k := 0; k < deg; k++ {
-			poly[k] = m.VertPos[m.CellVert[base+int32(k)]]
-		}
-		m.CellArea[c] = radius * radius * SphericalPolygonArea(poly)
-	}
-
-	// --- Dual-vertex connectivity and areas. ---
+	// --- Dual-vertex areas and edge signs. ---
 	m.VertArea = make([]float64, nv)
-	m.VertEdge = make([][3]int32, nv)
 	m.VertEdgeSign = make([][3]int8, nv)
-	for v := 0; v < nv; v++ {
-		tr := m.VertCell[v]
-		m.VertArea[v] = radius * radius * SphericalTriangleArea(
-			m.CellPos[tr[0]], m.CellPos[tr[1]], m.CellPos[tr[2]])
-		for k := 0; k < 3; k++ {
-			a, b := tr[k], tr[(k+1)%3]
-			key := edgeKey{a, b}
-			if a > b {
-				key = edgeKey{b, a}
-			}
-			e := edgeID[key]
-			m.VertEdge[v][k] = e
-			if m.EdgeVert[e][1] == int32(v) {
-				m.VertEdgeSign[v][k] = 1
-			} else {
-				m.VertEdgeSign[v][k] = -1
+	ParallelFor(workers, vertIDs, func(ids []int32) {
+		for _, v := range ids {
+			tr := m.VertCell[v]
+			m.VertArea[v] = radius * radius * SphericalTriangleArea(
+				m.CellPos[tr[0]], m.CellPos[tr[1]], m.CellPos[tr[2]])
+			for k, e := range m.VertEdge[v] {
+				if m.EdgeVert[e][1] == v {
+					m.VertEdgeSign[v][k] = 1
+				} else {
+					m.VertEdgeSign[v][k] = -1
+				}
 			}
 		}
-	}
+	})
 
-	m.computeKites()
-	m.computeTrskWeights()
+	m.computeKites(workers, cellIDs)
+	m.computeTrskWeights(workers, edgeIDs)
 	return m
 }
 
@@ -341,26 +353,28 @@ func FromTriangulation(tri *Triangulation, radius float64) *Mesh {
 // between edges eA and eB), the spherical area of the kite
 // (cell center, midpoint of eA, v, midpoint of eB) divided by the cell
 // area. The fractions of each cell sum to ~1.
-func (m *Mesh) computeKites() {
+func (m *Mesh) computeKites(workers int, cellIDs []int32) {
 	m.KiteFrac = make([]float64, len(m.CellVert))
-	for c := int32(0); c < int32(m.NCells); c++ {
-		base := m.CellOff[c]
-		deg := m.CellDegree(c)
-		var sum float64
-		for k := 0; k < deg; k++ {
-			eA := m.CellEdge[base+int32(k)]
-			eB := m.CellEdge[base+int32((k+1)%deg)]
-			v := m.CellVert[base+int32(k)]
-			area := m.Radius * m.Radius * SphericalPolygonArea([]Vec3{
-				m.CellPos[c], m.EdgePos[eA], m.VertPos[v], m.EdgePos[eB],
-			})
-			m.KiteFrac[base+int32(k)] = area
-			sum += area
+	ParallelFor(workers, cellIDs, func(ids []int32) {
+		var kite [4]Vec3
+		for _, c := range ids {
+			base := m.CellOff[c]
+			deg := m.CellDegree(c)
+			var sum float64
+			for k := 0; k < deg; k++ {
+				eA := m.CellEdge[base+int32(k)]
+				eB := m.CellEdge[base+int32((k+1)%deg)]
+				v := m.CellVert[base+int32(k)]
+				kite = [4]Vec3{m.CellPos[c], m.EdgePos[eA], m.VertPos[v], m.EdgePos[eB]}
+				area := m.Radius * m.Radius * SphericalPolygonArea(kite[:])
+				m.KiteFrac[base+int32(k)] = area
+				sum += area
+			}
+			for k := 0; k < deg; k++ {
+				m.KiteFrac[base+int32(k)] /= sum
+			}
 		}
-		for k := 0; k < deg; k++ {
-			m.KiteFrac[base+int32(k)] /= sum
-		}
-	}
+	})
 }
 
 // computeTrskWeights builds the TRiSK tangential-velocity reconstruction
@@ -375,7 +389,7 @@ func (m *Mesh) computeKites() {
 // kite fractions, n(f,c) = +1 if f's normal is outward of c, and
 // t(e,c) = +1 if the CCW traversal of c crosses e along its tangent
 // (true for c == EdgeCell[e][0]).
-func (m *Mesh) computeTrskWeights() {
+func (m *Mesh) computeTrskWeights(workers int, edgeIDs []int32) {
 	ne := m.NEdges
 	m.TrskOff = make([]int32, ne+1)
 	// Count stencil sizes first: (deg(c0)-1) + (deg(c1)-1).
@@ -386,39 +400,41 @@ func (m *Mesh) computeTrskWeights() {
 	m.TrskEdge = make([]int32, m.TrskOff[ne])
 	m.TrskWeight = make([]float64, m.TrskOff[ne])
 
-	for e := int32(0); e < int32(ne); e++ {
-		pos := m.TrskOff[e]
-		for side := 0; side < 2; side++ {
-			c := m.EdgeCell[e][side]
-			tsign := 1.0
-			if side == 1 {
-				tsign = -1.0
-			}
-			base := m.CellOff[c]
-			deg := m.CellDegree(c)
-			// Locate e within the cell's CCW edge list.
-			k0 := -1
-			for k := 0; k < deg; k++ {
-				if m.CellEdge[base+int32(k)] == e {
-					k0 = k
-					break
+	ParallelFor(workers, edgeIDs, func(ids []int32) {
+		for _, e := range ids {
+			pos := m.TrskOff[e]
+			for side := 0; side < 2; side++ {
+				c := m.EdgeCell[e][side]
+				tsign := 1.0
+				if side == 1 {
+					tsign = -1.0
+				}
+				base := m.CellOff[c]
+				deg := m.CellDegree(c)
+				// Locate e within the cell's CCW edge list.
+				k0 := -1
+				for k := 0; k < deg; k++ {
+					if m.CellEdge[base+int32(k)] == e {
+						k0 = k
+						break
+					}
+				}
+				if k0 < 0 {
+					panic("mesh: edge not found in its cell's edge list")
+				}
+				accum := 0.0
+				for j := 1; j < deg; j++ {
+					accum += m.KiteFrac[base+int32((k0+j-1)%deg)]
+					f := m.CellEdge[base+int32((k0+j)%deg)]
+					nsign := float64(m.CellEdgeSign[base+int32((k0+j)%deg)])
+					w := tsign * (0.5 - accum) * (m.DvEdge[f] / m.DcEdge[e]) * nsign
+					m.TrskEdge[pos] = f
+					m.TrskWeight[pos] = w
+					pos++
 				}
 			}
-			if k0 < 0 {
-				panic("mesh: edge not found in its cell's edge list")
-			}
-			accum := 0.0
-			for j := 1; j < deg; j++ {
-				accum += m.KiteFrac[base+int32((k0+j-1)%deg)]
-				f := m.CellEdge[base+int32((k0+j)%deg)]
-				nsign := float64(m.CellEdgeSign[base+int32((k0+j)%deg)])
-				w := tsign * (0.5 - accum) * (m.DvEdge[f] / m.DcEdge[e]) * nsign
-				m.TrskEdge[pos] = f
-				m.TrskWeight[pos] = w
-				pos++
-			}
 		}
-	}
+	})
 }
 
 // TangentialVelocity reconstructs the tangential velocity at every edge

@@ -1,5 +1,7 @@
 package mesh
 
+import "runtime"
+
 // BFSOrder returns a breadth-first-search permutation of the cells
 // starting from the given seed: perm[newIndex] = oldIndex. Renumbering
 // cells in BFS order keeps topological neighbors close in memory, which
@@ -106,70 +108,79 @@ func (m *Mesh) Reorder(perm []int32) *Mesh {
 		TrskWeight: make([]float64, len(m.TrskWeight)),
 	}
 
+	// Every copy below writes only its own entity of r, so it runs through
+	// ParallelFor; the CSR offsets are serial prefix sums.
+	workers := runtime.GOMAXPROCS(0)
+	cellIDs, edgeIDs := IdentityIDs(m.NCells), IdentityIDs(m.NEdges)
+
 	// Cells.
 	for newID, oldID := range perm {
-		r.CellPos[newID] = m.CellPos[oldID]
-		r.CellLat[newID] = m.CellLat[oldID]
-		r.CellLon[newID] = m.CellLon[oldID]
-		r.CellArea[newID] = m.CellArea[oldID]
-		r.CellOff[newID+1] = int32(m.CellDegree(oldID))
+		r.CellOff[newID+1] = r.CellOff[newID] + int32(m.CellDegree(oldID))
 	}
-	for c := 0; c < m.NCells; c++ {
-		r.CellOff[c+1] += r.CellOff[c]
-	}
-	for newID, oldID := range perm {
-		src := m.CellOff[oldID]
-		dst := r.CellOff[newID]
-		deg := m.CellDegree(oldID)
-		for k := 0; k < deg; k++ {
-			r.CellEdge[dst+int32(k)] = edgeNew[m.CellEdge[src+int32(k)]]
-			r.CellCell[dst+int32(k)] = cellNew[m.CellCell[src+int32(k)]]
-			r.CellVert[dst+int32(k)] = vertNew[m.CellVert[src+int32(k)]]
-			r.CellEdgeSign[dst+int32(k)] = m.CellEdgeSign[src+int32(k)]
-			r.KiteFrac[dst+int32(k)] = m.KiteFrac[src+int32(k)]
+	ParallelFor(workers, cellIDs, func(ids []int32) {
+		for _, newID := range ids {
+			oldID := perm[newID]
+			r.CellPos[newID] = m.CellPos[oldID]
+			r.CellLat[newID] = m.CellLat[oldID]
+			r.CellLon[newID] = m.CellLon[oldID]
+			r.CellArea[newID] = m.CellArea[oldID]
+			src := m.CellOff[oldID]
+			dst := r.CellOff[newID]
+			deg := m.CellDegree(oldID)
+			for k := 0; k < deg; k++ {
+				r.CellEdge[dst+int32(k)] = edgeNew[m.CellEdge[src+int32(k)]]
+				r.CellCell[dst+int32(k)] = cellNew[m.CellCell[src+int32(k)]]
+				r.CellVert[dst+int32(k)] = vertNew[m.CellVert[src+int32(k)]]
+				r.CellEdgeSign[dst+int32(k)] = m.CellEdgeSign[src+int32(k)]
+				r.KiteFrac[dst+int32(k)] = m.KiteFrac[src+int32(k)]
+			}
 		}
-	}
+	})
 
-	// Edges.
-	for oldE := 0; oldE < m.NEdges; oldE++ {
-		e := edgeNew[oldE]
-		r.EdgeCell[e] = [2]int32{cellNew[m.EdgeCell[oldE][0]], cellNew[m.EdgeCell[oldE][1]]}
-		r.EdgeVert[e] = [2]int32{vertNew[m.EdgeVert[oldE][0]], vertNew[m.EdgeVert[oldE][1]]}
-		r.EdgePos[e] = m.EdgePos[oldE]
-		r.EdgeLat[e] = m.EdgeLat[oldE]
-		r.EdgeNormal[e] = m.EdgeNormal[oldE]
-		r.EdgeTangent[e] = m.EdgeTangent[oldE]
-		r.DcEdge[e] = m.DcEdge[oldE]
-		r.DvEdge[e] = m.DvEdge[oldE]
-	}
+	// Edges, and the TRiSK stencil sizes in the new numbering.
+	ParallelFor(workers, edgeIDs, func(ids []int32) {
+		for _, oldE := range ids {
+			e := edgeNew[oldE]
+			r.EdgeCell[e] = [2]int32{cellNew[m.EdgeCell[oldE][0]], cellNew[m.EdgeCell[oldE][1]]}
+			r.EdgeVert[e] = [2]int32{vertNew[m.EdgeVert[oldE][0]], vertNew[m.EdgeVert[oldE][1]]}
+			r.EdgePos[e] = m.EdgePos[oldE]
+			r.EdgeLat[e] = m.EdgeLat[oldE]
+			r.EdgeNormal[e] = m.EdgeNormal[oldE]
+			r.EdgeTangent[e] = m.EdgeTangent[oldE]
+			r.DcEdge[e] = m.DcEdge[oldE]
+			r.DvEdge[e] = m.DvEdge[oldE]
+			r.TrskOff[e+1] = m.TrskOff[oldE+1] - m.TrskOff[oldE]
+		}
+	})
 
 	// Dual vertices.
-	for oldV := 0; oldV < m.NVerts; oldV++ {
-		v := vertNew[oldV]
-		r.VertPos[v] = m.VertPos[oldV]
-		r.VertArea[v] = m.VertArea[oldV]
-		for k := 0; k < 3; k++ {
-			r.VertCell[v][k] = cellNew[m.VertCell[oldV][k]]
-			r.VertEdge[v][k] = edgeNew[m.VertEdge[oldV][k]]
-			r.VertEdgeSign[v][k] = m.VertEdgeSign[oldV][k]
+	ParallelFor(workers, IdentityIDs(m.NVerts), func(ids []int32) {
+		for _, oldV := range ids {
+			v := vertNew[oldV]
+			r.VertPos[v] = m.VertPos[oldV]
+			r.VertArea[v] = m.VertArea[oldV]
+			for k := 0; k < 3; k++ {
+				r.VertCell[v][k] = cellNew[m.VertCell[oldV][k]]
+				r.VertEdge[v][k] = edgeNew[m.VertEdge[oldV][k]]
+				r.VertEdgeSign[v][k] = m.VertEdgeSign[oldV][k]
+			}
 		}
-	}
+	})
 
 	// TRiSK stencil, regrouped by the new edge numbering.
-	for oldE := 0; oldE < m.NEdges; oldE++ {
-		r.TrskOff[edgeNew[oldE]+1] = m.TrskOff[oldE+1] - m.TrskOff[oldE]
-	}
 	for e := 0; e < m.NEdges; e++ {
 		r.TrskOff[e+1] += r.TrskOff[e]
 	}
-	for oldE := 0; oldE < m.NEdges; oldE++ {
-		dst := r.TrskOff[edgeNew[oldE]]
-		for k := m.TrskOff[oldE]; k < m.TrskOff[oldE+1]; k++ {
-			r.TrskEdge[dst] = edgeNew[m.TrskEdge[k]]
-			r.TrskWeight[dst] = m.TrskWeight[k]
-			dst++
+	ParallelFor(workers, edgeIDs, func(ids []int32) {
+		for _, oldE := range ids {
+			dst := r.TrskOff[edgeNew[oldE]]
+			for k := m.TrskOff[oldE]; k < m.TrskOff[oldE+1]; k++ {
+				r.TrskEdge[dst] = edgeNew[m.TrskEdge[k]]
+				r.TrskWeight[dst] = m.TrskWeight[k]
+				dst++
+			}
 		}
-	}
+	})
 	return r
 }
 

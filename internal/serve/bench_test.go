@@ -62,3 +62,47 @@ func BenchmarkEpochRoundTripG6L20(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkDaemonStartG6 times what gristd does between exec and its
+// first answer at the serve workloads' size (G6 x 20, 4 parts, 8
+// committed epochs): the BFS-ordered mesh, the plan built beside the
+// server's tiler, and the first Poll, which publishes every epoch. The
+// epochs are written once, off the clock, under the test's temp
+// directory. `make profile-start` profiles it.
+func BenchmarkDaemonStartG6(b *testing.B) {
+	const nlev, nparts, epochs = 20, 4, 8
+	dir := b.TempDir()
+	{
+		m := mesh.New(6).ReorderBFS()
+		st, err := core.NewShardStore(dir, core.NewDistPlan(m, nlev, nparts, 12345))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := dycore.NewState(m, nlev)
+		s.InitIdealized(dycore.CaseBaroclinicWave)
+		for e := range epochs {
+			for r := range nparts {
+				if err := st.WriteShard(e, r, e, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := st.Commit(e, e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ResetTimer()
+	for range b.N {
+		m := mesh.New(6).ReorderBFS()
+		plan := make(chan *core.DistPlan, 1)
+		go func() { plan <- core.NewDistPlan(m, nlev, nparts, 12345) }()
+		srv := NewServer(m, Config{}, telemetry.NewRegistry())
+		st, err := core.NewShardStore(dir, <-plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n, err := NewShardPoller(st, srv.Engine.Store()).Poll(); err != nil || n != epochs {
+			b.Fatalf("first poll = (%d, %v), want (%d, nil)", n, err, epochs)
+		}
+	}
+}

@@ -25,6 +25,7 @@ import (
 	"io/fs"
 	"log/slog"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -107,29 +108,32 @@ func SnapshotFromState(epoch, step int, s *dycore.State) *Snapshot {
 		uSfc[e] = s.U[e*nlev+kSfc]
 	}
 	uc, vc := core.CellWinds(m, uSfc, 1)
-	for c := 0; c < m.NCells; c++ {
-		base := c * nlev
-		var colMass float64
-		for k := 0; k < nlev; k++ {
-			colMass += s.DryMass[base+k]
-		}
-		ps := dycore.PTop + colMass
-		snap.data[FieldPS][c] = ps
-		dpi := s.DryMass[base+kSfc]
-		p := ps - 0.5*dpi
-		theta := s.ThetaM[base+kSfc] / dpi
-		snap.data[FieldTSfc][c] = theta * math.Pow(p/dycore.P0, dycore.Rd/dycore.Cp)
-		snap.data[FieldUSfc][c] = uc[c]
-		snap.data[FieldVSfc][c] = vc[c]
-		var wmax float64
-		ibase := c * (nlev + 1)
-		for k := 0; k <= nlev; k++ {
-			if w := math.Abs(s.W[ibase+k]); w > wmax {
-				wmax = w
+	// Every cell is independent, so the split across workers changes no bit.
+	mesh.ParallelFor(runtime.GOMAXPROCS(0), mesh.IdentityIDs(m.NCells), func(ids []int32) {
+		for _, c := range ids {
+			base := int(c) * nlev
+			var colMass float64
+			for k := 0; k < nlev; k++ {
+				colMass += s.DryMass[base+k]
 			}
+			ps := dycore.PTop + colMass
+			snap.data[FieldPS][c] = ps
+			dpi := s.DryMass[base+kSfc]
+			p := ps - 0.5*dpi
+			theta := s.ThetaM[base+kSfc] / dpi
+			snap.data[FieldTSfc][c] = theta * math.Pow(p/dycore.P0, dycore.Rd/dycore.Cp)
+			snap.data[FieldUSfc][c] = uc[c]
+			snap.data[FieldVSfc][c] = vc[c]
+			var wmax float64
+			ibase := int(c) * (nlev + 1)
+			for k := 0; k <= nlev; k++ {
+				if w := math.Abs(s.W[ibase+k]); w > wmax {
+					wmax = w
+				}
+			}
+			snap.data[FieldWMax][c] = wmax
 		}
-		snap.data[FieldWMax][c] = wmax
-	}
+	})
 	return snap
 }
 

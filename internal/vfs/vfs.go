@@ -44,8 +44,11 @@ type FS interface {
 	// CreateTemp creates a uniquely named temp file in dir (see
 	// os.CreateTemp for the pattern contract).
 	CreateTemp(dir, pattern string) (File, error)
-	// ReadFile reads a whole file.
-	ReadFile(name string) ([]byte, error)
+	// ReadFile reads a whole file. The bytes land in buf, overwriting
+	// it, when the file is shorter than cap(buf), and in a fresh slice
+	// otherwise; the result is the file's bytes either way (a
+	// decorator may alter them in place).
+	ReadFile(name string, buf []byte) ([]byte, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
@@ -66,13 +69,39 @@ func (osFS) Create(name string) (File, error) { return newOSFile(os.Create(name)
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return newOSFile(os.CreateTemp(dir, pattern))
 }
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error             { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
 func (osFS) Glob(pattern string) ([]string, error) { return filepath.Glob(pattern) }
+
+// ReadFile is os.ReadFile into buf: it reads to EOF, so a file that grew
+// after its Stat is still read whole.
+func (osFS) ReadFile(name string, buf []byte) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf = buf[:0]
+	if fi, err := f.Stat(); err == nil && fi.Size() >= int64(cap(buf)) {
+		buf = make([]byte, 0, fi.Size()+512)
+	}
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
 
 // writebackWindow is how many bytes an OS file writes between hints.
 const writebackWindow = 1 << 20

@@ -31,7 +31,7 @@ func TestOSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := OS.ReadFile(path)
+	raw, err := OS.ReadFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestOSRoundTrip(t *testing.T) {
 	if err := OS.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OS.ReadFile(path); err == nil {
+	if _, err := OS.ReadFile(path, nil); err == nil {
 		t.Fatal("ReadFile succeeded after Remove")
 	}
 
@@ -106,7 +106,7 @@ func TestOSRoundTripUnderWriteback(t *testing.T) {
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := OS.ReadFile(f.Name())
+			got, err := OS.ReadFile(f.Name(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,5 +114,40 @@ func TestOSRoundTripUnderWriteback(t *testing.T) {
 				t.Errorf("%s %s: read back %d bytes differing from the %d written", c.name, how, len(got), len(want))
 			}
 		}
+	}
+}
+
+// ReadFile(name, buf) returns exactly the file's bytes: in buf when the
+// file is shorter than cap(buf), whatever buf held before, and in a
+// fresh slice when it is not.
+func TestReadFileIntoBuffer(t *testing.T) {
+	dir := t.TempDir()
+	long, short := filepath.Join(dir, "long"), filepath.Join(dir, "short")
+	if err := os.WriteFile(long, bytes.Repeat([]byte("L"), 5000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(short, []byte("short"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// in reports whether got starts at buf's first byte.
+	in := func(got, buf []byte) bool { return len(got) > 0 && &got[0] == &buf[:1][0] }
+	buf := make([]byte, 0, 8192)
+	got, err := OS.ReadFile(long, buf)
+	if err != nil || len(got) != 5000 || !in(got, buf) {
+		t.Fatalf("a 5000-byte file into an 8192-byte buffer: %d bytes, in buf %v, err %v", len(got), in(got, buf), err)
+	}
+	got, err = OS.ReadFile(short, got)
+	if err != nil || string(got) != "short" || !in(got, buf) {
+		t.Fatalf("a short file after a long one in the same buffer read %q (in buf %v, err %v), want %q", got, in(got, buf), err, "short")
+	}
+
+	small := make([]byte, 0, 16)
+	got, err = OS.ReadFile(long, small)
+	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte("L"), 5000)) || in(got, small) {
+		t.Fatalf("a 5000-byte file against a 16-byte buffer: %d bytes, in buf %v, err %v; want all of it in a fresh slice", len(got), in(got, small), err)
+	}
+	if _, err := OS.ReadFile(filepath.Join(dir, "missing"), buf); !os.IsNotExist(err) {
+		t.Fatalf("ReadFile of a missing file = %v, want not-exist", err)
 	}
 }
