@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test pin pin-update profile-step profile-infer profile-tracer profile-ckpt profile-start race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs bench-check
+.PHONY: check build vet lint test pin pin-update profile-step profile-infer profile-tracer profile-ckpt profile-start race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs
 
 check: build vet lint test race
 
@@ -155,52 +155,37 @@ ledger:
 benchmark:
 	bash benchmark/run.sh
 
-# The fault-injection suite under the race detector (deadline waits,
-# rollback-and-replay, sentinel-driven degradation, elastic
-# shrink/grow membership, the coupled dynamics + tracer runs, the
-# NaN-poisoned overlap window and posted halo buffers), then the
-# chaos experiment, which writes
-# CHAOS_recovery.json (recovery events, injected faults, bitwise
-# verdicts) and CHAOS_sentinels.json (health sentinel trip history),
-# and the elastic experiment, which writes CHAOS_elastic.json
-# (shrinkgrow membership timeline, repartition costs, bitwise/gate
-# verdicts, overlap-vs-blocking parity) for the CI artifact upload.
+# The fault-injection suite under the race detector: deadline waits,
+# rollback-and-replay (rank death, a sentinel-tripping bit flip),
+# sentinel-driven degradation, the ML-NaN scalar fallback, elastic
+# shrink/grow membership with overlap == blocking across the reshapes,
+# the coupled dynamics + tracer runs, the NaN-poisoned overlap window
+# and posted halo buffers. The tests hold every verdict (DESIGN.md
+# "Verdicts"); nothing else is gated.
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'Fault|Barrier|Deadline|Halo|Resilient|RankDeath|BitFlip|Sentinel|Shard|LatestCommitted|Fallback|NaNOutput|DegradeFor|Restart|Elastic|Rebalanced|Redistribute|SwapLayout|SetOwned|CoupledRun|PoisonedOverlap|StartSealsPayload' \
 		./internal/comm/ ./internal/fault/ ./internal/core/ ./internal/mlphysics/ ./internal/dycore/
-	$(GO) run ./cmd/gristbench -exp chaos
-	$(GO) run ./cmd/gristbench -exp elastic
 
-# The storage-plane chaos suite under the race detector (the vfs seam,
+# The storage-plane chaos suite under the race detector: the vfs seam,
 # the fault-injecting filesystem, the durable container's corruption
 # table and atomic replace, shard writes under torn renames, the sweep
 # that fails every filesystem operation of each durable write path,
-# quarantine/staleness/breaker behavior in the serve plane),
-# then the chaosserve experiment: producer + poller + load replay per
-# filesystem fault profile, writing CHAOS_serve.json (non-breaker-5xx /
-# checksum / bounded-recovery verdicts) and gating it against the
-# committed tolerance windows.
+# quarantine/staleness/breaker behavior in the serve plane, and
+# TestChaosServeInvariants (producer + poller + load replay per
+# filesystem fault profile: zero non-breaker 5xx, zero corrupt bytes
+# served, bounded recovery).
 chaos-serve:
 	$(GO) test -race -count=1 \
-		-run 'FS|Vfs|OSRoundTrip|Decode|Replace|ReadFile|WriteShard|CommittedEpochs|LatestCommitted|Quarantine|Rederive|CrashRestart|Breaker|Backoff|Degraded|SnapshotStore|FailEvery' \
+		-run 'FS|Vfs|OSRoundTrip|Decode|Replace|ReadFile|WriteShard|CommittedEpochs|LatestCommitted|Quarantine|Rederive|CrashRestart|Breaker|Backoff|Degraded|SnapshotStore|FailEvery|ChaosServe' \
 		./internal/vfs/ ./internal/fault/ ./internal/durable/ ./internal/core/ ./internal/serve/
-	$(GO) run ./cmd/gristbench -exp chaosserve
-	$(GO) run ./cmd/gristbench -check -check-files CHAOS_serve.json -baseline bench.baseline.json
 
-# The cross-rank trace aggregation benchmark: two rebalanced runs from
-# the same skewed decomposition (wall-weighted vs span-attributed cost
-# feedback) plus a postmortem replay-identity check, emitting
+# The cross-rank trace aggregation reading, ungated: two rebalanced runs
+# from the same skewed decomposition (wall-weighted vs span-attributed
+# cost feedback) plus a postmortem replay-identity check, emitting
 # BENCH_obs.json, BENCH_obs_postmortem.json (per-step critical path,
 # stragglers, phase attribution) and BENCH_obs_trace.json (merged
-# multi-rank Chrome trace with the critical path marked).
+# multi-rank Chrome trace with the critical path marked). Its imbalances
+# and wait share read wall clocks; the tests hold what is deterministic.
 bench-obs:
 	$(GO) run ./cmd/gristbench -exp obs
-
-# The benchmark regression gate: regenerate the obs artifacts and
-# compare them against the committed per-metric tolerance windows
-# (restricted to the obs artifact — the chaos-serve target gates
-# CHAOS_serve.json). Widening a window is a reviewed diff on
-# bench.baseline.json.
-bench-check: bench-obs
-	$(GO) run ./cmd/gristbench -check -check-files BENCH_obs.json -baseline bench.baseline.json

@@ -49,7 +49,7 @@ func main() {
 	serveAddr := flag.String("serve.addr", "", "serve the forecast query plane (/v1/point /v1/region /v1/range /v1/epochs /healthz) over the live run on this address; snapshots publish every -serve.every steps")
 	serveExport := flag.String("serve.export", "", "export gristd-compatible snapshot epochs into this directory every -serve.every steps (watch it with gristd -data DIR -parts 1)")
 	serveEvery := flag.Int("serve.every", 4, "physics steps between snapshot publications/exports for -serve.addr and -serve.export")
-	faultProf := flag.String("fault.profile", "", "inject faults: "+fault.Profiles()+" (mlnan corrupts one ML inference output; transport profiles need the distributed chaos harness, see gristbench -exp chaos)")
+	faultProf := flag.String("fault.profile", "", "inject faults: off or mlnan (mlnan corrupts one ML inference output; needs -physics ml)")
 	faultSeed := flag.Int64("fault.seed", 1, "fault-injection seed (deterministic per seed+profile)")
 	logFormat := flag.String("log.format", "text", "structured log format: text or json")
 	flag.Parse()
@@ -59,12 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if _, err := fault.ParseProfile(*faultProf); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	pm, err := checkRun(*mode, *period)
+	pm, err := checkRun(*mode, *period, *faultProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -298,9 +293,10 @@ func main() {
 	}
 }
 
-// checkRun resolves -mode to a precision mode and checks -period against
-// the Table 1 periods, naming the valid values when either is wrong.
-func checkRun(mode string, period int) (precision.Mode, error) {
+// checkRun resolves -mode to a precision mode and checks -period and
+// -fault.profile, naming the valid values when any is wrong. A serial
+// run has no halo messages or rank steps for a transport profile to hit.
+func checkRun(mode string, period int, faultProf string) (precision.Mode, error) {
 	var pm precision.Mode
 	switch mode {
 	case "dp":
@@ -312,6 +308,9 @@ func checkRun(mode string, period int) (precision.Mode, error) {
 	}
 	if n := len(synthclim.Table1()); period < 0 || period >= n {
 		return 0, fmt.Errorf("-period %d out of range (want 0-%d)", period, n-1)
+	}
+	if faultProf != "" && faultProf != "off" && faultProf != "mlnan" {
+		return 0, fmt.Errorf("-fault.profile %q cannot be injected into a serial run (want off, mlnan or \"\")", faultProf)
 	}
 	return pm, nil
 }

@@ -1,11 +1,12 @@
 // Command gristbench regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md for the experiment index) and runs
-// the chaos and observability experiments that issue a verdict:
+// evaluation section (see DESIGN.md for the experiment index) and takes
+// the observability reading:
 //
 //	gristbench -exp <name>|all        (gristbench -help lists the names)
 //
 // Fast experiments (tables, fig2, fig9-fig11) print immediately; fig7 and
-// fig8 run real model integrations and take a few minutes.
+// fig8 run real model integrations and take a few minutes. No experiment
+// issues a verdict: the tests hold every one (DESIGN.md "Verdicts").
 package main
 
 import (
@@ -23,11 +24,7 @@ import (
 func main() {
 	fast := flag.Bool("fast", false, "skip the slow model-integration experiments (fig7, fig8) under -exp all")
 	csvDir := flag.String("csv", "", "also write plot-ready CSV files for figs 2/9/10/11 into this directory")
-	benchDir := flag.String("bench-out", ".", "directory for the chaos/obs experiments' JSON artifacts")
-	faultSeed := flag.Int64("fault.seed", 7, "chaos experiment: fault-injection seed")
-	check := flag.Bool("check", false, "compare the BENCH_*.json artifacts in -bench-out against -baseline and exit nonzero on drift")
-	baseline := flag.String("baseline", "bench.baseline.json", "per-metric tolerance file for -check")
-	checkFiles := flag.String("check-files", "", "comma-separated artifact names: restrict -check to baseline entries on these files")
+	benchDir := flag.String("bench-out", ".", "directory for the obs experiment's JSON readings (BENCH_obs*.json)")
 	logFormat := flag.String("log.format", "text", "structured log format: text or json")
 
 	run := func(name string, f func()) {
@@ -67,42 +64,6 @@ func main() {
 			printRows(res.Rows())
 			fmt.Printf("Wrote BENCH_obs.json, BENCH_obs_postmortem.json and BENCH_obs_trace.json to %s\n", *benchDir)
 		},
-		"chaos": func() {
-			cfg := experiments.DefaultChaosConfig()
-			cfg.Seed = *faultSeed
-			cfg.Dir = *benchDir
-			res, err := experiments.WriteChaosConfig(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "chaos:", err)
-				os.Exit(1)
-			}
-			printRows(res.Rows())
-			fmt.Printf("Wrote CHAOS_recovery.json and CHAOS_sentinels.json to %s\n", *benchDir)
-		},
-		"chaosserve": func() {
-			cfg := experiments.DefaultChaosServeConfig()
-			cfg.Seed = *faultSeed
-			cfg.Dir = *benchDir
-			res, err := experiments.WriteChaosServeConfig(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "chaosserve:", err)
-				os.Exit(1)
-			}
-			printRows(res.Rows())
-			fmt.Printf("Wrote CHAOS_serve.json to %s\n", *benchDir)
-		},
-		"elastic": func() {
-			cfg := experiments.DefaultElasticConfig()
-			cfg.Seed = *faultSeed
-			cfg.Dir = *benchDir
-			res, err := experiments.WriteElasticConfig(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "elastic:", err)
-				os.Exit(1)
-			}
-			printRows(res.Rows())
-			fmt.Printf("Wrote CHAOS_elastic.json to %s\n", *benchDir)
-		},
 	}
 
 	names := make([]string, 0, len(table)+1)
@@ -119,29 +80,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *check {
-		var files []string
-		if *checkFiles != "" {
-			files = strings.Split(*checkFiles, ",")
-		}
-		rows, ok, err := experiments.CheckBench(*benchDir, *baseline, files...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench check:", err)
-			os.Exit(1)
-		}
-		for _, r := range rows {
-			fmt.Println(r)
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "bench check: drift against", *baseline)
-			os.Exit(1)
-		}
-		fmt.Printf("bench check: %d metrics within %s\n", len(rows), *baseline)
-		return
-	}
-
-	// The experiments write their artifacts at the end of a run that can
-	// take minutes: create the directory first, or fail before any starts.
+	// The obs experiment writes its readings at the end of its run:
+	// create the directory first, or fail before any experiment starts.
 	if err := os.MkdirAll(*benchDir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "gristbench: cannot create -bench-out %q: %v\n", *benchDir, err)
 		os.Exit(2)

@@ -66,21 +66,11 @@ func TestElasticCleanMatchesPlainBitwise(t *testing.T) {
 // explicitly as well. The goroutine count must settle afterwards.
 func TestElasticShrinkGrowBitwiseDP(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := sharedMesh3
-	nlev, nparts, steps, dt := 4, 4, 12, 90.0
-	plain := RunDistributedDynamics(m, nlev, nparts, precision.DP, resilientInit, steps, dt)
-
-	plan := fault.NewPlan(7, fault.Profile{Name: "shrinkgrow", KillRank: 1, KillStep: 4})
-	halo, sync := testTimeouts()
 	reg := telemetry.NewRegistry()
-	got, rep, err := Run(RunSpec{
-		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.DP, Init: resilientInit, Steps: steps, Dt: dt,
-		OnDeath: Shrink, Injector: plan,
-		CheckpointEvery: 2, Dir: t.TempDir(),
-		Grow:        []GrowEvent{{Step: 8, Add: 1}},
-		HaloTimeout: halo, SyncTimeout: sync,
-		Reg: reg,
-	})
+	spec := shrinkGrowSpec(t, precision.DP)
+	spec.Reg = reg
+	plain := plainRun(spec)
+	got, rep, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +132,50 @@ func TestElasticShrinkGrowBitwiseDP(t *testing.T) {
 		t.Fatalf("vor relative error %.2e exceeds the 5%% gate", e)
 	}
 
+	blocking := runBlockingShrinkGrow(t, precision.DP)
+	assertBitwise(t, blocking, got, "blocking vs overlapped shrink/grow run")
+	assertBitwise(t, blocking, plain, "blocking shrink/grow run")
+
 	assertNoLeakedGoroutines(t, before)
+}
+
+// shrinkGrowSpec is the shrinkgrow scenario in mode: node 1 killed at
+// step 4 under shrink-on-death, a grow of one node at step 8, epochs
+// every 2 steps into a fresh directory. Each call carries a fresh fault
+// plan, because a plan's kill is spent once it fires.
+func shrinkGrowSpec(t *testing.T, mode precision.Mode) RunSpec {
+	halo, sync := testTimeouts()
+	return RunSpec{
+		Mesh: sharedMesh3, NLev: 4, NParts: 4, Mode: mode, Init: resilientInit, Steps: 12, Dt: 90.0,
+		OnDeath:         Shrink,
+		Injector:        fault.NewPlan(7, fault.Profile{Name: "shrinkgrow", KillRank: 1, KillStep: 4}),
+		CheckpointEvery: 2, Dir: t.TempDir(),
+		Grow:        []GrowEvent{{Step: 8, Add: 1}},
+		HaloTimeout: halo, SyncTimeout: sync,
+	}
+}
+
+// plainRun is spec's uninjected reference: the same model, no faults,
+// no reshapes.
+func plainRun(spec RunSpec) *dycore.State {
+	return RunDistributedDynamics(spec.Mesh, spec.NLev, spec.NParts, spec.Mode, spec.Init, spec.Steps, spec.Dt)
+}
+
+// runBlockingShrinkGrow reruns the shrinkgrow scenario with blocking
+// halo rounds: the overlap == blocking parity must hold across a
+// decomposition that changes mid-run, not only on a fixed one.
+func runBlockingShrinkGrow(t *testing.T, mode precision.Mode) *dycore.State {
+	t.Helper()
+	spec := shrinkGrowSpec(t, mode)
+	spec.Blocking = true
+	got, rep, err := Run(spec)
+	if err != nil {
+		t.Fatalf("blocking leg: %v", err)
+	}
+	if fmt.Sprint(rep.WorldSizes) != "[4 3 4]" {
+		t.Fatalf("blocking leg world sizes %v, want [4 3 4]", rep.WorldSizes)
+	}
+	return got
 }
 
 // The same scenario in mixed precision: FP32 wire rounding makes the
@@ -150,19 +183,9 @@ func TestElasticShrinkGrowBitwiseDP(t *testing.T) {
 // expected — but the §3.4 5% ps/vor gate must hold against an
 // uninjected mixed-precision run.
 func TestElasticShrinkGrowMixedWithinGate(t *testing.T) {
-	m := sharedMesh3
-	nlev, nparts, steps, dt := 4, 4, 12, 90.0
-	plain := RunDistributedDynamics(m, nlev, nparts, precision.Mixed, resilientInit, steps, dt)
-
-	plan := fault.NewPlan(7, fault.Profile{Name: "shrinkgrow", KillRank: 1, KillStep: 4})
-	halo, sync := testTimeouts()
-	got, rep, err := Run(RunSpec{
-		Mesh: m, NLev: nlev, NParts: nparts, Mode: precision.Mixed, Init: resilientInit, Steps: steps, Dt: dt,
-		OnDeath: Shrink, Injector: plan,
-		CheckpointEvery: 2, Dir: t.TempDir(),
-		Grow:        []GrowEvent{{Step: 8, Add: 1}},
-		HaloTimeout: halo, SyncTimeout: sync,
-	})
+	spec := shrinkGrowSpec(t, precision.Mixed)
+	plain := plainRun(spec)
+	got, rep, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +200,7 @@ func TestElasticShrinkGrowMixedWithinGate(t *testing.T) {
 	if e := relL2(vorGot, vorWant); e > 0.05 {
 		t.Fatalf("mixed vor relative error %.2e exceeds the 5%% gate", e)
 	}
+	assertBitwise(t, runBlockingShrinkGrow(t, precision.Mixed), got, "mixed blocking vs overlapped shrink/grow run")
 }
 
 // haloStallInjector delays exactly one positive-tag halo message far

@@ -1,7 +1,10 @@
 package experiments
 
 // Observability experiment: the cross-rank trace pipeline exercised end
-// to end, distilled into BENCH_obs.json for the CI regression gate.
+// to end, distilled into BENCH_obs.json, an ungated reading: its
+// imbalances and wait share read wall clocks, and the tests hold what
+// is deterministic in it (TestObsBenchSmallScale here, partition's
+// TestCostWeightsComputeFedPlanUndoesSkew).
 //
 // Two claims are measured:
 //
@@ -47,7 +50,7 @@ type ObsBenchConfig struct {
 	RebalanceAt []int
 }
 
-// DefaultObsBenchConfig returns the CI-scale setup: level-5 mesh, four
+// DefaultObsBenchConfig returns the reading's setup: level-5 mesh, four
 // ranks, two repartitions over eight steps. Level 5 is the floor at
 // which per-step compute dominates channel synchronization overhead;
 // below it the wall−wait signal drowns in scheduling noise and neither

@@ -8,10 +8,13 @@ import (
 )
 
 // TestObsBenchSmallScale exercises the full obs pipeline at a scale
-// cheap enough for the tier-1 suite. The attributed-improves verdict is
-// only asserted at the default (level 5) scale by the CI bench gate —
-// below that the wall−wait signal drowns in scheduling noise — so here
-// the assertions cover structure and the replay-identity invariant.
+// cheap enough for the tier-1 suite: structure, the replay-identity
+// invariant and a loss-free ring merge. Whether the span-attributed run
+// ends less imbalanced than the wall-weighted one reads wall clocks, so
+// no test asserts it; `gristbench -exp obs` prints it as an ungated
+// reading, and partition's TestCostWeightsComputeFedPlanUndoesSkew holds
+// its deterministic half (compute-fed costs undo a skew that wall-fed
+// costs keep).
 func TestObsBenchSmallScale(t *testing.T) {
 	cfg := ObsBenchConfig{GridLevel: 3, NLev: 4, Parts: 3, Steps: 4,
 		RebalanceAt: []int{2}}
@@ -27,6 +30,9 @@ func TestObsBenchSmallScale(t *testing.T) {
 	}
 	if res.SpansMerged == 0 || res.CriticalPathNS <= 0 {
 		t.Fatalf("empty postmortem: %+v", res)
+	}
+	if res.SpansDropped != 0 {
+		t.Fatalf("%d spans dropped: the flight rings overflowed, so the postmortem misses work", res.SpansDropped)
 	}
 	if len(tl.Ranks) != cfg.Parts {
 		t.Fatalf("timeline ranks = %v, want %d", tl.Ranks, cfg.Parts)

@@ -20,7 +20,6 @@ package fault
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"sync"
 	"time"
@@ -54,7 +53,7 @@ type Profile struct {
 	KillStep int
 }
 
-// Profiles names the built-in profiles for flag help.
+// Profiles names the built-in profiles for error messages.
 func Profiles() string {
 	return "off, drop, delay, bitflip, rankdeath, shrinkgrow, chaos, mlnan"
 }
@@ -80,10 +79,10 @@ func ParseProfile(name string) (Profile, error) {
 	case "shrinkgrow":
 		// The elastic membership scenario: node 1 dies at step 4; the
 		// driver shrinks to the survivors and later re-absorbs the node
-		// (see core.Run under OnDeath: Shrink and the elastic
-		// experiment). The kill addresses a stable NODE id, so the
-		// re-added node is not re-killed — the Plan's one-shot kill
-		// stays spent anyway.
+		// (see core.Run under OnDeath: Shrink and core's
+		// TestElasticShrinkGrowBitwiseDP). The kill addresses a stable
+		// NODE id, so the re-added node is not re-killed — the Plan's
+		// one-shot kill stays spent anyway.
 		p.KillRank = 1
 		p.KillStep = 4
 	case "chaos":
@@ -96,7 +95,7 @@ func ParseProfile(name string) (Profile, error) {
 	return p, nil
 }
 
-// Event records one injected fault for the chaos artifacts.
+// Event records one injected fault.
 type Event struct {
 	Kind    string `json:"kind"` // "drop", "delay", "bitflip", "kill"
 	From    int    `json:"from"`
@@ -118,12 +117,6 @@ const maxEvents = 1024
 type Plan struct {
 	Seed int64
 	Prof Profile
-
-	// Log, when non-nil, receives one structured record per injected
-	// fault (kind, from, to, tag) in addition to the bounded event log.
-	// Injection verdicts are pure functions of the coordinates, so the
-	// logging side channel cannot perturb them.
-	Log *slog.Logger
 
 	mu       sync.Mutex
 	flips    int
@@ -238,20 +231,14 @@ func (p *Plan) PermitStep(rank, step int) bool {
 	return false
 }
 
-// record appends to the bounded event log and mirrors the event to the
-// structured logger when one is attached.
+// record appends to the bounded event log.
 func (p *Plan) record(e Event) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if len(p.events) < maxEvents {
 		p.events = append(p.events, e)
 	} else {
 		p.overflow++
-	}
-	p.mu.Unlock()
-	if p.Log != nil {
-		p.Log.Debug("fault injected",
-			"kind", e.Kind, "from", e.From, "to", e.To, "tag", e.Tag,
-			"attempt", e.Attempt, "detail", e.Detail)
 	}
 }
 

@@ -220,7 +220,7 @@ func TestLoadReplayShortStorm(t *testing.T) {
 		n = 4000
 	}
 	before := s.Engine.Stats()
-	rep := RunLoadInProcess(s.Mux(), s.Engine, n, 1)
+	rep := runLoadInProcess(s.Mux(), s.Engine, n, 1)
 	after := s.Engine.Stats()
 	if got := rep.OK + rep.Client4xx + rep.Quota429 + rep.Busy429 + rep.Breaker503 + rep.Server5xx; got != int64(n) {
 		t.Fatalf("counted %d answers, want %d", got, n)

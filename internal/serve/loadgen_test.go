@@ -21,19 +21,14 @@ const (
 	loadRange    = 0.02 // fraction of time-range queries
 )
 
-// LoadReport counts one replay's answers by status. It measures no
+// loadReport counts one replay's answers by status. It measures no
 // time: query-plane speed is the benchmark's, over a real socket.
-type LoadReport struct {
-	OK         int64 `json:"ok_2xx"`
-	Client4xx  int64 `json:"client_4xx"`
-	Quota429   int64 `json:"quota_429"`
-	Busy429    int64 `json:"busy_429"`
-	Breaker503 int64 `json:"breaker_503"`
-	Server5xx  int64 `json:"server_5xx"`
+type loadReport struct {
+	OK, Client4xx, Quota429, Busy429, Breaker503, Server5xx int64
 }
 
-// Add accumulates b's counts into r.
-func (r *LoadReport) Add(b LoadReport) {
+// add accumulates b's counts into r.
+func (r *loadReport) add(b loadReport) {
 	r.OK += b.OK
 	r.Client4xx += b.Client4xx
 	r.Quota429 += b.Quota429
@@ -44,7 +39,7 @@ func (r *LoadReport) Add(b LoadReport) {
 
 // count files one answer under its status class. reason is the
 // response's X-Grist-Reject header, falling back to X-Grist-Cache.
-func (r *LoadReport) count(status int, reason string) {
+func (r *loadReport) count(status int, reason string) {
 	switch {
 	case status >= 200 && status < 300:
 		r.OK++
@@ -113,11 +108,11 @@ func (r *nullRecorder) reset() {
 	clear(r.hdr)
 }
 
-// RunLoadInProcess replays queries of the workload directly against h
+// runLoadInProcess replays queries of the workload directly against h
 // (no sockets), split over loadWorkers goroutines, through the full
 // admission/quota/cache pipeline, and counts the answers by status.
 // The same seed replays the same queries.
-func RunLoadInProcess(h http.Handler, eng *Engine, queries int, seed int64) LoadReport {
+func runLoadInProcess(h http.Handler, eng *Engine, queries int, seed int64) loadReport {
 	epochs := eng.Store().Epochs()
 	hotLat := make([]float64, loadHotspots)
 	hotLon := make([]float64, loadHotspots)
@@ -127,7 +122,7 @@ func RunLoadInProcess(h http.Handler, eng *Engine, queries int, seed int64) Load
 		hotLon[i] = hrng.Float64()*358 - 179
 	}
 
-	outs := make([]LoadReport, loadWorkers)
+	outs := make([]loadReport, loadWorkers)
 	var wg sync.WaitGroup
 	for w := range outs {
 		n := queries / loadWorkers
@@ -135,7 +130,7 @@ func RunLoadInProcess(h http.Handler, eng *Engine, queries int, seed int64) Load
 			n++
 		}
 		wg.Add(1)
-		go func(out *LoadReport, w, n int) {
+		go func(out *loadReport, w, n int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
 			rec := &nullRecorder{hdr: http.Header{}}
@@ -165,9 +160,9 @@ func RunLoadInProcess(h http.Handler, eng *Engine, queries int, seed int64) Load
 	}
 	wg.Wait()
 
-	var rep LoadReport
+	var rep loadReport
 	for _, o := range outs {
-		rep.Add(o)
+		rep.add(o)
 	}
 	return rep
 }
