@@ -24,6 +24,19 @@ var decomposePins = map[string]string{
 	"G5/weighted": "cbb8e25704701e61d936d7b1907351cc95ac69f1e11f0ed1d48bb77ebddbbfd0",
 }
 
+// restartPins are the SHA-256 digests of the Decompose part maps gristd
+// and the benchmark build on BFS-ordered meshes at seed 12345: the
+// plan's 4 parts and the tiler's 48 tiles at G6, the 2-rank plan at G5.
+// Taken before refineFM kept per-vertex external/internal weights.
+var restartPins = []struct {
+	level, nparts int
+	sum           string
+}{
+	{5, 2, "4184e73cfdfa4d06540136f01d1ba5f7890fe7fadaca71ef7fdc2c2d47920985"},
+	{6, 4, "e689062b46705ff4e3a9b77684561548eba582ae4d4e98e0b5d2c9797e9a48e7"},
+	{6, 48, "fec251affe01d44dcb4a6c227e62820e7625384f1fb0f5b752b373d51eec8dce"},
+}
+
 // TestDecomposePinned: the part maps are bit-for-bit those pinned.
 func TestDecomposePinned(t *testing.T) {
 	for level := 2; level <= 5; level++ {
@@ -51,6 +64,21 @@ func TestDecomposePinned(t *testing.T) {
 			if got := fmt.Sprintf("%x", h.Sum(nil)); got != decomposePins[key] {
 				t.Errorf("%s part maps hash to %s, pinned %s", key, got, decomposePins[key])
 			}
+		}
+	}
+	bfs := map[int]*mesh.Mesh{}
+	for _, pin := range restartPins {
+		if bfs[pin.level] == nil {
+			bfs[pin.level] = mesh.New(pin.level).ReorderBFS()
+		}
+		d, err := Decompose(bfs[pin.level], pin.nparts, 12345)
+		if err != nil {
+			t.Fatalf("G%d BFS, %d parts: %v", pin.level, pin.nparts, err)
+		}
+		h := sha256.New()
+		binary.Write(h, binary.LittleEndian, d.Part)
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != pin.sum {
+			t.Errorf("G%d BFS, %d parts: part map hashes to %s, pinned %s", pin.level, pin.nparts, got, pin.sum)
 		}
 	}
 }
