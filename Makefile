@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test pin pin-update profile-step profile-infer profile-tracer profile-ckpt profile-start race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs
+.PHONY: check build vet lint test pin pin-update profile-step profile-infer profile-tracer profile-ckpt profile-start profile-partition race race-serve fuzz-smoke loc ledger benchmark chaos chaos-serve bench-obs
 
 check: build vet lint test race
 
@@ -85,17 +85,29 @@ profile-ckpt:
 	$(GO) tool pprof -top -nodecount=15 -focus 'EpochRoundTripG6L20.func1' profile/serve.test profile/ckpt.prof
 
 # CPU profile of gristd's restart to first answer at the serve workloads'
-# size (G6 x 20, 4 parts, 8 committed epochs): the BFS-ordered mesh, the
-# plan beside the server's tiler, and the first Poll publishing every
-# epoch (BenchmarkDaemonStartG6 in internal/serve). The shard reads and
-# loop workers run on their own goroutines, so the table is not focused
-# on the benchmark; it leaves out the off-clock shard writes instead.
+# size (G6 x 20, 4 parts, 8 committed epochs), in gristd's order: the
+# BFS-ordered mesh, then the server's tiler on its own goroutine beside
+# the plan and the first Poll, which backfills every epoch on every core
+# (BenchmarkDaemonStartG6 in internal/serve). The shard reads and loop
+# workers run on their own goroutines, so the table is not focused on
+# the benchmark; it leaves out the off-clock shard writes instead.
 # Binary and profile land in profile/.
 profile-start:
 	@mkdir -p profile
 	@$(GO) test -run '^$$' -bench DaemonStartG6 -benchtime 5x -o profile/serve.test \
 		-cpuprofile profile/start.prof ./internal/serve/ && \
 	$(GO) tool pprof -top -nodecount=20 -ignore 'WriteShard|Commit|InitIdealized' profile/serve.test profile/start.prof
+
+# CPU profile of the multilevel partitioner on the BFS-ordered G6 mesh
+# at the part counts a gristd restart builds: the 4-rank plan, then the
+# 48-tile tiler (BenchmarkKWayG6 in internal/partition), focused on
+# KWay so the off-clock mesh build is left out. Binary and profile land
+# in profile/.
+profile-partition:
+	@mkdir -p profile
+	@$(GO) test -run '^$$' -bench KWayG6 -benchtime 20x -o profile/partition.test \
+		-cpuprofile profile/partition.prof ./internal/partition/ && \
+	$(GO) tool pprof -top -nodecount=15 -focus 'partition.KWay' profile/partition.test profile/partition.prof
 
 # -short skips the minutes-long model-integration tests, which the
 # race detector's ~15x slowdown would push past the test timeout; the

@@ -39,7 +39,7 @@ func main() {
 	layers := flag.Int("layers", 10, "vertical layers of the producing run")
 	parts := flag.Int("parts", 1, "rank count of the producing run's shard layout")
 	poll := flag.Duration("poll", 2*time.Second, "how often to poll -data for newly committed epochs")
-	retain := flag.Int("retain", 8, "snapshot epochs retained for time-range queries")
+	retain := flag.Int("retain", 8, "snapshot epochs retained for time-range queries (at least 1)")
 	tiles := flag.Int("tiles", 48, "spatial tiles over the mesh (the cache granule)")
 	cacheTiles := flag.Int("cache", 0, "tile-cache capacity in tiles (0 = 2x -tiles)")
 	quotaRate := flag.Float64("quota.rate", 0, "per-tenant sustained queries/second (0 = unlimited)")
@@ -96,58 +96,70 @@ func main() {
 		fsys = fault.NewFS(vfs.OS, *faultSeed, prof)
 	}
 
-	// The plan's decomposition and the server's tiler are independent
-	// partitions of the mesh: build them side by side.
-	plan := make(chan *core.DistPlan, 1)
-	go func() { plan <- core.NewDistPlan(m, *layers, *parts, 12345) }()
-	reg := telemetry.NewRegistry()
-	rec := telemetry.NewRecorder(1 << 14)
-	srv := serve.NewServer(m, serve.Config{
-		Tiles:      *tiles,
-		CacheTiles: *cacheTiles,
-		Retain:     *retain,
-		QueueDepth: *queueDepth,
-		QuotaRate:  *quotaRate,
-		QuotaBurst: *quotaBurst,
-		MaxStale:   *maxStale,
-	}, reg)
-	src, err := core.NewShardStoreFS(*data, <-plan, fsys)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	poller := serve.NewShardPoller(src, srv.Engine.Store())
-	poller.SetSeed(*faultSeed)
-	poller.SetLogger(slog.Default())
-	poller.SetMetrics(reg)
-
-	// One mux: telemetry endpoints plus the query plane and the debug
-	// plane (/debug/query traces, /debug/step postmortems over the
-	// daemon's own flight ring).
-	mux := telemetry.NewMux(reg, rec)
-	srv.Register(mux)
-	srv.RegisterDebug(mux)
-	mux.Handle("/debug/step", obs.StepHandler(func() ([][]telemetry.Event, uint64) {
-		return obs.Rings(rec)
-	}))
-
+	// Listen first: a taken port fails the start before any work, and a
+	// client that connects early waits in the backlog until the server
+	// serves.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	go http.Serve(ln, mux)
 	fmt.Printf("gristd on http://%s/ (/v1/point /v1/region /v1/range /v1/epochs /healthz /metrics /debug/query /debug/step)\n", ln.Addr())
 	fmt.Printf("  watching %s every %s (%d ranks, %d layers, retain %d epochs)\n",
 		*data, *poll, *parts, *layers, *retain)
 
-	// First poll before serving traffic so a pre-populated directory
-	// (the replay case) is immediately queryable.
+	// Nothing before the first answer needs the server's tiler, a
+	// decomposition of its own: build the server on a goroutine, and
+	// serve once it exists, while this goroutine builds the plan and runs
+	// the first poll into the snapshot store the server reads. The query
+	// plane and the telemetry endpoints share one mux, with the debug
+	// plane (/debug/query traces, /debug/step postmortems over the
+	// daemon's own flight ring).
+	reg := telemetry.NewRegistry()
+	rec := telemetry.NewRecorder(1 << 14)
+	store := serve.NewSnapshotStore(*retain)
+	built := make(chan *serve.Server, 1)
+	go func() {
+		srv := serve.NewServerOn(m, serve.Config{
+			Tiles:      *tiles,
+			CacheTiles: *cacheTiles,
+			QueueDepth: *queueDepth,
+			QuotaRate:  *quotaRate,
+			QuotaBurst: *quotaBurst,
+			MaxStale:   *maxStale,
+		}, store, reg)
+		mux := telemetry.NewMux(reg, rec)
+		srv.Register(mux)
+		srv.RegisterDebug(mux)
+		mux.Handle("/debug/step", obs.StepHandler(func() ([][]telemetry.Event, uint64) {
+			return obs.Rings(rec)
+		}))
+		built <- srv
+		http.Serve(ln, mux)
+	}()
+
+	src, err := core.NewShardStoreFS(*data, core.NewDistPlan(m, *layers, *parts, 12345), fsys)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	poller := serve.NewShardPoller(src, store)
+	poller.SetSeed(*faultSeed)
+	poller.SetLogger(slog.Default())
+	poller.SetMetrics(reg)
+
 	pollErrors := reg.Counter("grist_serve_poll_errors_total")
-	publishPoll := func() error {
+	pollOnce := func() (int, error) {
 		span := rec.Begin("poll", 0)
-		n, err := poller.Poll()
-		span.End()
+		defer span.End()
+		return poller.Poll()
+	}
+	// The first poll backfills the retention window on every core. Once
+	// built, the server serves each epoch as it is published, in order.
+	n, err := pollOnce()
+	srv := <-built
+	// report hands a poll's outcome to the server and the log.
+	report := func(n int, err error) error {
 		srv.SetStaleness(poller.Staleness())
 		srv.SetQuarantine(poller.Quarantined())
 		if err != nil {
@@ -155,12 +167,11 @@ func main() {
 			return err
 		}
 		if n > 0 {
-			slog.Info("snapshots published",
-				"count", n, "epoch", srv.Engine.Store().Latest().Epoch)
+			slog.Info("snapshots published", "count", n, "epoch", store.Latest().Epoch)
 		}
 		return nil
 	}
-	if err := publishPoll(); err != nil {
+	if err := report(n, err); err != nil {
 		slog.Warn("initial snapshot poll failed", "dir", *data, "err", err)
 	}
 
@@ -169,7 +180,7 @@ func main() {
 	// one log line per backoff step rather than one per tick.
 	bo := serve.NewBackoff(*poll, time.Minute, *faultSeed)
 	for {
-		if err := publishPoll(); err != nil {
+		if err := report(pollOnce()); err != nil {
 			wait := bo.Next()
 			slog.Warn("snapshot poll failed; backing off",
 				"dir", *data, "err", err, "consecutive", bo.Fails(), "retry_in", wait)

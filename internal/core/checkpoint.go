@@ -137,6 +137,12 @@ func (st *ShardStore) WriteShard(epoch, rank, step int, s *dycore.State) error {
 // region bytes, which alias *buf.
 func (st *ShardStore) loadShard(epoch, rank int, buf *[]byte) (step int, region []byte, err error) {
 	path := st.shardPath(epoch, rank)
+	// A buffer grown to one rank's shard may be too short for another's:
+	// size it once for the largest of the plan instead of regrowing it
+	// shard by shard.
+	if largest := st.largestShard(); cap(*buf) <= largest {
+		*buf = make([]byte, 0, largest+512)
+	}
 	raw, err := st.fs.ReadFile(path, *buf)
 	if cap(raw) > cap(*buf) {
 		*buf = raw[:0]
@@ -162,6 +168,15 @@ func (st *ShardStore) loadShard(epoch, rank int, buf *[]byte) (step int, region 
 		return 0, nil, fmt.Errorf("core: shard %s payload is %d bytes, want %d: %w", filepath.Base(path), len(region), want, durable.ErrCorrupt)
 	}
 	return meta(2), region, nil
+}
+
+// largestShard returns the byte size of the plan's largest shard file.
+func (st *ShardStore) largestShard() int {
+	words := 0
+	for r := range st.pl.NParts {
+		words = max(words, dycore.RegionLen(st.pl.NLev, len(st.pl.DiagCells[r]), len(st.pl.diagEdges[r])))
+	}
+	return durable.Overhead + shardMetaLen + 8*words
 }
 
 // ReadShard restores rank's region of epoch's shard into s and returns
@@ -190,8 +205,9 @@ func (st *ShardStore) decodeShard(rank int, region []byte, s *dycore.State, surf
 		} else if surface && i%4 == 3 { // Phi
 			hi = 0
 		}
-		for k := lo; k < hi; k++ {
-			run[k] = math.Float64frombits(binary.LittleEndian.Uint64(region[8*k:]))
+		// The loop condition proves every index, so it runs without bounds checks.
+		for dst, src := run[lo:hi], region[8*lo:]; len(dst) > 0 && len(src) >= 8; dst, src = dst[1:], src[8:] {
+			dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(src))
 		}
 		region, i = region[8*len(run):], i+1
 	})

@@ -9,6 +9,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 
 	"gristgo/internal/dycore"
 	"gristgo/internal/mesh"
@@ -393,43 +394,35 @@ func (mod *Model) RunHours(h, season float64) {
 
 // CellWinds reconstructs cell-centered (east, north) wind components
 // from edge-normal velocities by per-cell least squares — exact for
-// uniform flow over the cell's edge normals.
+// uniform flow over the cell's edge normals. The mesh-only geometry is
+// the mesh's WindBasis; every cell is independent, so the split across
+// workers changes no bit.
 func CellWinds(m *mesh.Mesh, u []float64, nlev int) (uc, vc []float64) {
 	uc = make([]float64, m.NCells*nlev)
 	vc = make([]float64, m.NCells*nlev)
-	type proj struct{ ne, nn float64 }
-	var projs []proj // one cell's edge-normal projections, reused
-	for c := int32(0); c < int32(m.NCells); c++ {
-		east, north := mesh.TangentBasis(m.CellPos[c])
-		// Normal matrix of the 2x2 least-squares system.
-		var a11, a12, a22 float64
-		deg := m.CellDegree(c)
-		projs = projs[:0]
-		for j := 0; j < deg; j++ {
-			ed := m.CellEdge[m.CellOff[c]+int32(j)]
-			n := m.EdgeNormal[ed]
-			pe, pn := n.Dot(east), n.Dot(north)
-			projs = append(projs, proj{pe, pn})
-			a11 += pe * pe
-			a12 += pe * pn
-			a22 += pn * pn
-		}
-		det := a11*a22 - a12*a12
-		if det == 0 {
-			continue
-		}
-		for k := 0; k < nlev; k++ {
-			var b1, b2 float64
-			for j := 0; j < deg; j++ {
-				ed := m.CellEdge[m.CellOff[c]+int32(j)]
-				ue := u[int(ed)*nlev+k]
-				b1 += projs[j].ne * ue
-				b2 += projs[j].nn * ue
+	wb := m.WindBasis()
+	mesh.ParallelFor(runtime.GOMAXPROCS(0), mesh.IdentityIDs(m.NCells), func(ids []int32) {
+		for _, c := range ids {
+			a := wb.Norm[c]
+			a11, a12, a22, det := a[0], a[1], a[2], a[3]
+			if det == 0 {
+				continue
 			}
-			uc[int(c)*nlev+k] = (a22*b1 - a12*b2) / det
-			vc[int(c)*nlev+k] = (a11*b2 - a12*b1) / det
+			lo, hi := m.CellOff[c], m.CellOff[c+1]
+			edges := m.CellEdge[lo:hi]
+			projs := wb.Proj[lo:hi][:len(edges)]
+			for k := 0; k < nlev; k++ {
+				var b1, b2 float64
+				for j, ed := range edges {
+					ue := u[int(ed)*nlev+k]
+					b1 += projs[j][0] * ue
+					b2 += projs[j][1] * ue
+				}
+				uc[int(c)*nlev+k] = (a22*b1 - a12*b2) / det
+				vc[int(c)*nlev+k] = (a11*b2 - a12*b1) / det
+			}
 		}
-	}
+	})
 	return uc, vc
 }
 

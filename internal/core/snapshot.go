@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"gristgo/internal/dycore"
 )
@@ -45,46 +45,64 @@ func (st *ShardStore) LoadEpochSurface(epoch int, s *dycore.State) (int, error) 
 
 // loadEpoch reads and verifies the epoch's shards into pooled buffers on
 // up to GOMAXPROCS goroutines (ParallelFor would run so short a list
-// inline), then checks and decodes them in rank order, so the error and
-// the halo mirrors that stand are a sequential walk's.
+// inline) and checks and decodes them in rank order as they arrive, so
+// the error and the halo mirrors that stand are a sequential walk's.
+// Readers take shards in rank order, and at most one buffer per reader
+// is out at a time: decoding a shard frees its buffer for the read of a
+// later one. Every shard is read, even after one fails.
 func (st *ShardStore) loadEpoch(epoch int, s *dycore.State, surface bool) (int, error) {
 	type shard struct {
 		buf    *[]byte
 		step   int
 		region []byte
 		err    error
+		read   chan struct{}
 	}
 	shards := make([]shard, st.pl.NParts)
+	for p := range shards {
+		shards[p].read = make(chan struct{})
+	}
 	workers := min(len(shards), runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
+	out := make(chan struct{}, workers) // one token per buffer out
+	var next atomic.Int64
+	for range workers {
 		go func() {
-			defer wg.Done()
-			for p := w; p < len(shards); p += workers {
+			for {
+				out <- struct{}{}
+				p := int(next.Add(1) - 1)
+				if p >= len(shards) {
+					<-out
+					return
+				}
 				sh := &shards[p]
 				sh.buf = st.bufs.Get().(*[]byte)
 				sh.step, sh.region, sh.err = st.loadShard(epoch, p, sh.buf)
+				close(sh.read)
 			}
 		}()
 	}
-	wg.Wait()
-	defer func() {
-		for _, sh := range shards {
-			st.bufs.Put(sh.buf)
-		}
-	}()
 
 	step := -1
-	for p, sh := range shards {
-		if sh.err != nil {
-			return 0, fmt.Errorf("core: assembling epoch %d: %w", epoch, sh.err)
+	var err error
+	for p := range shards {
+		sh := &shards[p]
+		<-sh.read
+		switch {
+		case err != nil:
+		case sh.err != nil:
+			err = fmt.Errorf("core: assembling epoch %d: %w", epoch, sh.err)
+		default:
+			st.decodeShard(p, sh.region, s, surface)
+			if step >= 0 && sh.step != step {
+				err = fmt.Errorf("%w: epoch %d has rank %d at step %d, rank 0 at step %d", ErrTornEpoch, epoch, p, sh.step, step)
+			}
+			step = sh.step
 		}
-		st.decodeShard(p, sh.region, s, surface)
-		if step >= 0 && sh.step != step {
-			return 0, fmt.Errorf("%w: epoch %d has rank %d at step %d, rank 0 at step %d", ErrTornEpoch, epoch, p, sh.step, step)
-		}
-		step = sh.step
+		st.bufs.Put(sh.buf)
+		<-out
+	}
+	if err != nil {
+		return 0, err
 	}
 	return step, nil
 }

@@ -76,6 +76,9 @@ type Mesh struct {
 	TrskOff    []int32
 	TrskEdge   []int32
 	TrskWeight []float64
+
+	windOnce sync.Once
+	wind     *WindBasis // built by WindBasis on first use
 }
 
 // CellEdges returns the CCW edge list of cell c.

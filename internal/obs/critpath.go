@@ -80,9 +80,12 @@ func CriticalPath(st *StepTimeline) ([]PathSpan, int64) {
 		return nil, 0
 	}
 
-	// Memoized longest-path DP. The graph is acyclic: prev edges point
-	// backward within a rank, and pack nodes have only prev edges, so a
-	// wait -> pack -> prev-chain recursion always terminates.
+	// Memoized longest-path DP. The graph is acyclic because every edge
+	// points back in time: prev edges to an earlier leaf of the rank, and
+	// a wait -> pack edge only to a pack that started before the wait
+	// ended. Once a flight ring wraps, a rank's k-th wait can meet a
+	// peer's k-th pack from a later exchange; that pack cannot have fed
+	// the wait, and following it could close a cycle.
 	dist := make([]int64, len(nodes))
 	pred := make([]int, len(nodes))
 	done := make([]bool, len(nodes))
@@ -108,7 +111,9 @@ func CriticalPath(st *StepTimeline) ([]PathSpan, int64) {
 				if ri == n.rank || n.wait >= len(packs[ri]) {
 					continue
 				}
-				relax(packs[ri][n.wait])
+				if pk := packs[ri][n.wait]; nodes[pk].span.Start < n.span.Start+n.span.Dur {
+					relax(pk)
+				}
 			}
 		}
 		work := n.span.Dur

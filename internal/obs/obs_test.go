@@ -102,6 +102,29 @@ func TestCriticalPathRoutesThroughStraggler(t *testing.T) {
 	}
 }
 
+// Once a flight ring wraps, rank A's k-th halo_wait can meet rank B's
+// k-th halo_pack from a later exchange. Here each rank waits over
+// [0, 5] and then packs over [6, 8]: pairing each wait with the peer's
+// pack would make a cycle (wait A -> pack B -> wait B -> pack A -> wait
+// A). A pack that starts after the wait ended cannot have fed it, so the
+// path is one rank's pack alone.
+func TestCriticalPathIgnoresPacksAfterTheWait(t *testing.T) {
+	rank := func(r int32) RankStep {
+		return RankStep{Rank: r, Spans: []Span{
+			{Name: "halo_wait", Rank: r, Start: 0, Dur: 5},
+			{Name: "halo_pack", Rank: r, Start: 6, Dur: 2},
+		}}
+	}
+	cp, total := CriticalPath(&StepTimeline{Ranks: []RankStep{rank(0), rank(1)}})
+	if total != 2 {
+		t.Errorf("critical total = %d, want 2", total)
+	}
+	want := []PathSpan{{Rank: 0, Name: "halo_pack", Index: 0, DurNS: 2}}
+	if len(cp) != len(want) || cp[0] != want[0] {
+		t.Errorf("path = %+v, want %+v", cp, want)
+	}
+}
+
 func TestPostmortemAttribution(t *testing.T) {
 	tl := Merge(synthRings(), 0)
 	pm := Build(tl, 2)

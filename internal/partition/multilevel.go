@@ -21,14 +21,50 @@ func KWay(g *Graph, nparts int, seed int64) []int32 {
 	for i := range local {
 		local[i] = -1
 	}
-	recursiveBisect(g, mesh.IdentityIDs(g.NumVertices()), 0, nparts, part, local, rng)
+	recursiveBisect(g, mesh.IdentityIDs(g.NumVertices()), 0, nparts, part, local, rng, new(scratch))
 	return part
+}
+
+// scratch is working memory every bisection of one KWay call reuses:
+// coarsen's matching and contraction arrays, refineFM's per-vertex
+// state. Each user reslices what it needs and sets every entry it reads.
+type scratch struct {
+	match, pos []int32
+	order      []int32
+	members    [][2]int32
+	ed, id     []int64
+	nd         []int32
+	boundary   []int32
+	gains      []int64
+	ones       []int32 // unweighted edges' weights, see Graph.row
+}
+
+// row returns v's neighbours and the weights of the edges to them, of
+// equal length; an unweighted graph's weights are a run of sc.ones.
+func (g *Graph) row(v int32, sc *scratch) (adj, ew []int32) {
+	lo, hi := g.Xadj[v], g.Xadj[v+1]
+	adj = g.Adjncy[lo:hi]
+	if g.EdgeW != nil {
+		return adj, g.EdgeW[lo:hi][:len(adj)]
+	}
+	for len(sc.ones) < len(adj) {
+		sc.ones = append(sc.ones, 1)
+	}
+	return adj, sc.ones[:len(adj)]
+}
+
+// grow returns buf resliced to n entries, reallocated when too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // recursiveBisect splits the induced subgraph over verts into parts
 // [base, base+nparts), writing assignments into part. local is induced's
 // renumbering array: one entry per vertex of g, all -1 between calls.
-func recursiveBisect(g *Graph, verts []int32, base int32, nparts int, part, local []int32, rng *rand.Rand) {
+func recursiveBisect(g *Graph, verts []int32, base int32, nparts int, part, local []int32, rng *rand.Rand, sc *scratch) {
 	if nparts == 1 {
 		for _, v := range verts {
 			part[v] = base
@@ -39,8 +75,15 @@ func recursiveBisect(g *Graph, verts []int32, base int32, nparts int, part, loca
 	rightParts := nparts - leftParts
 	// Split vertex weight proportionally to the part counts.
 	sub := induced(g, verts, local)
-	side := bisect(sub, float64(leftParts)/float64(nparts), rng)
-	var left, right []int32
+	side := bisect(sub, float64(leftParts)/float64(nparts), rng, sc)
+	nleft := 0
+	for _, sd := range side {
+		if sd == 0 {
+			nleft++
+		}
+	}
+	left := make([]int32, 0, nleft)
+	right := make([]int32, 0, len(verts)-nleft)
 	for i, v := range verts {
 		if side[i] == 0 {
 			left = append(left, v)
@@ -48,34 +91,45 @@ func recursiveBisect(g *Graph, verts []int32, base int32, nparts int, part, loca
 			right = append(right, v)
 		}
 	}
-	recursiveBisect(g, left, base, leftParts, part, local, rng)
-	recursiveBisect(g, right, base+int32(leftParts), rightParts, part, local, rng)
+	recursiveBisect(g, left, base, leftParts, part, local, rng, sc)
+	recursiveBisect(g, right, base+int32(leftParts), rightParts, part, local, rng, sc)
 }
 
 // induced extracts the subgraph over verts (renumbered 0..len-1),
 // dropping edges that leave the subset. local maps a vertex of g to its
 // new number (-1 outside verts); induced fills it and clears it again.
+// A nil weight slice of g stays nil (all 1) in the subgraph.
 func induced(g *Graph, verts, local []int32) *Graph {
+	deg := 0
 	for i, v := range verts {
 		local[v] = int32(i)
+		deg += int(g.Xadj[v+1] - g.Xadj[v])
 	}
-	xadj := make([]int32, len(verts)+1)
-	var adjncy, edgew []int32
-	vertw := make([]int32, len(verts))
+	sub := &Graph{Xadj: make([]int32, len(verts)+1), Adjncy: make([]int32, 0, deg)}
+	if g.EdgeW != nil {
+		sub.EdgeW = make([]int32, 0, deg)
+	}
+	if g.VertW != nil {
+		sub.VertW = make([]int32, len(verts))
+		for i, v := range verts {
+			sub.VertW[i] = g.VertW[v]
+		}
+	}
 	for i, v := range verts {
-		vertw[i] = g.vertWeight(v)
 		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
 			if lu := local[g.Adjncy[k]]; lu >= 0 {
-				adjncy = append(adjncy, lu)
-				edgew = append(edgew, g.edgeWeight(k))
+				sub.Adjncy = append(sub.Adjncy, lu)
+				if g.EdgeW != nil {
+					sub.EdgeW = append(sub.EdgeW, g.EdgeW[k])
+				}
 			}
 		}
-		xadj[i+1] = int32(len(adjncy))
+		sub.Xadj[i+1] = int32(len(sub.Adjncy))
 	}
 	for _, v := range verts {
 		local[v] = -1
 	}
-	return &Graph{Xadj: xadj, Adjncy: adjncy, EdgeW: edgew, VertW: vertw}
+	return sub
 }
 
 // coarse holds one level of the multilevel hierarchy.
@@ -88,11 +142,11 @@ type coarse struct {
 // bisect partitions g into two sides with the given target weight
 // fraction on side 0, using multilevel coarsening + greedy growing + FM
 // refinement. It returns a 0/1 side per vertex.
-func bisect(g *Graph, frac float64, rng *rand.Rand) []int8 {
+func bisect(g *Graph, frac float64, rng *rand.Rand, sc *scratch) []int8 {
 	// Build the coarsening hierarchy.
 	level := &coarse{g: g}
 	for level.g.NumVertices() > 64 {
-		next := coarsen(level.g, rng)
+		next := coarsen(level.g, rng, sc)
 		if next.g.NumVertices() >= level.g.NumVertices() {
 			break // matching stalled (e.g. star graphs)
 		}
@@ -101,7 +155,7 @@ func bisect(g *Graph, frac float64, rng *rand.Rand) []int8 {
 	}
 
 	side := growBisection(level.g, frac, rng)
-	refineFM(level.g, side, frac, 8)
+	refineFM(level.g, side, frac, 8, sc)
 
 	// Uncoarsen with refinement at each level.
 	for level.finer != nil {
@@ -111,34 +165,50 @@ func bisect(g *Graph, frac float64, rng *rand.Rand) []int8 {
 			fineSide[v] = side[level.cmap[v]]
 		}
 		side = fineSide
-		refineFM(finer.g, side, frac, 8)
+		refineFM(finer.g, side, frac, 8, sc)
 		level = finer
 	}
 	return side
 }
 
 // coarsen contracts a heavy-edge matching of g.
-func coarsen(g *Graph, rng *rand.Rand) *coarse {
+func coarsen(g *Graph, rng *rand.Rand, sc *scratch) *coarse {
 	n := g.NumVertices()
-	match := make([]int32, n)
+	sc.match = grow(sc.match, n)
+	match := sc.match
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(n)
+	// rng.Perm's permutation and draws, into reused int32 memory.
+	sc.order = grow(sc.order, n)
+	order := sc.order
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], int32(i)
+	}
 	var nc int32
 	cmap := make([]int32, n)
-	members := make([][2]int32, 0, n) // per coarse vertex: its fine vertices, ascending (-1: none)
-	for _, vi := range order {
-		v := int32(vi)
+	members := sc.members[:0] // per coarse vertex: its fine vertices, ascending (-1: none)
+	for _, v := range order {
 		if match[v] >= 0 {
 			continue
 		}
-		// Heaviest unmatched neighbor.
+		// Heaviest unmatched neighbor; on an unweighted level every edge
+		// weighs 1, so the first unmatched one.
 		best, bestW := int32(-1), int32(-1)
-		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
-			u := g.Adjncy[k]
-			if u != v && match[u] < 0 && g.edgeWeight(k) > bestW {
-				best, bestW = u, g.edgeWeight(k)
+		if g.EdgeW == nil {
+			for _, u := range g.Adjncy[g.Xadj[v]:g.Xadj[v+1]] {
+				if u != v && match[u] < 0 {
+					best = u
+					break
+				}
+			}
+		} else {
+			adj, ew := g.row(v, sc)
+			for j, u := range adj {
+				if u != v && match[u] < 0 && ew[j] > bestW {
+					best, bestW = u, ew[j]
+				}
 			}
 		}
 		if best >= 0 {
@@ -157,40 +227,45 @@ func coarsen(g *Graph, rng *rand.Rand) *coarse {
 	// Build the contracted graph with summed weights, one CSR row per
 	// coarse vertex: its fine vertices in ascending order, their coarse
 	// neighbors in first-seen order. pos marks where a neighbor already
-	// sits in the current row.
+	// sits in the current row. Rows never hold more than the fine graph's
+	// adjacency, so they are written in place.
 	vertw := make([]int32, nc)
 	xadj := make([]int32, nc+1)
-	adjncy := make([]int32, 0, len(g.Adjncy))
-	edgew := make([]int32, 0, len(g.Adjncy))
-	pos := make([]int32, nc)
+	adjncy := make([]int32, len(g.Adjncy))
+	edgew := make([]int32, len(g.Adjncy))
+	sc.members = members
+	sc.pos = grow(sc.pos, int(nc))
+	pos := sc.pos
 	for i := range pos {
 		pos[i] = -1
 	}
+	var m int32
 	for cv := int32(0); cv < nc; cv++ {
-		start := int32(len(adjncy))
+		start := m
 		for _, v := range members[cv] {
 			if v < 0 {
 				continue
 			}
 			vertw[cv] += g.vertWeight(v)
-			for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
-				cu := cmap[g.Adjncy[k]]
+			adj, ew := g.row(v, sc)
+			for j, u := range adj {
+				cu := cmap[u]
 				if cu == cv {
 					continue
 				}
-				if pos[cu] >= start {
-					edgew[pos[cu]] += g.edgeWeight(k)
+				if p := pos[cu]; p >= start {
+					edgew[p] += ew[j]
 					continue
 				}
-				pos[cu] = int32(len(adjncy))
-				adjncy = append(adjncy, cu)
-				edgew = append(edgew, g.edgeWeight(k))
+				pos[cu] = m
+				adjncy[m], edgew[m] = cu, ew[j]
+				m++
 			}
 		}
-		xadj[cv+1] = int32(len(adjncy))
+		xadj[cv+1] = m
 	}
 	return &coarse{
-		g:    &Graph{Xadj: xadj, Adjncy: adjncy, EdgeW: edgew, VertW: vertw},
+		g:    &Graph{Xadj: xadj, Adjncy: adjncy[:m], EdgeW: edgew[:m], VertW: vertw},
 		cmap: cmap,
 	}
 }
@@ -260,7 +335,14 @@ func edgeCut2(g *Graph, side []int8) int64 {
 // refineFM runs Fiduccia–Mattheyses-style passes: repeatedly move the
 // boundary vertex with the best gain that keeps balance within tolerance,
 // accepting the best prefix of moves in each pass.
-func refineFM(g *Graph, side []int8, frac float64, maxPasses int) {
+//
+// As in METIS, every vertex carries its external and internal edge
+// weight (ed, id: the weight to the other side and to its own) and its
+// count of other-side neighbours (nd, so "on the boundary" is nd > 0
+// whatever the weights); a move updates the three for the vertex and
+// its neighbours, so a gain is ed - id instead of an adjacency walk, and
+// a pass finds the boundary without reading adjacency at all.
+func refineFM(g *Graph, side []int8, frac float64, maxPasses int, sc *scratch) {
 	n := g.NumVertices()
 	total := g.TotalVertWeight()
 	target0 := int64(frac * float64(total))
@@ -280,22 +362,42 @@ func refineFM(g *Graph, side []int8, frac float64, maxPasses int) {
 	}
 
 	weight0 := int64(0)
+	sc.ed, sc.id, sc.nd = grow(sc.ed, n), grow(sc.id, n), grow(sc.nd, n)
+	ed, id, nd := sc.ed, sc.id, sc.nd
 	for v := int32(0); v < int32(n); v++ {
 		if side[v] == 0 {
 			weight0 += int64(g.vertWeight(v))
 		}
-	}
-
-	gain := func(v int32) int64 {
-		var ext, intl int64
-		for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
-			if side[g.Adjncy[k]] != side[v] {
-				ext += int64(g.edgeWeight(k))
+		var e, i int64
+		var c int32
+		adj, ew := g.row(v, sc)
+		for j, u := range adj {
+			if side[u] != side[v] {
+				e += int64(ew[j])
+				c++
 			} else {
-				intl += int64(g.edgeWeight(k))
+				i += int64(ew[j])
 			}
 		}
-		return ext - intl
+		ed[v], id[v], nd[v] = e, i, c
+	}
+	move := func(v int32) {
+		from := side[v]
+		side[v] = 1 - from
+		ed[v], id[v] = id[v], ed[v]
+		nd[v] = g.Degree(v) - nd[v]
+		adj, ew := g.row(v, sc)
+		for j, u := range adj {
+			w := int64(ew[j])
+			switch {
+			case u == v: // a self-loop is internal on either side
+				ed[v], id[v], nd[v] = ed[v]-w, id[v]+w, nd[v]-1
+			case side[u] == from:
+				ed[u], id[u], nd[u] = ed[u]+w, id[u]-w, nd[u]+1
+			default:
+				ed[u], id[u], nd[u] = ed[u]-w, id[u]+w, nd[u]-1
+			}
+		}
 	}
 
 	// Rebalance first: while one side is too heavy, move the
@@ -311,20 +413,10 @@ func refineFM(g *Graph, side []int8, frac float64, maxPasses int) {
 		}
 		best, bestGain := int32(-1), int64(-1<<62)
 		for v := int32(0); v < int32(n); v++ {
-			if side[v] != heavy {
+			if side[v] != heavy || nd[v] == 0 {
 				continue
 			}
-			onBoundary := false
-			for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
-				if side[g.Adjncy[k]] != heavy {
-					onBoundary = true
-					break
-				}
-			}
-			if !onBoundary {
-				continue
-			}
-			if gv := gain(v); gv > bestGain {
+			if gv := ed[v] - id[v]; gv > bestGain {
 				best, bestGain = v, gv
 			}
 		}
@@ -337,33 +429,27 @@ func refineFM(g *Graph, side []int8, frac float64, maxPasses int) {
 		} else {
 			weight0 += w
 		}
-		side[best] = 1 - side[best]
+		move(best)
 	}
 
-	var gains []int64
+	boundary, gains := sc.boundary, sc.gains
+	defer func() { sc.boundary, sc.gains = boundary, gains }()
 	for pass := 0; pass < maxPasses; pass++ {
-		// Collect boundary vertices sorted by gain.
-		var boundary []int32
+		// Collect boundary vertices (ascending) sorted by gain.
+		boundary, gains = boundary[:0], gains[:0]
 		for v := int32(0); v < int32(n); v++ {
-			for k := g.Xadj[v]; k < g.Xadj[v+1]; k++ {
-				if side[g.Adjncy[k]] != side[v] {
-					boundary = append(boundary, v)
-					break
-				}
+			if nd[v] > 0 {
+				boundary = append(boundary, v)
+				gains = append(gains, ed[v]-id[v])
 			}
 		}
 		if len(boundary) == 0 {
 			return
 		}
-		gains = gains[:0]
-		for _, v := range boundary {
-			gains = append(gains, gain(v))
-		}
 		sort.Sort(byGainDesc{boundary, gains})
 		improved := false
 		for _, v := range boundary {
-			gv := gain(v)
-			if gv <= 0 {
+			if ed[v]-id[v] <= 0 {
 				break
 			}
 			w := int64(g.vertWeight(v))
@@ -376,7 +462,7 @@ func refineFM(g *Graph, side []int8, frac float64, maxPasses int) {
 			if newW0 < target0-tol || newW0 > target0+tol {
 				continue
 			}
-			side[v] = 1 - side[v]
+			move(v)
 			weight0 = newW0
 			improved = true
 		}

@@ -65,10 +65,11 @@ func BenchmarkEpochRoundTripG6L20(b *testing.B) {
 
 // BenchmarkDaemonStartG6 times what gristd does between exec and its
 // first answer at the serve workloads' size (G6 x 20, 4 parts, 8
-// committed epochs): the BFS-ordered mesh, the plan built beside the
-// server's tiler, and the first Poll, which publishes every epoch. The
-// epochs are written once, off the clock, under the test's temp
-// directory. `make profile-start` profiles it.
+// committed epochs), in gristd's order: the BFS-ordered mesh, then the
+// server (and its tiler) on a goroutine while the plan is built and the
+// first Poll backfills every epoch into the server's store. The epochs
+// are written once, off the clock, under the test's temp directory.
+// `make profile-start` profiles it.
 func BenchmarkDaemonStartG6(b *testing.B) {
 	const nlev, nparts, epochs = 20, 4, 8
 	dir := b.TempDir()
@@ -94,15 +95,16 @@ func BenchmarkDaemonStartG6(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		m := mesh.New(6).ReorderBFS()
-		plan := make(chan *core.DistPlan, 1)
-		go func() { plan <- core.NewDistPlan(m, nlev, nparts, 12345) }()
-		srv := NewServer(m, Config{}, telemetry.NewRegistry())
-		st, err := core.NewShardStore(dir, <-plan)
+		store := NewSnapshotStore(8)
+		built := make(chan *Server, 1)
+		go func() { built <- NewServerOn(m, Config{}, store, telemetry.NewRegistry()) }()
+		st, err := core.NewShardStore(dir, core.NewDistPlan(m, nlev, nparts, 12345))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n, err := NewShardPoller(st, srv.Engine.Store()).Poll(); err != nil || n != epochs {
+		if n, err := NewShardPoller(st, store).Poll(); err != nil || n != epochs {
 			b.Fatalf("first poll = (%d, %v), want (%d, nil)", n, err, epochs)
 		}
+		<-built
 	}
 }

@@ -93,8 +93,14 @@ var queryKinds = []string{"point", "region", "range", "epochs"}
 // NewServer assembles a serving plane over m, publishing its metrics
 // into reg (required — pass a fresh registry if nothing scrapes it).
 func NewServer(m *mesh.Mesh, cfg Config, reg *telemetry.Registry) *Server {
+	return NewServerOn(m, cfg, NewSnapshotStore(cfg.withDefaults().Retain), reg)
+}
+
+// NewServerOn is NewServer serving an existing snapshot store, whose
+// retention stands in place of cfg.Retain. A daemon can then publish
+// into the store while the server (and its tiler) is still being built.
+func NewServerOn(m *mesh.Mesh, cfg Config, store *SnapshotStore, reg *telemetry.Registry) *Server {
 	cfg = cfg.withDefaults()
-	store := NewSnapshotStore(cfg.Retain)
 	s := &Server{
 		Engine:      NewEngine(m, store, cfg.Tiles, cfg.CacheTiles, cfg.Seed),
 		Quotas:      NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gristgo/internal/core"
@@ -290,5 +295,81 @@ func TestShardPollerQuarantineReasonLabels(t *testing.T) {
 				t.Errorf("%s epoch: quarantined_total{%s} = %d, want %d", c.reason, r, got, want)
 			}
 		}
+	}
+}
+
+// The first poll's backfill derives epochs on up to GOMAXPROCS workers
+// but publishes, quarantines, counts and logs them in epoch order: over
+// eight committed epochs, one with a corrupt shard, one torn and one
+// missing a shard, a poll at GOMAXPROCS 2 leaves exactly what the
+// sequential walk at GOMAXPROCS 1 leaves.
+func TestShardPollerBackfillQuarantineMatchesSequential(t *testing.T) {
+	const nlev, nparts, epochs = 3, 2, 8
+	st, err := core.NewShardStore(t.TempDir(), core.NewDistPlan(testMesh, nlev, nparts, 12345))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range epochs {
+		s := testState(nlev)
+		for i := range s.DryMass {
+			s.DryMass[i] *= 1 + 1e-6*float64(e)
+		}
+		for p := range nparts {
+			if err := st.WriteShard(e, p, 10*e, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Commit(e, 10*e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corruptShard(t, st.Dir(), 2)
+	if err := st.WriteShard(4, 1, 41, testState(nlev)); err != nil { // torn
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(st.Dir(), "shard-e000006-r0001.grist")); err != nil {
+		t.Fatal(err)
+	}
+
+	firstPoll := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dst := NewSnapshotStore(epochs)
+		p := NewShardPoller(st, dst)
+		p.SetSeed(7)
+		reg := telemetry.NewRegistry()
+		p.SetMetrics(reg)
+		var logs bytes.Buffer
+		p.SetLogger(slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{
+			ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+				if a.Key == slog.TimeKey {
+					return slog.Attr{}
+				}
+				return a
+			},
+		})))
+		n, err := p.Poll()
+		var out strings.Builder
+		fmt.Fprintf(&out, "published %d, error %v\n", n, err)
+		for _, e := range dst.Epochs() {
+			snap, _ := dst.At(e)
+			fmt.Fprintf(&out, "epoch %d step %d checksum %x\n", e, snap.Step, snap.Checksum())
+		}
+		for _, e := range p.Quarantined() {
+			q := p.quarantine[e]
+			fmt.Fprintf(&out, "quarantined %d: %s, fails %d, retry at %d\n", e, q.Reason, q.Fails, q.RetryAt)
+		}
+		fmt.Fprintf(&out, "staleness %d\n", p.Staleness())
+		reg.WritePrometheus(&out)
+		out.WriteString(logs.String())
+		return out.String()
+	}
+	seq, par := firstPoll(1), firstPoll(2)
+	for _, want := range []string{"published 5,", "quarantined 2: corrupt", "quarantined 4: torn", "quarantined 6: missing"} {
+		if !strings.Contains(seq, want) {
+			t.Errorf("sequential poll lacks %q:\n%s", want, seq)
+		}
+	}
+	if par != seq {
+		t.Errorf("first poll at GOMAXPROCS 2 differs from the sequential walk\n--- GOMAXPROCS 1:\n%s--- GOMAXPROCS 2:\n%s", seq, par)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"gristgo/internal/core"
 	"gristgo/internal/detrand"
@@ -97,17 +98,18 @@ func SnapshotFromState(epoch, step int, s *dycore.State) *Snapshot {
 	m := s.M
 	nlev := s.NLev
 	snap := &Snapshot{Epoch: epoch, Step: step}
-	for f := 0; f < NumFields; f++ {
-		snap.data[f] = make([]float64, m.NCells)
-	}
 	// Only the surface winds are served: reconstruct them from the
-	// surface edge winds as a one-level field.
+	// surface edge winds as a one-level field, whose per-cell values are
+	// the served ones.
 	kSfc := nlev - 1
 	uSfc := make([]float64, m.NEdges)
 	for e := range uSfc {
 		uSfc[e] = s.U[e*nlev+kSfc]
 	}
-	uc, vc := core.CellWinds(m, uSfc, 1)
+	snap.data[FieldUSfc], snap.data[FieldVSfc] = core.CellWinds(m, uSfc, 1)
+	for _, f := range []int{FieldPS, FieldTSfc, FieldWMax} {
+		snap.data[f] = make([]float64, m.NCells)
+	}
 	// Every cell is independent, so the split across workers changes no bit.
 	mesh.ParallelFor(runtime.GOMAXPROCS(0), mesh.IdentityIDs(m.NCells), func(ids []int32) {
 		for _, c := range ids {
@@ -122,8 +124,6 @@ func SnapshotFromState(epoch, step int, s *dycore.State) *Snapshot {
 			p := ps - 0.5*dpi
 			theta := s.ThetaM[base+kSfc] / dpi
 			snap.data[FieldTSfc][c] = theta * math.Pow(p/dycore.P0, dycore.Rd/dycore.Cp)
-			snap.data[FieldUSfc][c] = uc[c]
-			snap.data[FieldVSfc][c] = vc[c]
 			var wmax float64
 			ibase := int(c) * (nlev + 1)
 			for k := 0; k <= nlev; k++ {
@@ -337,8 +337,7 @@ func (p *ShardPoller) Poll() (int, error) {
 		floor = p.head - p.dst.retain
 	}
 
-	published := 0
-	var headErr error
+	var due []int
 	for _, ei := range epochs {
 		e := ei.Epoch
 		if e <= floor {
@@ -351,7 +350,15 @@ func (p *ShardPoller) Poll() (int, error) {
 		if q != nil && p.polls < q.RetryAt {
 			continue // quarantined, retry not due yet
 		}
-		step, err := p.src.LoadEpochSurface(e, p.scratch)
+		due = append(due, e)
+	}
+
+	published := 0
+	var headErr error
+	result := p.derive(due)
+	for i, e := range due {
+		q := p.quarantine[e]
+		snap, err := result(i)
 		if err != nil {
 			reason := classifyLoadError(err)
 			first := q == nil
@@ -378,7 +385,7 @@ func (p *ShardPoller) Poll() (int, error) {
 			}
 			continue
 		}
-		p.dst.Publish(SnapshotFromState(e, step, p.scratch))
+		p.dst.Publish(snap)
 		published++
 		if q != nil {
 			delete(p.quarantine, e)
@@ -409,6 +416,56 @@ func (p *ShardPoller) Poll() (int, error) {
 	}
 	p.updateGaugesLocked(epochs)
 	return published, headErr
+}
+
+// derive loads and derives the snapshots of the due epochs (ascending)
+// and returns a function that blocks until the i-th is ready; the caller
+// asks for them in order. One due epoch (every poll after the first,
+// while the poller keeps up) is derived on the caller's goroutine into
+// the poller's scratch. A backfill runs on up to GOMAXPROCS workers, the
+// first with the poller's scratch and each other with its own, made for
+// this poll only. A snapshot depends only on its epoch's files, never on
+// what a scratch held before, so every worker count derives the same
+// bits.
+func (p *ShardPoller) derive(due []int) func(i int) (*Snapshot, error) {
+	load := func(e int, s *dycore.State) (*Snapshot, error) {
+		step, err := p.src.LoadEpochSurface(e, s)
+		if err != nil {
+			return nil, err
+		}
+		return SnapshotFromState(e, step, s), nil
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(due))
+	if workers <= 1 {
+		return func(i int) (*Snapshot, error) { return load(due[i], p.scratch) }
+	}
+	type derived struct {
+		snap *Snapshot
+		err  error
+		done chan struct{}
+	}
+	out := make([]derived, len(due))
+	for i := range out {
+		out[i].done = make(chan struct{})
+	}
+	var next atomic.Int64
+	pl := p.src.Plan()
+	for w := range workers {
+		scratch := p.scratch
+		if w > 0 {
+			scratch = dycore.NewState(pl.Mesh, pl.NLev)
+		}
+		go func() {
+			for i := int(next.Add(1) - 1); i < len(due); i = int(next.Add(1) - 1) {
+				out[i].snap, out[i].err = load(due[i], scratch)
+				close(out[i].done)
+			}
+		}()
+	}
+	return func(i int) (*Snapshot, error) {
+		<-out[i].done
+		return out[i].snap, out[i].err
+	}
 }
 
 // updateGaugesLocked refreshes the staleness and quarantine-size
