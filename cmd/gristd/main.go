@@ -61,6 +61,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gristd: need -data DIR to watch, or -replay.epochs N to self-generate one")
 		os.Exit(2)
 	}
+	if *retain < 1 {
+		fmt.Fprintln(os.Stderr, "gristd: -retain must be at least 1")
+		os.Exit(2)
+	}
 	if *data == "" {
 		dir, err := os.MkdirTemp("", "gristd-replay-")
 		if err != nil {
@@ -96,9 +100,9 @@ func main() {
 		fsys = fault.NewFS(vfs.OS, *faultSeed, prof)
 	}
 
-	// Listen first: a taken port fails the start before any work, and a
-	// client that connects early waits in the backlog until the server
-	// serves.
+	// Listen first: a taken port fails the start before the
+	// decompositions and the poll, and a client that connects early waits
+	// in the backlog until the server serves.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -108,10 +112,10 @@ func main() {
 	fmt.Printf("  watching %s every %s (%d ranks, %d layers, retain %d epochs)\n",
 		*data, *poll, *parts, *layers, *retain)
 
-	// Nothing before the first answer needs the server's tiler, a
-	// decomposition of its own: build the server on a goroutine, and
-	// serve once it exists, while this goroutine builds the plan and runs
-	// the first poll into the snapshot store the server reads. The query
+	// The first poll does not need the server's tiler, a decomposition
+	// of its own: build the server on a goroutine, and serve once it
+	// exists, while this goroutine builds the plan and runs the first
+	// poll into the snapshot store the server reads. The query
 	// plane and the telemetry endpoints share one mux, with the debug
 	// plane (/debug/query traces, /debug/step postmortems over the
 	// daemon's own flight ring).

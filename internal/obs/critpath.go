@@ -80,12 +80,14 @@ func CriticalPath(st *StepTimeline) ([]PathSpan, int64) {
 		return nil, 0
 	}
 
-	// Memoized longest-path DP. The graph is acyclic because every edge
-	// points back in time: prev edges to an earlier leaf of the rank, and
-	// a wait -> pack edge only to a pack that started before the wait
-	// ended. Once a flight ring wraps, a rank's k-th wait can meet a
-	// peer's k-th pack from a later exchange; that pack cannot have fed
-	// the wait, and following it could close a cycle.
+	// Memoized longest-path DP. Once a flight ring wraps, a rank's k-th
+	// wait can meet a peer's k-th pack from a later exchange, which
+	// cannot have fed it; so a wait -> pack edge is taken only when the
+	// pack started before the wait ended. That keeps the graph acyclic:
+	// a cycle would run wait W1 -> pack K2 -> (prev edges back through
+	// rank 2) -> wait W2 -> pack K3 -> ... -> W1, and on each rank the
+	// wait ends before the pack after it starts, so end(W2) <= start(K2)
+	// < end(W1), and so on around the cycle to end(W1) < end(W1).
 	dist := make([]int64, len(nodes))
 	pred := make([]int, len(nodes))
 	done := make([]bool, len(nodes))

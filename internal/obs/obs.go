@@ -22,8 +22,12 @@
 // The merge aligns globally by *step number* (the SPMD loop index every
 // rank stamps via Recorder.BeginAt) and normalizes Start per ring to
 // the ring's first retained span, which is enough for human-readable
-// merged traces; the critical path uses only durations and the
-// pack/wait ordering, never cross-ring timestamps.
+// merged traces. The critical path uses durations and the pack/wait
+// pairing, plus one cross-ring comparison: a peer's pack counts as a
+// wait's dependency only if it started before the wait ended. Whatever
+// the rings' offsets, that keeps the dependency graph acyclic; where
+// they differ (rings that lost different amounts of history) it can
+// drop a true dependency, never close a cycle.
 package obs
 
 import (
@@ -81,8 +85,8 @@ func PhaseOf(name string) Phase {
 
 // Span is one completed span in the merged timeline. Start is
 // nanoseconds since the source ring's first retained span (per-ring
-// normalization; see the package comment for why cross-ring timestamps
-// are never compared). Index is the k-th occurrence (0-based) of Name
+// normalization; see the package comment for the one place starts are
+// compared across rings). Index is the k-th occurrence (0-based) of Name
 // within this (rank, step) group in ring order — the occurrence number
 // is what pairs a halo_wait with the matching halo_pack round.
 type Span struct {
